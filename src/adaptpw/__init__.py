@@ -26,7 +26,7 @@ from .estimator import (
     source_residual,
     truncated_residual,
 )
-from .frequency import IndexSet, ball, complement_candidates, union, validate_symmetric
+from .frequency import IndexSet, ball, union, validate_symmetric
 from .marking import MarkingError, MarkResult, dorfler_mark
 from .operator import (
     ClusterBoundaryWarning,
@@ -61,7 +61,6 @@ from .verify import (
     reference_solve,
     run_distances,
     subspace_distance,
-    subspace_distance_fields,
 )
 
 __version__ = "0.1.0"

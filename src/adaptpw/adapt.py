@@ -227,7 +227,8 @@ def run_eigen(config: AdaptiveConfig, potential: Potential) -> AdaptiveRun:
         mark = None
         if stop_reason is None:
             mark = dorfler_mark(
-                estimate.per_pair, config.theta_tilde, estimate.off_set_sq, config.dim
+                (estimate.pair_reps, estimate.pair_contribs), config.theta_tilde,
+                estimate.off_set_sq, config.dim,
             )
             run.marks.append(mark)
 
@@ -301,7 +302,8 @@ def run_source(
         mark = None
         if stop_reason is None:
             mark = dorfler_mark(
-                estimate.per_pair, config.theta_tilde, estimate.off_set_sq, config.dim
+                (estimate.pair_reps, estimate.pair_contribs), config.theta_tilde,
+                estimate.off_set_sq, config.dim,
             )
             run.marks.append(mark)
 

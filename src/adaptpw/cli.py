@@ -48,7 +48,6 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import AdaptiveConfig, AdaptiveRun, run_eigen, run_source
-from .estimator import EstimatorError
 from .frequency import ball
 from .marking import MarkingError
 from .operator import Potential, PotentialError, SolverError, verify_potential
@@ -124,8 +123,11 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def ingest_config(path: str | Path) -> ExperimentConfig:
-    """Load and validate a JSON experiment config, applying defaults."""
+def ingest_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
+    """Load and validate a JSON experiment config, applying defaults.
+
+    A non-None `seed` overrides the config's own seed.
+    """
     p = Path(path)
     if not p.is_file():
         raise ConfigError("config", f"file not found: {p}")
@@ -133,10 +135,10 @@ def ingest_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    return validate_config(raw)
+    return validate_config(raw, seed)
 
 
-def validate_config(raw: dict) -> ExperimentConfig:
+def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
     problem = _require(raw, "problem", "config")
@@ -177,7 +179,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             n_eigs=n_eigs,
             max_iter=int(algo["max_iter"]),
             max_dof=int(algo["max_dof"]),
-            mode=mode if mode != "uniform" else "eigen-feasible",
+            mode=mode,
         )
     except ValueError as exc:
         raise ConfigError("algorithm", str(exc)) from exc
@@ -197,7 +199,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     outdir = str(output.get("directory", "out"))
     formats = tuple(output.get("formats", ("csv", "json")))
 
-    seed = raw.get("seed")
+    if seed is None:
+        seed = raw.get("seed")
     if pot["family"] == "random-decay" and seed is None:
         raise ConfigError("seed", "random-decay potentials require an explicit seed")
 
@@ -458,14 +461,15 @@ def write_iterations_csv(
 def write_marked_sets(path: Path, run: AdaptiveRun) -> None:
     lines = []
     for n, mark in enumerate(run.marks):
+        est = run.estimates[n]
         entry = {
             "n": n,
             "achieved_fraction": mark.achieved_fraction,
             "pairs_considered": mark.pairs_considered,
             "marked": [list(g) for g in mark.marked.to_list()],
             "per_pair": {
-                ",".join(str(x) for x in rep): val
-                for rep, val in sorted(run.estimates[n].per_pair.items())
+                ",".join(map(str, rep)): val
+                for rep, val in zip(est.pair_reps.tolist(), est.pair_contribs.tolist())
             },
         }
         lines.append(json.dumps(entry, sort_keys=True))
@@ -529,6 +533,21 @@ def _rate_fit_dict(fit: RateFit | None) -> dict | None:
     }
 
 
+def _write_run(
+    outdir: Path, summary: RunSummary, run: AdaptiveRun, errors: list[float] | None, fit
+) -> None:
+    """Write iterations.csv and marked_sets.jsonl and record the run in the summary."""
+    write_iterations_csv(outdir / "iterations.csv", run, errors)
+    write_marked_sets(outdir / "marked_sets.jsonl", run)
+    summary.data["files"].update(iterations="iterations.csv", marked_sets="marked_sets.jsonl")
+    summary.data.update(
+        termination_reason=run.termination_reason,
+        iterations=len(run.records),
+        final_dof=len(run.final_index_set),
+        rate_fits=_rate_fit_dict(fit),
+    )
+
+
 def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: bool = False) -> RunSummary:
     """Execute the configured experiment and write artifacts to disk."""
     t_start = time.perf_counter()
@@ -554,16 +573,9 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
         )
         run = run_eigen(algo, potential)
         distances, fit, ref = _verify_eigen_run(config, potential, run, summary)
-        write_iterations_csv(outdir / "iterations.csv", run, distances)
-        write_marked_sets(outdir / "marked_sets.jsonl", run)
-        summary.data["files"]["iterations"] = "iterations.csv"
-        summary.data["files"]["marked_sets"] = "marked_sets.jsonl"
-        summary.data["termination_reason"] = run.termination_reason
-        summary.data["iterations"] = len(run.records)
-        summary.data["final_dof"] = len(run.final_index_set)
+        _write_run(outdir, summary, run, distances, fit)
         summary.data["final_eigenvalues"] = [float(x) for x in run.final_cluster.eigenvalues]
         summary.data["admissible_parameters"] = run.admissible
-        summary.data["rate_fits"] = _rate_fit_dict(fit)
         say(
             f"{mode}: {run.termination_reason} after {len(run.records)} iterations, "
             f"dof {len(run.final_index_set)}"
@@ -582,15 +594,8 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
             positive = [e for e in errors if e > 0.0]
             if len(positive) == len(errors) and len(errors) >= 4:
                 fit = fit_rates(run.records, errors)
-        write_iterations_csv(outdir / "iterations.csv", run, errors)
-        write_marked_sets(outdir / "marked_sets.jsonl", run)
-        summary.data["files"]["iterations"] = "iterations.csv"
-        summary.data["files"]["marked_sets"] = "marked_sets.jsonl"
-        summary.data["termination_reason"] = run.termination_reason
-        summary.data["iterations"] = len(run.records)
-        summary.data["final_dof"] = len(run.final_index_set)
+        _write_run(outdir, summary, run, errors, fit)
         summary.data["final_solution_norms"] = list(run.records[-1].values)
-        summary.data["rate_fits"] = _rate_fit_dict(fit)
         say(
             f"source: {run.termination_reason} after {len(run.records)} iterations, "
             f"dof {len(run.final_index_set)}"
@@ -611,15 +616,8 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
         algo = AdaptiveConfig(**{**config.algorithm.__dict__, "mode": "eigen-feasible"})
         run = run_eigen(algo, potential)
         distances, fit, ref = _verify_eigen_run(config, potential, run, summary)
-        write_iterations_csv(outdir / "iterations.csv", run, distances)
-        write_marked_sets(outdir / "marked_sets.jsonl", run)
-        summary.data["files"]["iterations"] = "iterations.csv"
-        summary.data["files"]["marked_sets"] = "marked_sets.jsonl"
-        summary.data["termination_reason"] = run.termination_reason
-        summary.data["iterations"] = len(run.records)
-        summary.data["final_dof"] = len(run.final_index_set)
+        _write_run(outdir, summary, run, distances, fit)
         summary.data["final_eigenvalues"] = [float(x) for x in run.final_cluster.eigenvalues]
-        summary.data["rate_fits"] = _rate_fit_dict(fit)
         if ref is None or distances is None:
             raise SolverError("compare mode requires verification to be enabled")
         m_hi = int(math.ceil(run.final_index_set.max_radius())) + 1
@@ -734,23 +732,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = ingest_config(args.config)
+        config = ingest_config(args.config, args.seed)
         outdir = args.out or os.environ.get(ENV_OUTPUT_DIR) or config.output_dir
-        seed = args.seed if args.seed is not None else config.seed
-        if seed != config.seed or outdir != config.output_dir:
-            config = ExperimentConfig(
-                **{**config.__dict__, "seed": seed, "output_dir": outdir}
-            )
-        if (
-            config.potential_spec.get("family") == "random-decay"
-            and config.seed is None
-        ):
-            raise ConfigError("seed", "random-decay potentials require a seed")
+        if outdir != config.output_dir:
+            config = ExperimentConfig(**{**config.__dict__, "output_dir": outdir})
         run_experiment(config, mode=args.mode, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, MarkingError, EstimatorError, np.linalg.LinAlgError) as exc:
+    except (SolverError, MarkingError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -20,13 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequency import IndexSet, ball, union
+from .frequency import IndexSet, ball, lattice_keys, union
 from .operator import Potential
 from .spectral import SpectralField, multiply, project
-
-
-class EstimatorError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -154,26 +150,22 @@ def choose_truncation(
         radius *= 2
 
 
-def pair_representative(g: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical representative of the pair {G, -G} (lexicographic max)."""
-    neg = tuple(-x for x in g)
-    return g if g >= neg else neg
-
-
 @dataclass(frozen=True)
 class EstimatorValue:
     """Aggregated estimator of a cluster with its marking breakdown.
 
-    `per_pair` maps each +-pair representative outside the current index
-    set to the pair's total squared contribution across cluster members;
-    pairs are atomic so any marked set built from them is symmetric.
-    `zeta_actual` is the certified ratio bound/total (0 for exact
-    residuals); `on_set_sq` is the (near-zero) squared mass left on the
-    current set.
+    Row i of `pair_reps` is a +-pair representative (lexicographic max of
+    G and -G) outside the current index set and `pair_contribs[i]` the
+    pair's total squared contribution across cluster members, in order of
+    first encounter; pairs are atomic so any marked set built from them is
+    symmetric. `zeta_actual` is the certified ratio bound/total (0 for
+    exact residuals); `on_set_sq` is the (near-zero) squared mass left on
+    the current set.
     """
 
     total: float
-    per_pair: dict[tuple[int, ...], float]
+    pair_reps: np.ndarray
+    pair_contribs: np.ndarray
     zeta_actual: float
     on_set_sq: float
 
@@ -191,29 +183,35 @@ class EstimatorValue:
         where solver noise on the current set would otherwise swamp the
         candidates.
         """
-        return sum(self.per_pair.values())
+        return sum(self.pair_contribs.tolist())
 
 
 def cluster_estimate(rs: list[Residual], current: IndexSet) -> EstimatorValue:
-    """Aggregate residual contributions into pair totals outside `current`."""
-    per_pair: dict[tuple[int, ...], float] = {}
+    """Aggregate residual contributions into pair totals outside `current`.
+
+    Pair totals are one `np.bincount` over all members' contributions in
+    encounter order, so each accumulates exactly like a running sum.
+    """
     total_sq = 0.0
+    reps, contribs = [np.empty((0, current.dim), dtype=np.int64)], [np.empty(0)]
     for r in rs:
         total_sq += float(np.sum(r.per_frequency))
-        if len(r.support) == 0:
-            continue
         outside = current.positions(r.support.entries) < 0
-        entries = r.support.entries[outside]
-        contribs = r.per_frequency[outside]
-        for row, c in zip(entries, contribs):
-            rep = pair_representative(tuple(int(x) for x in row))
-            per_pair[rep] = per_pair.get(rep, 0.0) + float(c)
+        rows = r.support.entries[outside]
+        is_rep = (r.support.pair_keys() == r.support.keys)[outside]
+        reps.append(np.where(is_rep[:, None], rows, -rows))
+        contribs.append(r.per_frequency[outside])
+    reps = np.concatenate(reps)
+    _, first, inverse = np.unique(lattice_keys(reps), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    pair_contribs = np.bincount(inverse, weights=np.concatenate(contribs))[order]
     total = math.sqrt(total_sq)
     bound = math.sqrt(sum(r.truncation_bound**2 for r in rs))
     zeta_actual = bound / total if total > 0.0 else 0.0
-    on_set_sq = max(0.0, total_sq - sum(per_pair.values()))
+    on_set_sq = max(0.0, total_sq - sum(pair_contribs.tolist()))
     return EstimatorValue(
-        total=total, per_pair=per_pair, zeta_actual=zeta_actual, on_set_sq=on_set_sq
+        total=total, pair_reps=reps[first[order]], pair_contribs=pair_contribs,
+        zeta_actual=zeta_actual, on_set_sq=on_set_sq,
     )
 
 

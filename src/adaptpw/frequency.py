@@ -6,6 +6,12 @@ new frequency pairs into the current set, so sets are immutable values
 with a fixed canonical ordering (ascending squared Euclidean norm,
 ties broken lexicographically by components). The canonical ordering
 makes matrix assembly, eigenvector layout and file output reproducible.
+
+Each frequency G is also packed into one int64 lattice key: component k
+takes 21 bits at shift 21*(d-1-k) with offset 2^20, so |G_k| < 2^20
+(`KEY_LIMIT`). Ascending keys are ascending lexicographic order, and
+key(-G) = 2*key(0) - key(G). Lookups are `np.searchsorted` over the
+sorted keys; canonical order is `np.lexsort((keys, |G|^2))`.
 """
 
 from __future__ import annotations
@@ -14,26 +20,38 @@ import math
 
 import numpy as np
 
+_BITS = 21
 
-def _canonical(arr: np.ndarray) -> np.ndarray:
-    """Deduplicate and sort rows by (|G|^2, lexicographic components)."""
-    if arr.size == 0:
-        return arr
-    arr = np.unique(arr, axis=0)
-    norms = np.sum(arr * arr, axis=1)
-    keys = tuple(arr[:, k] for k in reversed(range(arr.shape[1]))) + (norms,)
-    return arr[np.lexsort(keys)]
+#: exclusive bound on |G_k| for every component of a stored frequency
+KEY_LIMIT = 1 << (_BITS - 1)
+
+
+def _shifts(dim: int) -> np.ndarray:
+    return _BITS * np.arange(dim - 1, -1, -1, dtype=np.int64)
+
+
+def lattice_keys(points) -> np.ndarray:
+    """Packed int64 keys of the rows of an (n, d) array with all |G_k| < KEY_LIMIT."""
+    pts = np.asarray(points, dtype=np.int64)
+    return np.sum((pts + KEY_LIMIT) << _shifts(pts.shape[1]), axis=1)
+
+
+def _negated_keys(keys: np.ndarray, dim: int) -> np.ndarray:
+    """key(-G) = 2*key(0) - key(G), grouped so no intermediate overflows."""
+    zero = int(np.sum(np.int64(KEY_LIMIT) << _shifts(dim)))
+    return zero - (keys - zero)
 
 
 class IndexSet:
     """Immutable, canonically ordered set of integer frequencies in Z^d.
 
-    Entries are stored as an (n, d) int64 array. Sets used as
-    discretization spaces are closed under negation; `validate_symmetric`
-    checks that property, construction does not enforce it.
+    Entries are stored as an (n, d) int64 array and `keys` holds their
+    lattice keys in the same order. Sets used as discretization spaces
+    are closed under negation; `validate_symmetric` checks that property,
+    construction does not enforce it.
     """
 
-    __slots__ = ("dim", "entries", "_pos", "_neg")
+    __slots__ = ("dim", "entries", "keys", "_sorted", "_rank", "_neg")
 
     def __init__(self, dim: int, entries=None) -> None:
         if not 1 <= dim <= 3:
@@ -42,12 +60,22 @@ class IndexSet:
             arr = np.empty((0, dim), dtype=np.int64)
         else:
             arr = np.asarray(entries, dtype=np.int64).reshape(-1, dim)
-        arr = _canonical(arr)
-        arr.setflags(write=False)
+        if arr.size and (arr.min() <= -KEY_LIMIT or arr.max() >= KEY_LIMIT):
+            raise ValueError(f"frequency components must satisfy |G_k| < 2^20 = {KEY_LIMIT}")
+        # unique keys are sorted; reorder canonically by (|G|^2, key)
+        sorted_keys = np.unique(lattice_keys(arr))
+        sorted_rows = ((sorted_keys[:, None] >> _shifts(dim)) & (2 * KEY_LIMIT - 1)) - KEY_LIMIT
+        order = np.lexsort((sorted_keys, np.sum(sorted_rows * sorted_rows, axis=1)))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
         self.dim = dim
-        self.entries = arr
-        self._pos: dict | None = None
+        self.entries = sorted_rows[order]
+        self.keys = sorted_keys[order]
+        self._sorted = sorted_keys
+        self._rank = rank
         self._neg: np.ndarray | None = None
+        for a in (self.entries, self.keys, self._sorted, self._rank):
+            a.setflags(write=False)
 
     # -- basic container behaviour -------------------------------------
 
@@ -65,45 +93,44 @@ class IndexSet:
     __hash__ = None  # mutable ndarray payload; not hashable
 
     def __contains__(self, g) -> bool:
-        return tuple(int(x) for x in g) in self._position_map
+        return bool(self.positions([g])[0] >= 0)
 
     def __repr__(self) -> str:
         return f"IndexSet(dim={self.dim}, size={len(self)})"
 
     def to_list(self) -> list[tuple[int, ...]]:
-        return [tuple(int(x) for x in row) for row in self.entries]
+        return list(map(tuple, self.entries.tolist()))
 
     # -- lookups ---------------------------------------------------------
 
-    @property
-    def _position_map(self) -> dict:
-        if self._pos is None:
-            self._pos = {
-                tuple(int(x) for x in row): i for i, row in enumerate(self.entries)
-            }
-        return self._pos
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Canonical positions of `keys`, -1 where absent."""
+        if len(self) == 0:
+            return np.full(keys.shape, -1, dtype=np.int64)
+        i = np.minimum(np.searchsorted(self._sorted, keys), len(self) - 1)
+        return np.where(self._sorted[i] == keys, self._rank[i], -1)
 
     def positions(self, points) -> np.ndarray:
         """Positions of `points` rows in this set, -1 where absent."""
-        pos = self._position_map
         pts = np.asarray(points, dtype=np.int64).reshape(-1, self.dim)
-        out = np.fromiter(
-            (pos.get(tuple(int(x) for x in p), -1) for p in pts),
-            dtype=np.int64,
-            count=pts.shape[0],
-        )
-        return out
+        # rows outside the key range cannot be members, and their keys would alias
+        ok = np.all((pts > -KEY_LIMIT) & (pts < KEY_LIMIT), axis=1)
+        return np.where(ok, self._lookup(lattice_keys(pts * ok[:, None])), -1)
 
     def index_of(self, g) -> int:
-        i = self._position_map.get(tuple(int(x) for x in g), -1)
+        i = int(self.positions([g])[0])
         if i < 0:
             raise KeyError(f"{g} not in index set")
         return i
 
+    def pair_keys(self) -> np.ndarray:
+        """Key of the +-pair representative of each entry, in canonical order."""
+        return np.maximum(self.keys, _negated_keys(self.keys, self.dim))
+
     def negation_permutation(self) -> np.ndarray:
         """Permutation p with entries[p[i]] == -entries[i]; requires symmetry."""
         if self._neg is None:
-            perm = self.positions(-self.entries)
+            perm = self._lookup(_negated_keys(self.keys, self.dim))
             if np.any(perm < 0):
                 raise ValueError("index set is not closed under negation")
             perm.setflags(write=False)
@@ -147,18 +174,10 @@ def union(a: IndexSet, b: IndexSet) -> IndexSet:
     return IndexSet(a.dim, np.concatenate([a.entries, b.entries], axis=0))
 
 
-def complement_candidates(s: IndexSet, within: IndexSet) -> IndexSet:
-    """Entries of `within` not contained in `s`."""
-    if s.dim != within.dim:
-        raise ValueError(f"dimension mismatch: {s.dim} vs {within.dim}")
-    if len(within) == 0:
-        return within
-    mask = s.positions(within.entries) < 0
-    return IndexSet(within.dim, within.entries[mask])
-
-
 def validate_symmetric(s: IndexSet) -> bool:
     """True iff every entry's negation is present (duplicates cannot occur)."""
-    if len(s) == 0:
-        return True
-    return bool(np.all(s.positions(-s.entries) >= 0))
+    try:
+        s.negation_permutation()
+    except ValueError:
+        return False
+    return True

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
-from .frequency import IndexSet
+import numpy as np
+
+from .frequency import IndexSet, lattice_keys
 
 
 class MarkingError(RuntimeError):
@@ -36,57 +37,40 @@ class MarkResult:
 
     @property
     def pairs_marked(self) -> int:
-        reps = {max(g, tuple(-x for x in g)) for g in self.marked.to_list()}
-        return len(reps)
+        return int(np.unique(self.marked.pair_keys()).size)
 
 
-def dorfler_mark(
-    contribs: Mapping[tuple[int, ...], float],
-    theta: float,
-    total_sq: float,
-    dim: int,
-) -> MarkResult:
+def dorfler_mark(contribs, theta: float, total_sq: float, dim: int) -> MarkResult:
     """Smallest set of pairs whose contribution reaches theta^2 * total_sq.
 
-    `contribs` maps pair representatives to the pair's total squared
-    estimator contribution. Ties are broken toward smaller |G|^2, then
-    lexicographically, so marking is deterministic.
+    `contribs` is a pair (reps, values): one pair representative per row
+    of `reps` and the pair's total squared estimator contribution in
+    `values`. Ties are broken toward smaller |G|^2, then lexicographically,
+    so marking is deterministic.
     """
+    reps = np.asarray(contribs[0], dtype=np.int64).reshape(-1, dim)
+    values = np.asarray(contribs[1], dtype=np.float64).reshape(-1)
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
     if total_sq < 0.0:
         raise ValueError(f"total_sq must be >= 0, got {total_sq}")
     if total_sq == 0.0:
-        return MarkResult(IndexSet(dim), 1.0, len(contribs))
-    if not contribs:
+        return MarkResult(IndexSet(dim), 1.0, len(values))
+    if len(values) == 0:
         raise MarkingError("estimator is positive but no candidate pairs were offered")
 
-    def sort_key(item):
-        rep, c = item
-        return (-c, sum(x * x for x in rep), rep)
-
-    target = theta * theta * total_sq
-    accumulated = 0.0
-    chosen: list[tuple[int, ...]] = []
-    for rep, c in sorted(contribs.items(), key=sort_key):
-        chosen.append(rep)
-        accumulated += c
-        if accumulated >= target:
-            break
-    else:
+    order = np.lexsort((lattice_keys(reps), np.sum(reps * reps, axis=1), -values))
+    accumulated = np.cumsum(values[order])  # sequential, like a running sum
+    reached = accumulated >= theta * theta * total_sq
+    if not reached.any():
         raise MarkingError(
-            f"candidates reach fraction {math.sqrt(accumulated / total_sq):.6f} "
+            f"candidates reach fraction {math.sqrt(accumulated[-1] / total_sq):.6f} "
             f"< theta = {theta}"
         )
-
-    points = []
-    for rep in chosen:
-        points.append(rep)
-        neg = tuple(-x for x in rep)
-        if neg != rep:
-            points.append(neg)
+    count = int(np.argmax(reached)) + 1
+    chosen = reps[order[:count]]
     return MarkResult(
-        marked=IndexSet(dim, points),
-        achieved_fraction=math.sqrt(accumulated / total_sq),
-        pairs_considered=len(contribs),
+        marked=IndexSet(dim, np.concatenate([chosen, -chosen])),
+        achieved_fraction=math.sqrt(float(accumulated[count - 1]) / total_sq),
+        pairs_considered=len(values),
     )

@@ -153,11 +153,12 @@ def assemble(s: IndexSet, potential: Potential) -> Hamiltonian:
     h[np.diag_indices(n)] = s.norms_sq.astype(np.float64)
     factor = (2.0 * math.pi) ** (-s.dim / 2.0)
     vf = potential.field
-    cols = np.arange(n)
-    for k in range(len(vf.support)):
-        pos = s.positions(s.entries + vf.support.entries[k])
-        keep = pos >= 0
-        h[pos[keep], cols[keep]] += factor * vf.coeffs[k]
+    # row of G' + K for every (K, G') pair; each matrix entry gets one K
+    rows = s.positions(s.entries[None, :, :] + vf.support.entries[:, None, :])
+    keep = rows >= 0
+    cols = np.tile(np.arange(n), len(vf.support))
+    vals = np.repeat(factor * vf.coeffs, n)
+    h[rows[keep], cols[keep]] += vals[keep]
     defect = float(np.max(np.abs(h - h.conj().T), initial=0.0))
     scale = max(1.0, float(np.max(np.abs(h), initial=0.0)))
     if defect > 1e-13 * scale:

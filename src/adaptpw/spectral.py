@@ -8,7 +8,9 @@ norms are plain weighted Euclidean norms with weights (1+|G|^2)^s.
 Products V*u are realized as exact finite convolutions, never via FFT:
 adaptive supports are small and irregular, and exactness removes aliasing
 from the list of error sources that estimator certification has to cover.
-The single (2*pi)^(-d/2) convolution factor lives here in `multiply`.
+`multiply` looks up the whole Minkowski sum of the supports at once and
+accumulates it with one `np.bincount` per real and imaginary part. The
+single (2*pi)^(-d/2) convolution factor lives there too.
 """
 
 from __future__ import annotations
@@ -67,10 +69,9 @@ class SpectralField:
     def from_pairs(cls, dim: int, pairs, real_flag: bool | None = None) -> "SpectralField":
         """Build from a {frequency tuple: coefficient} mapping."""
         keys = [tuple(int(x) for x in (k if hasattr(k, "__len__") else (k,))) for k in pairs]
-        support = IndexSet(dim, keys) if keys else IndexSet(dim)
+        support = IndexSet(dim, keys)
         coeffs = np.zeros(len(support), dtype=np.complex128)
-        for k, v in zip(keys, pairs.values()):
-            coeffs[support.index_of(k)] = v
+        coeffs[support.positions(keys)] = list(pairs.values())
         field = cls(support, coeffs, real_flag=False)
         if real_flag is None:
             scale = max(1.0, float(np.max(np.abs(coeffs))) if len(coeffs) else 0.0)
@@ -168,7 +169,10 @@ def multiply(v: SpectralField, u: SpectralField) -> SpectralField:
     """Fourier coefficients of the pointwise product v*u (exact convolution).
 
     Coefficient at G is (2*pi)^(-d/2) * sum_K v_K u_{G-K}; the support is
-    the Minkowski sum of the input supports, so the result is exact.
+    the Minkowski sum of the input supports, so the result is exact (no
+    FFT, no aliasing). The products v_K u_J are laid out K-major and summed
+    by `np.bincount`, which adds in input order, so every coefficient
+    accumulates its terms in ascending K, one term per K.
     """
     if v.support.dim != u.support.dim:
         raise ValueError(f"dimension mismatch: {v.support.dim} vs {u.support.dim}")
@@ -177,10 +181,16 @@ def multiply(v: SpectralField, u: SpectralField) -> SpectralField:
         return SpectralField.zero(dim)
     sums = (u.support.entries[None, :, :] + v.support.entries[:, None, :]).reshape(-1, dim)
     out_support = IndexSet(dim, sums)
-    out = np.zeros(len(out_support), dtype=np.complex128)
-    for k in range(len(v.support)):
-        pos = out_support.positions(u.support.entries + v.support.entries[k])
-        np.add.at(out, pos, v.coeffs[k] * u.coeffs)
+    pos = out_support.positions(sums)
+    # numpy rounds the complex product of two 1-element arrays differently
+    # from a broadcast scalar times an array; keep the scalar form for one K
+    if len(v.support) == 1:
+        terms = v.coeffs[0] * u.coeffs
+    else:
+        terms = np.multiply.outer(v.coeffs, u.coeffs).reshape(-1)
+    out = np.empty(len(out_support), dtype=np.complex128)
+    out.real = np.bincount(pos, weights=terms.real, minlength=len(out_support))
+    out.imag = np.bincount(pos, weights=terms.imag, minlength=len(out_support))
     out *= _norm_factor(dim)
     return SpectralField(out_support, out, v.real_flag and u.real_flag)
 

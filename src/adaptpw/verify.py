@@ -161,15 +161,6 @@ def subspace_distance(
     return max(dxy, dyx)
 
 
-def subspace_distance_fields(
-    xs: list[SpectralField], ys: list[SpectralField], basis: IndexSet, potential: Potential
-) -> float:
-    """Convenience wrapper taking fields instead of aligned columns."""
-    x = np.stack([f.coefficients_on(basis) for f in xs], axis=1)
-    y = np.stack([f.coefficients_on(basis) for f in ys], axis=1)
-    return subspace_distance(x, y, EnergyMetric(basis, potential))
-
-
 def embed_columns(vectors: np.ndarray, basis: IndexSet, target: IndexSet) -> np.ndarray:
     """Zero-pad coefficient columns from `basis` into `target` order."""
     pos = target.positions(basis.entries)

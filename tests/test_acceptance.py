@@ -250,9 +250,8 @@ def test_criterion_06_marking_minimality():
         reps = [(int(k),) for k in rng.choice(np.arange(1, 50), size=n, replace=False)]
         vals = rng.uniform(0.01, 1.0, size=n)
         theta = float(rng.uniform(0.05, 0.95))
-        contribs = dict(zip(reps, [float(v) for v in vals]))
         total = float(np.sum(vals))
-        res = dorfler_mark(contribs, theta, total, dim=1)
+        res = dorfler_mark((reps, vals), theta, total, dim=1)
         if res.pairs_marked == brute_force(list(vals), theta * theta * total):
             hits += 1
     dt = time.perf_counter() - t0

@@ -244,6 +244,25 @@ def test_csv_floats_roundtrip(tmp_path):
         assert float(row[header.index("lambda_1")]) == rec.values[0]
 
 
+def test_seed_flag_supplies_missing_seed(tmp_path):
+    raw = {
+        "problem": {
+            "dim": 1,
+            "n_eigs": 1,
+            "potential": {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 4},
+        },
+        "algorithm": {"M0": 2, "tol": 1e-3, "max_iter": 3},
+        "verification": {"enable_subspace_distance": False},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    cfgp = write_config(tmp_path, raw)
+    assert main(["run", str(cfgp), "--quiet"]) == 2
+    assert main(["run", str(cfgp), "--quiet", "--seed", "7"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["seed"] == 7
+    assert summary["potential"]["seed"] == 7
+
+
 def test_output_dir_override(tmp_path, monkeypatch):
     raw = minimal_config(output={"directory": str(tmp_path / "ignored")})
     cfgp = write_config(tmp_path, raw)

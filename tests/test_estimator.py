@@ -239,11 +239,9 @@ def test_cluster_estimate_pairs_symmetric():
     cluster = solve_eigen(assemble(s, v), 0, 2)
     rs = [residual(cluster.field(l), float(cluster.eigenvalues[l]), v) for l in range(2)]
     est = cluster_estimate(rs, s)
-    for rep in est.per_pair:
-        assert rep >= tuple(-x for x in rep)
-    assert est.total**2 == pytest.approx(
-        sum(est.per_pair.values()) + est.on_set_sq, rel=1e-12
-    )
+    for rep in est.pair_reps.tolist():
+        assert tuple(rep) >= tuple(-x for x in rep)
+    assert est.total**2 == pytest.approx(est.off_set_sq + est.on_set_sq, rel=1e-12)
     # on-set mass sits at the eigensolver's backward-error level
     assert est.on_set_sq <= 1e-20
     assert est.zeta_actual == 0.0

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from adaptpw import IndexSet, ball, complement_candidates, union, validate_symmetric
+from adaptpw import IndexSet, ball, union, validate_symmetric
 
 
 def brute_force_ball(radius, dim):
@@ -88,12 +88,6 @@ def test_union_properties():
 def test_union_dimension_mismatch():
     with pytest.raises(ValueError):
         union(ball(1, 1), ball(1, 2))
-
-
-def test_complement_candidates():
-    assert complement_candidates(IndexSet(1, [[0]]), ball(1, 1)).to_list() == [(-1,), (1,)]
-    assert len(complement_candidates(ball(1, 1), ball(1, 1))) == 0
-    assert complement_candidates(ball(1, 1), ball(2, 1)).to_list() == [(-2,), (2,)]
 
 
 def test_validate_symmetric():

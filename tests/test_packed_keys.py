@@ -1,0 +1,227 @@
+"""Packed-key set algebra and array-based kernels against loop references.
+
+The references below are the dict/tuple and per-frequency loop versions
+of canonical ordering, lookup, convolution, assembly, pair aggregation
+and marking. The array versions keep the same summation order, so every
+comparison is exact equality, not a tolerance.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adaptpw import (
+    IndexSet,
+    Potential,
+    Residual,
+    SpectralField,
+    assemble,
+    cluster_estimate,
+    dorfler_mark,
+    multiply,
+    union,
+    validate_symmetric,
+)
+from adaptpw.frequency import KEY_LIMIT
+
+# -- loop references ------------------------------------------------------------
+
+
+def ref_canonical(arr):
+    """Deduplicate and sort rows by (|G|^2, lexicographic components)."""
+    if arr.size == 0:
+        return arr
+    arr = np.unique(arr, axis=0)
+    norms = np.sum(arr * arr, axis=1)
+    keys = tuple(arr[:, k] for k in reversed(range(arr.shape[1]))) + (norms,)
+    return arr[np.lexsort(keys)]
+
+
+def ref_positions(entries, points):
+    pos = {tuple(int(x) for x in row): i for i, row in enumerate(entries)}
+    return np.array([pos.get(tuple(int(x) for x in p), -1) for p in points], dtype=np.int64)
+
+
+def ref_multiply(v, u):
+    dim = v.support.dim
+    sums = (u.support.entries[None, :, :] + v.support.entries[:, None, :]).reshape(-1, dim)
+    support = ref_canonical(sums)
+    out = np.zeros(len(support), dtype=np.complex128)
+    for k in range(len(v.support)):
+        pos = ref_positions(support, u.support.entries + v.support.entries[k])
+        np.add.at(out, pos, v.coeffs[k] * u.coeffs)
+    out *= (2.0 * math.pi) ** (-dim / 2.0)
+    return support, out
+
+
+def ref_assemble(s, vf):
+    n = len(s)
+    h = np.zeros((n, n), dtype=np.complex128)
+    h[np.diag_indices(n)] = s.norms_sq.astype(np.float64)
+    factor = (2.0 * math.pi) ** (-s.dim / 2.0)
+    cols = np.arange(n)
+    for k in range(len(vf.support)):
+        pos = ref_positions(s.entries, s.entries + vf.support.entries[k])
+        keep = pos >= 0
+        h[pos[keep], cols[keep]] += factor * vf.coeffs[k]
+    return h
+
+
+def ref_cluster_estimate(rs, current):
+    """(per-pair dict in first-encounter order, off-set sum, on-set mass)."""
+    per_pair = {}
+    total_sq = 0.0
+    for r in rs:
+        total_sq += float(np.sum(r.per_frequency))
+        outside = ref_positions(current.entries, r.support.entries) < 0
+        for row, c in zip(r.support.entries[outside], r.per_frequency[outside]):
+            g = tuple(int(x) for x in row)
+            rep = max(g, tuple(-x for x in g))
+            per_pair[rep] = per_pair.get(rep, 0.0) + float(c)
+    off = sum(per_pair.values())
+    return per_pair, off, max(0.0, total_sq - off)
+
+
+def ref_dorfler(contribs, theta, total_sq):
+    items = sorted(contribs.items(), key=lambda it: (-it[1], sum(x * x for x in it[0]), it[0]))
+    accumulated = 0.0
+    chosen = []
+    for rep, c in items:
+        chosen.append(rep)
+        accumulated += c
+        if accumulated >= theta * theta * total_sq:
+            break
+    points = chosen + [tuple(-x for x in rep) for rep in chosen]
+    return ref_canonical(np.array(points, dtype=np.int64)), math.sqrt(accumulated / total_sq)
+
+
+# -- strategies -------------------------------------------------------------------
+
+
+@st.composite
+def symmetric_points(draw, dim, radius=6, max_size=30):
+    pts = draw(
+        st.lists(
+            st.tuples(*[st.integers(-radius, radius)] * dim), min_size=1, max_size=max_size
+        )
+    )
+    arr = np.array(pts, dtype=np.int64).reshape(-1, dim)
+    return np.concatenate([arr, -arr])
+
+
+@st.composite
+def field_on(draw, dim, radius=6, max_size=30):
+    pts = draw(symmetric_points(dim, radius, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = IndexSet(dim, pts)
+    coeffs = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    return SpectralField(support, coeffs)
+
+
+dims = st.sampled_from([1, 2, 3])
+
+
+# -- properties -------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_canonical_order_positions_and_negation(data):
+    dim = data.draw(dims)
+    pts = data.draw(symmetric_points(dim))
+    s = IndexSet(dim, pts[np.random.default_rng(0).permutation(len(pts))])
+    assert np.array_equal(s.entries, ref_canonical(pts))
+    queries = np.concatenate([pts, data.draw(symmetric_points(dim, radius=8))])
+    assert np.array_equal(s.positions(queries), ref_positions(s.entries, queries))
+    assert np.array_equal(s.negation_permutation(), ref_positions(s.entries, -s.entries))
+    assert validate_symmetric(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_union_matches_reference(data):
+    dim = data.draw(dims)
+    a = data.draw(symmetric_points(dim))
+    b = data.draw(symmetric_points(dim))
+    u = union(IndexSet(dim, a), IndexSet(dim, b))
+    assert np.array_equal(u.entries, ref_canonical(np.concatenate([a, b])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_multiply_matches_reference_exactly(data):
+    dim = data.draw(dims)
+    v = data.draw(field_on(dim, radius=3, max_size=15))
+    u = data.draw(field_on(dim))
+    support, coeffs = ref_multiply(v, u)
+    w = multiply(v, u)
+    assert np.array_equal(w.support.entries, support)
+    assert np.array_equal(w.coeffs, coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_assemble_matches_reference_exactly(data):
+    dim = data.draw(dims)
+    v = data.draw(field_on(dim, radius=3, max_size=15))
+    neg = v.support.negation_permutation()
+    hermitian = 0.5 * (v.coeffs + np.conj(v.coeffs[neg]))
+    vf = SpectralField(v.support, hermitian, real_flag=True)
+    s = IndexSet(dim, data.draw(symmetric_points(dim)))
+    potential = Potential(vf, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(assemble(s, potential).matrix, ref_assemble(s, vf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cluster_estimate_and_marking_match_reference(data):
+    dim = data.draw(dims)
+    fields = data.draw(st.lists(field_on(dim), min_size=1, max_size=3))
+    current = IndexSet(dim, data.draw(symmetric_points(dim, radius=4)))
+    rs = [
+        Residual(f, 0.0, np.abs(f.coeffs) ** 2 / (1.0 + f.support.norms_sq)) for f in fields
+    ]
+    per_pair, off, on = ref_cluster_estimate(rs, current)
+    est = cluster_estimate(rs, current)
+    assert list(map(tuple, est.pair_reps.tolist())) == list(per_pair)
+    assert est.pair_contribs.tolist() == list(per_pair.values())
+    assert est.off_set_sq == off
+    assert est.on_set_sq == on
+    if not per_pair:
+        return
+    theta = data.draw(st.floats(0.05, 0.95))
+    marked, fraction = ref_dorfler(per_pair, theta, off)
+    mark = dorfler_mark((est.pair_reps, est.pair_contribs), theta, est.off_set_sq, dim)
+    assert np.array_equal(mark.marked.entries, marked)
+    assert mark.achieved_fraction == fraction
+    assert mark.pairs_marked == len({max(g, tuple(-x for x in g)) for g in mark.marked.to_list()})
+
+
+# -- key range --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_key_range_boundary(dim):
+    edge = KEY_LIMIT - 1
+    corner = np.array([[edge] * dim, [-edge] * dim, [edge] + [-edge] * (dim - 1)])
+    s = IndexSet(dim, np.concatenate([corner, -corner, np.zeros((1, dim), dtype=int)]))
+    assert validate_symmetric(s)
+    assert np.array_equal(s.entries[s.positions(corner)], corner)
+    for bad in (KEY_LIMIT, -KEY_LIMIT):
+        row = [0] * dim
+        row[-1] = bad
+        with pytest.raises(ValueError, match=str(KEY_LIMIT)):
+            IndexSet(dim, [row])
+
+
+def test_out_of_range_queries_do_not_alias():
+    s = IndexSet(2, [[0, 0]])
+    # (-1, 2^21) would pack to the key of (0, 0) without the range check
+    assert s.positions([[-1, 2 * KEY_LIMIT], [0, 0]]).tolist() == [-1, 0]
+    assert s.positions([[0, np.iinfo(np.int64).min]]).tolist() == [-1]
+    with pytest.raises(ValueError):
+        IndexSet(1, [[np.iinfo(np.int64).min]])
+    assert [-1, 2 * KEY_LIMIT] not in s
