@@ -208,7 +208,7 @@ def run_eigen(config: AdaptiveConfig, potential: Potential) -> AdaptiveRun:
         if config.mode == "eigen-exact":
             trunc_m, rs = potential.support_radius(), rs_exact
         else:
-            trunc_m, rs = choose_truncation(fields, lambdas, potential, zeta)
+            trunc_m, rs = choose_truncation(fields, lambdas, potential, zeta, rs_exact)
         estimate = cluster_estimate(rs, current)
         eta_tilde = estimate.total
         eta_exact = eta_cluster(rs_exact)

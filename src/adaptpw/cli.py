@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import AdaptiveConfig, AdaptiveRun, run_eigen, run_source
-from .frequency import ball
+from .frequency import ball, ball_size
 from .marking import MarkingError
 from .operator import Potential, PotentialError, SolverError, verify_potential
 from .spectral import SpectralField, evaluate_on_grid
@@ -218,6 +218,32 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
         seed=None if seed is None else int(seed),
         raw=raw,
     )
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def check_reference_memory(m_ref: int, dim: int) -> None:
+    """Reject a reference ball whose dense complex matrix exceeds physical memory.
+
+    The cube |G_i| <= M/sqrt(d) lies inside the ball, so its size is a
+    lower bound. The ball itself is counted (enumerating (2M+1)^(d-1)
+    partial norms) unless that bound alone needs over 64 times physical
+    memory; such a radius is rejected on the bound without a count that
+    could itself be large.
+    """
+    limit = _physical_memory()
+    n = (2 * math.isqrt(m_ref * m_ref // dim) + 1) ** dim
+    if 16 * n * n <= 64 * limit:
+        n = ball_size(m_ref, dim)
+    if 16 * n * n > limit:
+        raise ConfigError(
+            "verification.M_ref",
+            f"the reference ball of radius {m_ref} in {dim}D has at least {n} frequencies; "
+            f"its dense complex matrix needs {16 * n * n} bytes, more than the "
+            f"{limit} bytes of physical memory",
+        )
 
 
 # -- potential families -------------------------------------------------------
@@ -553,6 +579,8 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
     t_start = time.perf_counter()
     mode = mode or config.algorithm.mode
     outdir = Path(config.output_dir)
+    if config.enable_subspace_distance or mode == "uniform":
+        check_reference_memory(config.m_ref, config.dim)
     outdir.mkdir(parents=True, exist_ok=True)
     potential, pot_meta = build_potential(config.potential_spec, config.dim, config.seed)
 

@@ -123,6 +123,7 @@ def choose_truncation(
     lambdas,
     potential: Potential,
     zeta: float,
+    rs_exact: list[Residual],
 ) -> tuple[int, list[Residual]]:
     """Pick a potential cutoff whose certified bound is below zeta * eta.
 
@@ -130,7 +131,9 @@ def choose_truncation(
     certified bound (root-sum-square over cluster members) is at most
     zeta times the aggregated truncated estimator. Finite potential
     support guarantees termination: at full support the bound is exactly
-    zero. Returns the effective cutoff radius and the residuals.
+    zero and the caller's exact residuals `rs_exact` (one per member) are
+    returned as they are. Returns the effective cutoff radius and the
+    residuals.
     """
     if not 0.0 <= zeta < 1.0:
         raise ValueError(f"zeta must be in [0, 1), got {zeta}")
@@ -138,8 +141,7 @@ def choose_truncation(
     radius = 1
     while True:
         if radius >= full or potential.tail_l1(radius) == 0.0:
-            rs = [residual(u, lam, potential) for u, lam in zip(fields, lambdas)]
-            return full, rs
+            return full, rs_exact
         rs = [
             truncated_residual(u, lam, potential, radius)
             for u, lam in zip(fields, lambdas)

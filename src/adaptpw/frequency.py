@@ -62,8 +62,10 @@ class IndexSet:
             arr = np.asarray(entries, dtype=np.int64).reshape(-1, dim)
         if arr.size and (arr.min() <= -KEY_LIMIT or arr.max() >= KEY_LIMIT):
             raise ValueError(f"frequency components must satisfy |G_k| < 2^20 = {KEY_LIMIT}")
-        # unique keys are sorted; reorder canonically by (|G|^2, key)
-        sorted_keys = np.unique(lattice_keys(arr))
+        # sorted unique keys, reordered canonically by (|G|^2, key); sort and
+        # mask beat np.unique, whose first call also imports numpy.ma
+        keys = np.sort(lattice_keys(arr))
+        sorted_keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
         sorted_rows = ((sorted_keys[:, None] >> _shifts(dim)) & (2 * KEY_LIMIT - 1)) - KEY_LIMIT
         order = np.lexsort((sorted_keys, np.sum(sorted_rows * sorted_rows, axis=1)))
         rank = np.empty_like(order)
@@ -161,6 +163,23 @@ def ball(radius: int, dim: int) -> IndexSet:
     pts = np.stack([g.ravel() for g in grids], axis=1)
     keep = np.sum(pts * pts, axis=1) <= radius * radius
     return IndexSet(dim, pts[keep])
+
+
+def ball_size(radius: int, dim: int) -> int:
+    """len(ball(radius, dim)), counted without building the ball.
+
+    Each squared norm q of the first dim-1 components (at most
+    (2*radius+1)^(dim-1) of them) contributes the 2*isqrt(radius^2 - q) + 1
+    points of its line along the last axis.
+    """
+    r2 = radius * radius
+    line = np.arange(-radius, radius + 1, dtype=np.int64) ** 2
+    q = np.zeros(1, dtype=np.int64)
+    for _ in range(dim - 1):
+        q = (q[:, None] + line[None, :]).ravel()
+        q = q[q <= r2]
+    half = np.floor(np.sqrt(r2 - q)).astype(np.int64)  # exact while r2 < 2^52
+    return int(np.sum(2 * half + 1))
 
 
 def union(a: IndexSet, b: IndexSet) -> IndexSet:

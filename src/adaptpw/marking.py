@@ -37,7 +37,8 @@ class MarkResult:
 
     @property
     def pairs_marked(self) -> int:
-        return int(np.unique(self.marked.pair_keys()).size)
+        # the set is symmetric: each pair has exactly one entry that is its own representative
+        return int(np.count_nonzero(self.marked.pair_keys() == self.marked.keys))
 
 
 def dorfler_mark(contribs, theta: float, total_sq: float, dim: int) -> MarkResult:

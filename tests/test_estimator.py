@@ -158,8 +158,9 @@ def test_choose_truncation_certifies(rd_potential):
     cluster = solve_eigen(assemble(s, rd_potential), 0, 2)
     fields = cluster.fields()
     lams = [float(x) for x in cluster.eigenvalues]
+    rs_exact = [residual(u, lam, rd_potential) for u, lam in zip(fields, lams)]
     for zeta in (0.1, 0.3, 0.5):
-        m, rs = choose_truncation(fields, lams, rd_potential, zeta)
+        m, rs = choose_truncation(fields, lams, rd_potential, zeta, rs_exact)
         bound = math.sqrt(sum(r.truncation_bound**2 for r in rs))
         assert bound <= zeta * eta_cluster(rs) + 1e-15
 
@@ -167,7 +168,8 @@ def test_choose_truncation_certifies(rd_potential):
 def test_choose_truncation_exact_pair():
     c = 2.0
     v = trig_potential(1, c, {})
-    m, rs = choose_truncation([SpectralField.unit(1, (0,))], [c], v, 0.5)
+    u = SpectralField.unit(1, (0,))
+    m, rs = choose_truncation([u], [c], v, 0.5, [residual(u, c, v)])
     assert eta_cluster(rs) == pytest.approx(0.0, abs=1e-15)
     assert rs[0].truncation_bound == 0.0
 
@@ -180,24 +182,22 @@ def test_choose_truncation_sandwich(rd_potential_wide):
     fields = cluster.fields()
     lams = [float(x) for x in cluster.eigenvalues]
     zeta = 0.4
-    m, rs = choose_truncation(fields, lams, pot, zeta)
+    rs_exact = [residual(u, lam, pot) for u, lam in zip(fields, lams)]
+    m, rs = choose_truncation(fields, lams, pot, zeta, rs_exact)
     assert m < pot.support_radius()  # actually truncated on a coarse set
     assert math.sqrt(sum(r.truncation_bound**2 for r in rs)) > 0.0
     eta_tilde = eta_cluster(rs)
-    rs_exact = [residual(u, lam, pot) for u, lam in zip(fields, lams)]
     eta_exact = eta_cluster(rs_exact)
     assert (1 - zeta) * eta_tilde - 1e-12 <= eta_exact <= (1 + zeta) * eta_tilde + 1e-12
 
 
 def test_choose_truncation_trig_sandwich(cosine_potential):
     cluster = solve_eigen(assemble(ball(4, 1), cosine_potential), 0, 1)
-    m, rs = choose_truncation(
-        cluster.fields(), [float(cluster.eigenvalues[0])], cosine_potential, 0.2
-    )
+    lam = float(cluster.eigenvalues[0])
+    rs_exact = [residual(cluster.field(0), lam, cosine_potential)]
+    m, rs = choose_truncation(cluster.fields(), [lam], cosine_potential, 0.2, rs_exact)
     eta_tilde = eta_cluster(rs)
-    exact = eta_cluster(
-        [residual(cluster.field(0), float(cluster.eigenvalues[0]), cosine_potential)]
-    )
+    exact = eta_cluster(rs_exact)
     assert (1 - 0.2) * eta_tilde <= exact + 1e-12
     assert exact <= (1 + 0.2) * eta_tilde + 1e-12
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adaptpw import IndexSet, ball, union, validate_symmetric
+from adaptpw.frequency import ball_size
 
 
 def brute_force_ball(radius, dim):
@@ -31,6 +32,13 @@ def test_ball_2d_cardinality_matches_enumeration():
                 continue
             expected = brute_force_ball(radius, dim)
             assert sorted(ball(radius, dim).to_list()) == expected
+
+
+def test_ball_size_counts_without_building():
+    for dim in (1, 2, 3):
+        for radius in range(0, 17):
+            assert ball_size(radius, dim) == len(ball(radius, dim))
+    assert ball_size(32, 3) == 137065  # the 3D default reference ball
 
 
 def test_ball_1d_cardinality_is_odd():
