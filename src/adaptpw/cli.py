@@ -48,23 +48,19 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import AdaptiveConfig, AdaptiveRun, run_eigen, run_source
-from .frequency import ball, ball_size
+from .frequency import ball, ball_size, shell_counts
 from .marking import MarkingError
 from .operator import Potential, PotentialError, SolverError, verify_potential
 from .spectral import SpectralField, evaluate_on_grid
 from .verify import (
     CoverageError,
-    EnergyMetric,
     RateFit,
     ReferenceSolution,
     eigenvalue_gap_check,
-    embed_columns,
     fit_rates,
-    group_slices,
     reference_solve,
     run_distances,
     source_errors,
-    subspace_distance,
 )
 
 ENV_OUTPUT_DIR = "ADAPTPW_OUT"
@@ -335,16 +331,13 @@ def _random_decay_field(
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=len(support))
     mags = amplitude * (1.0 + support.norms_sq.astype(np.float64)) ** (-p / 2.0)
+    # entry i < neg[i] draws the phase of its pair; G = 0 keeps its magnitude
     neg = support.negation_permutation()
-    sym = np.zeros(len(support), dtype=np.complex128)
-    for i in range(len(support)):
-        j = int(neg[i])
-        if i < j:
-            phase = np.exp(1j * phases[i])
-            sym[i] = mags[i] * phase
-            sym[j] = mags[i] * np.conj(phase)
-        elif i == j:
-            sym[i] = mags[i]
+    first = np.flatnonzero(np.arange(len(support)) < neg)
+    phase = np.exp(1j * phases[first])
+    sym = mags.astype(np.complex128)
+    sym[first] = mags[first] * phase
+    sym[neg[first]] = mags[first] * np.conj(phase)
     fld = SpectralField(support, sym, real_flag=True)
     npts = 4 * (r_cut + 1)
     vmin = float(evaluate_on_grid(fld, npts).min())
@@ -355,12 +348,12 @@ def _random_decay_field(
         shifted[zero] += shift * (2.0 * math.pi) ** (dim / 2.0)
         fld = SpectralField(support, shifted, real_flag=True)
     # modeling error of truncating the infinite family at r_cut: l1 tail of
-    # the magnitude law summed over the next shells (window of width 3 r_cut)
-    window = ball(4 * r_cut, dim)
-    outside = window.norms_sq > r_cut * r_cut
-    tail = float(
-        np.sum(amplitude * (1.0 + window.norms_sq[outside].astype(np.float64)) ** (-p / 2.0))
-    )
+    # the magnitude law summed over the next shells (window of width 3 r_cut),
+    # term by term in ascending |G|^2 as over the canonically ordered window
+    counts = shell_counts(4 * r_cut, dim)
+    shells = np.arange(r_cut * r_cut + 1, len(counts))
+    terms = amplitude * (1.0 + shells.astype(np.float64)) ** (-p / 2.0)
+    tail = float(np.sum(np.repeat(terms, counts[shells])))
     return fld, shift, tail
 
 
@@ -401,11 +394,6 @@ def uniform_sweep(
         raise ValueError("m_list must be ascending")
     from .operator import assemble, solve_eigen  # local import keeps module load light
 
-    metric = None
-    groups = None
-    if ref is not None:
-        metric = EnergyMetric(ref.basis, potential)
-        groups = group_slices(ref.cluster.eigenvalues)
     rows = []
     for m in m_list:
         basis = ball(m, potential.dim)
@@ -417,12 +405,7 @@ def uniform_sweep(
             err = float(
                 np.max(np.array(lam) - ref.cluster.eigenvalues.astype(np.float64))
             )
-            emb = embed_columns(cluster.vectors, basis, ref.basis)
-            ds = [
-                subspace_distance(ref.cluster.vectors[:, sl], emb[:, sl], metric)
-                for sl in groups
-            ]
-            dist = math.sqrt(sum(d * d for d in ds))
+            dist = math.sqrt(sum(d * d for d in ref.group_distances(cluster)))
         rows.append(
             SweepRow(
                 m=m,

@@ -182,6 +182,23 @@ def ball_size(radius: int, dim: int) -> int:
     return int(np.sum(2 * half + 1))
 
 
+def shell_counts(radius: int, dim: int) -> np.ndarray:
+    """counts[s] = number of G in Z^d with |G|^2 = s, for s = 0..radius^2.
+
+    Built axis by axis: each axis adds k^2 for k = 0, +-1, .., +-radius,
+    so no lattice point is enumerated.
+    """
+    r2 = radius * radius
+    counts = np.zeros(r2 + 1, dtype=np.int64)
+    counts[0] = 1
+    for _ in range(dim):
+        grown = counts.copy()
+        for k in range(1, radius + 1):
+            grown[k * k :] += 2 * counts[: r2 + 1 - k * k]
+        counts = grown
+    return counts
+
+
 def union(a: IndexSet, b: IndexSet) -> IndexSet:
     """Set union with canonical order restored."""
     if a.dim != b.dim:

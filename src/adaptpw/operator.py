@@ -256,23 +256,23 @@ def solve_source(s: IndexSet, potential: Potential, rhs: list[SpectralField]) ->
 
     The system matrix is Hermitian positive definite for admissible
     potentials; a Cholesky breakdown therefore signals an invalid
-    potential and is raised as SolverError.
+    potential and is raised as SolverError. The right-hand sides are then
+    solved together by one dense solve.
     """
     if len(s) == 0:
         return [SpectralField.zero(potential.dim) for _ in rhs]
-    import scipy.linalg  # the only use of scipy; eigen runs never load it
-    h = assemble(s, potential)
-    try:
-        factor = scipy.linalg.cho_factor(h.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"stiffness matrix not positive definite: {exc}") from exc
-    solutions = []
     for f in rhs:
         if f.support.dim != s.dim:
             raise ValueError("right-hand side dimension mismatch")
-        x = scipy.linalg.cho_solve(factor, f.coefficients_on(s))
-        solutions.append(SpectralField(s, x, real_flag=f.real_flag))
-    return solutions
+    h = assemble(s, potential)
+    try:
+        np.linalg.cholesky(h.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"stiffness matrix not positive definite: {exc}") from exc
+    x = np.linalg.solve(h.matrix, np.stack([f.coefficients_on(s) for f in rhs], axis=1))
+    return [
+        SpectralField(s, x[:, i].copy(), real_flag=f.real_flag) for i, f in enumerate(rhs)
+    ]
 
 
 # -- helpers -----------------------------------------------------------------

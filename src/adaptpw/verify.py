@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapt import AdaptiveRun
-from .frequency import IndexSet, ball
-from .operator import EigenCluster, Potential, assemble, solve_eigen
+from .frequency import IndexSet, ball, union
+from .operator import EigenCluster, Hamiltonian, Potential, assemble, solve_eigen
 from .spectral import SpectralField
 
 #: relative eigenvalue gap above which reference eigenvalues are split
@@ -49,33 +49,69 @@ class RankDeficiencyError(ValueError):
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Dense solve on a large ball standing in for the exact solution."""
+    """Dense solve on a large ball standing in for the exact solution.
+
+    `metric` is the energy frame of the same Galerkin matrix, and
+    `group_frames[i]` the orthonormal frame of the reference vectors of
+    `groups[i]` in it; both are computed once per reference.
+    """
 
     basis: IndexSet
     cluster: EigenCluster
     eigenvalue_tail_gap: float
+    metric: EnergyMetric
+    groups: list[slice]
+    group_frames: list[np.ndarray]
 
     @property
     def radius(self) -> float:
         return self.basis.max_radius()
 
+    def group_distances(self, cluster: EigenCluster) -> list[float]:
+        """Energy-norm distance of each group of `cluster` from the reference group.
+
+        Discrete counterparts are taken at the same index positions as the
+        reference groups.
+        """
+        emb = embed_columns(cluster.vectors, cluster.basis, self.basis)
+        return [
+            _frame_distance(q, _orthonormal_frame(self.metric.to_frame(emb[:, sl])))
+            for sl, q in zip(self.groups, self.group_frames)
+        ]
+
 
 def reference_solve(
     potential: Potential, k0: int, n_eigs: int, m_ref: int
 ) -> ReferenceSolution:
-    """Reference eigensolve on ball(m_ref); warns when the cluster gap is tiny."""
+    """Reference eigensolve on ball(m_ref); warns when the cluster gap is tiny.
+
+    The one assembled matrix serves both the eigensolve and the energy
+    Cholesky frame, and is released on return.
+    """
     basis = ball(m_ref, potential.dim)
     if k0 + n_eigs > len(basis):
         raise ValueError(
             f"reference ball of radius {m_ref} has {len(basis)} frequencies, "
             f"too few for k0={k0}, n_eigs={n_eigs}"
         )
-    cluster = solve_eigen(assemble(basis, potential), k0, n_eigs)
+    h = assemble(basis, potential)
+    cluster = solve_eigen(h, k0, n_eigs)
+    metric = EnergyMetric.of_matrix(h)
     if cluster.lambda_above is None:
         tail_gap = math.inf
     else:
         tail_gap = cluster.lambda_above - float(cluster.eigenvalues[-1])
-    return ReferenceSolution(basis=basis, cluster=cluster, eigenvalue_tail_gap=tail_gap)
+    groups = group_slices(cluster.eigenvalues)
+    return ReferenceSolution(
+        basis=basis,
+        cluster=cluster,
+        eigenvalue_tail_gap=tail_gap,
+        metric=metric,
+        groups=groups,
+        group_frames=[
+            _orthonormal_frame(metric.to_frame(cluster.vectors[:, sl])) for sl in groups
+        ],
+    )
 
 
 def eigenvalue_gap_check(ref: ReferenceSolution) -> tuple[bool, float, float]:
@@ -110,21 +146,32 @@ class EnergyMetric:
 
     Mapping coefficient vectors x to L^H x turns the energy inner product
     into the plain Euclidean one, after which subspace angles reduce to
-    ordinary matrix computations.
+    ordinary matrix computations. `frame` holds L^H, computed once.
     """
 
     def __init__(self, basis: IndexSet, potential: Potential) -> None:
-        h = assemble(basis, potential).matrix
+        self._factor(assemble(basis, potential))
+
+    @classmethod
+    def of_matrix(cls, h: Hamiltonian) -> EnergyMetric:
+        """Metric of an already assembled Galerkin matrix."""
+        metric = cls.__new__(cls)
+        metric._factor(h)
+        return metric
+
+    def _factor(self, h: Hamiltonian) -> None:
         try:
-            self._chol = np.linalg.cholesky(h)
+            chol = np.linalg.cholesky(h.matrix)
         except np.linalg.LinAlgError as exc:
             raise RankDeficiencyError(
                 f"energy form not positive definite on basis: {exc}"
             ) from exc
-        self.basis = basis
+        np.conjugate(chol, out=chol)
+        self.basis = h.basis
+        self.frame = chol.T
 
     def to_frame(self, vectors: np.ndarray) -> np.ndarray:
-        return self._chol.conj().T @ vectors
+        return self.frame @ vectors
 
 
 def _orthonormal_frame(z: np.ndarray) -> np.ndarray:
@@ -147,13 +194,18 @@ def subspace_distance(
     give equal directed distances; the maximum of both directions is
     returned either way.
     """
-    qx = _orthonormal_frame(metric.to_frame(x))
-    qy = _orthonormal_frame(metric.to_frame(y))
+    return _frame_distance(
+        _orthonormal_frame(metric.to_frame(x)), _orthonormal_frame(metric.to_frame(y))
+    )
+
+
+def _frame_distance(qx: np.ndarray, qy: np.ndarray) -> float:
+    """subspace_distance between the spans of two orthonormal frames."""
     rx = qx - qy @ (qy.conj().T @ qx)
     ry = qy - qx @ (qx.conj().T @ qy)
     dxy = float(np.linalg.norm(rx, 2))
     dyx = float(np.linalg.norm(ry, 2))
-    if x.shape[1] == y.shape[1] and abs(dxy - dyx) > 1e-8:
+    if qx.shape[1] == qy.shape[1] and abs(dxy - dyx) > 1e-8:
         raise RankDeficiencyError(
             f"directed distances diverge ({dxy:.3e} vs {dyx:.3e}) "
             "for equal-dimensional subspaces"
@@ -187,7 +239,8 @@ def run_distances(
 
     Groups are detected from reference eigenvalue gaps; discrete
     counterparts are taken at the same index positions, and group
-    distances combine by root-sum-square.
+    distances combine by root-sum-square. Distances use the reference's
+    own energy frame (`ref.metric`), which was built from `potential`.
     """
     if not run.clusters:
         raise ValueError("run holds no eigenclusters (source mode?)")
@@ -204,19 +257,9 @@ def run_distances(
             CoverageWarning,
             stacklevel=2,
         )
-    metric = EnergyMetric(ref.basis, potential)
-    groups = group_slices(ref.cluster.eigenvalues)
-    totals: list[float] = []
-    per_group: list[list[float]] = []
-    for cluster in run.clusters:
-        emb = embed_columns(cluster.vectors, cluster.basis, ref.basis)
-        ds = [
-            subspace_distance(ref.cluster.vectors[:, sl], emb[:, sl], metric)
-            for sl in groups
-        ]
-        per_group.append(ds)
-        totals.append(math.sqrt(sum(d * d for d in ds)))
-    return DistanceReport(totals=totals, per_group=per_group, groups=groups)
+    per_group = [ref.group_distances(cluster) for cluster in run.clusters]
+    totals = [math.sqrt(sum(d * d for d in ds)) for ds in per_group]
+    return DistanceReport(totals=totals, per_group=per_group, groups=ref.groups)
 
 
 @dataclass(frozen=True)
@@ -284,13 +327,28 @@ def fit_rates(records, errors, skip_first: int = 1) -> RateFit:
 def source_errors(
     run: AdaptiveRun, reference: list[SpectralField], potential: Potential
 ) -> list[float]:
-    """Energy-norm distance of each source iterate from a reference solve."""
-    from .spectral import a_norm
+    """Energy-norm distance of each source iterate from a reference solve.
 
+    Iterates are nested, so one Galerkin matrix H on the union of the
+    reference supports and the final index set covers every error
+    e = u_ref - u_n; the distance is sqrt(sum over right-hand sides of
+    Re(e^H H e)).
+    """
+    basis = run.final_index_set
+    for u in reference:
+        basis = union(basis, u.support)
+    h = assemble(basis, potential).matrix
+    ref = _coefficient_columns(reference, basis)
     out = []
     for sols in run.solutions:
-        total = 0.0
-        for w, u in zip(sols, reference):
-            total += a_norm(u - w, potential) ** 2
-        out.append(math.sqrt(total))
+        e = ref - _coefficient_columns(sols, basis)
+        per_rhs = np.sum(np.conj(e) * (h @ e), axis=0).real
+        out.append(math.sqrt(float(np.sum(np.maximum(per_rhs, 0.0)))))
     return out
+
+
+def _coefficient_columns(fields: list[SpectralField], basis: IndexSet) -> np.ndarray:
+    """One coefficient column per field over `basis`, which must hold every support."""
+    return np.concatenate(
+        [embed_columns(f.coeffs[:, None], f.support, basis) for f in fields], axis=1
+    )

@@ -325,6 +325,73 @@ def test_eigen_runs_do_not_import_scipy():
     assert out.stdout.split() == ["False", "False"]
 
 
+def test_source_runs_do_not_import_scipy(tmp_path):
+    # the source solve and its verification (reference solve, errors) use numpy only
+    raw = {
+        "problem": {
+            "dim": 1,
+            "n_eigs": 1,
+            "potential": {"family": "trig", "c": 1.0, "terms": [{"k": [1], "a": 1.0}]},
+            "rhs": [[{"index": [0], "re": 1.0}]],
+        },
+        "algorithm": {"mode": "source", "theta_tilde": 0.6, "zeta": 0.0, "tol": 1e-8},
+        "verification": {"M_ref": 32},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    code = (
+        "import sys, adaptpw.cli; "
+        f"rc = adaptpw.cli.main(['run', {str(write_config(tmp_path, raw))!r}, '--quiet']); "
+        "print(rc, 'scipy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert out.stdout.split() == ["0", "False"]
+    rows = (tmp_path / "out" / "iterations.csv").read_text().splitlines()
+    assert len(rows) > 2 and "nan" not in rows[-1]
+
+
+def test_compare_builds_reference_matrix_once(tmp_path, monkeypatch):
+    # the reference eigensolve, run distances and uniform sweep share one
+    # assembled reference matrix and one Cholesky factorisation of it
+    import adaptpw.operator as operator
+
+    assembled, factored = [], []
+    assemble, cholesky = operator.assemble, np.linalg.cholesky
+
+    def counting_assemble(s, potential):
+        assembled.append(len(s))
+        return assemble(s, potential)
+
+    def counting_cholesky(a):
+        factored.append(a.shape[0])
+        return cholesky(a)
+
+    for name, module in list(sys.modules.items()):
+        if name == "adaptpw" or name.startswith("adaptpw."):
+            for key, value in list(vars(module).items()):
+                if value is assemble:
+                    monkeypatch.setattr(module, key, counting_assemble)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    raw = {
+        "problem": {
+            "dim": 1,
+            "n_eigs": 1,
+            "potential": {"family": "trig", "c": 1.0, "terms": [{"k": [1], "a": 1.0}]},
+        },
+        "algorithm": {"M0": 1, "tol": 1e-5, "zeta": 0.2},
+        "verification": {"M_ref": 32},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "compare"])
+    assert rc == 0
+    n_ref = len(cli.ball(32, 1))
+    assert assembled.count(n_ref) == 1 and factored.count(n_ref) == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["comparison"]["uniform_dof"] < n_ref
+
+
 # -- uniform sweep ----------------------------------------------------------------
 
 

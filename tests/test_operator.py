@@ -7,7 +7,9 @@ from adaptpw import (
     ClusterBoundaryWarning,
     IndexSet,
     PositivityWarning,
+    Potential,
     PotentialError,
+    SolverError,
     SpectralField,
     assemble,
     ball,
@@ -263,6 +265,19 @@ def test_source_eigen_consistency():
     u = cluster.field(0)
     (w,) = solve_source(s, v, [lam * u])
     assert hs_norm(w - u, 1.0) <= 1e-10
+
+
+def test_solve_source_rejects_indefinite_matrix():
+    # V = -5 bypasses verify_potential, so H = |G|^2 - 5 is indefinite but
+    # nonsingular on ball(2): only the Cholesky check can reject it
+    norm = math.sqrt(TWO_PI)
+    field = SpectralField.from_pairs(1, {(0,): -5.0 * norm}, real_flag=True)
+    v = Potential(
+        field=field, nu_lower=-5.0, nu_upper=-5.0, alpha_lower=-5.0, alpha_upper=1.0,
+        l1_total=5.0 * norm,
+    )
+    with pytest.raises(SolverError, match="not positive definite"):
+        solve_source(ball(2, 1), v, [SpectralField.unit(1, (0,))])
 
 
 def test_solve_source_empty_set():

@@ -6,16 +6,20 @@ import pytest
 from adaptpw import (
     AdaptiveConfig,
     EnergyMetric,
+    SpectralField,
+    a_norm,
     ball,
     eigenvalue_gap_check,
     fit_rates,
     reference_solve,
     run_distances,
     run_eigen,
+    run_source,
+    solve_source,
     subspace_distance,
 )
 from adaptpw.adapt import IterationRecord
-from adaptpw.verify import RankDeficiencyError, group_slices
+from adaptpw.verify import RankDeficiencyError, group_slices, source_errors
 from conftest import trig_potential
 
 
@@ -227,3 +231,43 @@ def test_run_distances_coverage_error(cosine_potential):
     small_ref = reference_solve(cosine_potential, 0, 1, 4)
     with pytest.raises(CoverageError):
         run_distances(run, small_ref, cosine_potential)
+
+
+# -- source errors -------------------------------------------------------------
+
+
+def source_errors_oracle(run, reference, potential):
+    """Per-iterate error by one convolution-based a_norm per right-hand side."""
+    out = []
+    for sols in run.solutions:
+        total = 0.0
+        for w, u in zip(sols, reference):
+            total += a_norm(u - w, potential) ** 2
+        out.append(math.sqrt(total))
+    return out
+
+
+@pytest.mark.parametrize(
+    "dim, terms, rhs, m_ref",
+    [
+        (1, {(1,): 1.0}, [{(0,): 1.0}, {(2,): 1.0, (-2,): 1.0}], 64),
+        # reference ball smaller than the run's sets: the union basis matters
+        (1, {(1,): 1.0}, [{(0,): 1.0}, {(2,): 1.0, (-2,): 1.0}], 3),
+        (2, {(1, 0): 0.5, (1, 1): 0.3}, [{(0, 0): 1.0}, {(1, -2): 0.5j, (-1, 2): -0.5j}], 2),
+    ],
+)
+def test_source_errors_match_convolution_oracle(dim, terms, rhs, m_ref):
+    pot = trig_potential(dim, 1.5, terms)
+    fields = [SpectralField.from_pairs(dim, pairs) for pairs in rhs]
+    cfg = AdaptiveConfig(
+        dim=dim, theta_tilde=0.6, zeta=0.0, tol=1e-9, max_iter=10, mode="source"
+    )
+    run = run_source(cfg, pot, fields)
+    ref = solve_source(ball(m_ref, dim), pot, fields)
+    errors = source_errors(run, ref, pot)
+    expected = source_errors_oracle(run, ref, pot)
+    if m_ref < 5:
+        assert run.final_index_set.max_radius() > m_ref
+    assert len(errors) == len(run.records) >= 5
+    assert expected[-1] > 0.0
+    np.testing.assert_allclose(errors, expected, rtol=1e-12, atol=0.0)
