@@ -1,13 +1,12 @@
-"""Adaptive refinement loops for the eigenvalue and source problems.
+"""Adaptive refinement loop for the eigenvalue and source problems.
 
-One loop covers both the exact-estimator and the feasible (truncated)
-eigenvalue algorithms: with finite-support potentials the exact residual
-is itself finite, so the exact algorithm is just the feasible one with
-the truncation policy pinned to "use everything". The source-problem
-loop differs in two inherited ways: it starts from the empty index set
-(the first marking selects from the support of the data) and its
-stopping test compares the plain estimator against tol, without the
-1/(1+zeta) safety factor used by the feasible eigenvalue loop.
+One SOLVE -> ESTIMATE -> MARK -> REFINE loop serves every mode; only the
+solve step differs. The exact eigenvalue algorithm is the feasible one
+with the truncation policy pinned to "use everything" (finite-support
+potentials give finite exact residuals). The source problem starts from
+the empty index set (the first marking selects from the support of the
+data) and stops on the plain estimator, without the 1/(1+zeta) safety
+factor of the feasible eigenvalue loop.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .estimator import (
@@ -168,7 +168,7 @@ def _check_admissibility(config: AdaptiveConfig, potential: Potential) -> bool:
             "are outside the range that guarantees quasi-optimal complexity; "
             "proceeding anyway",
             AdmissibilityWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return ok
 
@@ -176,46 +176,94 @@ def _check_admissibility(config: AdaptiveConfig, potential: Potential) -> bool:
 def run_eigen(config: AdaptiveConfig, potential: Potential) -> AdaptiveRun:
     """Adaptive eigenvalue loop (feasible or exact estimator policy).
 
-    Per iteration: dense solve on the current set, residual/truncation
-    policy, estimator, record, stopping tests (tol, exact, budgets),
-    bulk marking over off-set pairs, union refinement. Stopping by tol
-    uses eta_tilde < tol/(1+zeta) so the exact estimator is certified
-    below tol on exit.
+    Each solve is a dense eigensolve on the current set followed by the
+    exact residuals and the truncation policy. Stopping by tol uses
+    eta_tilde < tol/(1+zeta) so the exact estimator is certified below
+    tol on exit.
     """
     if config.mode not in ("eigen-feasible", "eigen-exact"):
         raise ValueError(f"run_eigen requires an eigen mode, got {config.mode!r}")
     if config.dim != potential.dim:
         raise ValueError("config/potential dimension mismatch")
-    run = AdaptiveRun(config=config)
-    run.admissible = _check_admissibility(config, potential)
-
     current = ball(config.M0, config.dim)
     if config.k0 + config.n_eigs > len(current):
         raise ValueError(
             f"initial ball of radius {config.M0} has {len(current)} frequencies, "
             f"too few for k0={config.k0}, n_eigs={config.n_eigs}"
         )
+    run = AdaptiveRun(config=config)
     zeta = config.zeta if config.mode == "eigen-feasible" else 0.0
-    dof0 = len(current)
-    n = 0
-    while True:
-        t0 = time.perf_counter()
+
+    def solve(current: IndexSet):
         cluster = solve_eigen(assemble(current, potential), config.k0, config.n_eigs)
+        run.clusters.append(cluster)
         fields = cluster.fields()
         lambdas = [float(x) for x in cluster.eigenvalues]
-
         rs_exact = [residual(u, lam, potential) for u, lam in zip(fields, lambdas)]
         if config.mode == "eigen-exact":
             trunc_m, rs = potential.support_radius(), rs_exact
         else:
             trunc_m, rs = choose_truncation(fields, lambdas, potential, zeta, rs_exact)
+        return lambdas, rs_exact, rs, trunc_m, eta_cluster(rs_exact)
+
+    return _refine(run, potential, current, solve, config.tol / (1.0 + zeta))
+
+
+def run_source(
+    config: AdaptiveConfig, potential: Potential, rhs: list[SpectralField]
+) -> AdaptiveRun:
+    """Adaptive source-problem loop.
+
+    Starts from the empty index set, whose Galerkin solutions are zero, so
+    the first residuals are the data themselves. The estimator is exact
+    (finite supports), so the recorded eta_tilde and eta_exact coincide.
+    """
+    if config.mode != "source":
+        raise ValueError(f"run_source requires mode 'source', got {config.mode!r}")
+    if config.dim != potential.dim:
+        raise ValueError("config/potential dimension mismatch")
+    if not rhs:
+        raise ValueError("source run needs at least one right-hand side")
+    run = AdaptiveRun(config=config)
+
+    def solve(current: IndexSet):
+        solutions = solve_source(current, potential, rhs)
+        run.solutions.append(solutions)
+        rs = [source_residual(w, f, potential) for w, f in zip(solutions, rhs)]
+        values = [a_norm(w, potential) for w in solutions]
+        return values, rs, rs, potential.support_radius(), None
+
+    return _refine(run, potential, IndexSet(config.dim), solve, config.tol)
+
+
+def _refine(
+    run: AdaptiveRun,
+    potential: Potential,
+    current: IndexSet,
+    solve: Callable[[IndexSet], tuple],
+    threshold: float,
+) -> AdaptiveRun:
+    """SOLVE -> ESTIMATE -> MARK -> REFINE from `current` until a stopping test holds.
+
+    `solve(current)` returns the record values, the exact residuals, the
+    residuals the estimator uses, the truncation radius, and eta_exact
+    (None records the estimator itself). Stopping tests in order: the
+    estimator below `threshold`, no markable mass left, then the
+    iteration and dof budgets. Otherwise bulk marking over off-set pairs
+    and union refinement.
+    """
+    config = run.config
+    run.admissible = _check_admissibility(config, potential)
+    dof0 = len(current)
+    n = 0
+    while True:
+        t0 = time.perf_counter()
+        values, rs_exact, rs, trunc_m, eta_exact = solve(current)
         estimate = cluster_estimate(rs, current)
-        eta_tilde = estimate.total
-        eta_exact = eta_cluster(rs_exact)
         onset_max, overall_max = onset_offset_maxima(rs_exact, current)
 
         stop_reason = None
-        if eta_tilde < config.tol / (1.0 + zeta):
+        if estimate.total < threshold:
             stop_reason = "tol"
         elif estimate.off_set_sq == 0.0:
             stop_reason = "exact"  # no markable mass left
@@ -237,9 +285,9 @@ def run_eigen(config: AdaptiveConfig, potential: Potential) -> AdaptiveRun:
                 n=n,
                 index_set_size=len(current),
                 dof_delta=len(current) - dof0,
-                values=tuple(lambdas),
-                eta_tilde=eta_tilde,
-                eta_exact=eta_exact,
+                values=tuple(values),
+                eta_tilde=estimate.total,
+                eta_exact=estimate.total if eta_exact is None else eta_exact,
                 zeta_actual=estimate.zeta_actual,
                 truncation_M=trunc_m,
                 marked_pairs=mark.pairs_marked if mark is not None else 0,
@@ -249,87 +297,10 @@ def run_eigen(config: AdaptiveConfig, potential: Potential) -> AdaptiveRun:
             )
         )
         run.index_sets.append(current)
-        run.clusters.append(cluster)
         run.estimates.append(estimate)
 
         if stop_reason is not None:
             run.termination_reason = stop_reason
             return run
         current = union(current, mark.marked)
-        n += 1
-
-
-def run_source(
-    config: AdaptiveConfig, potential: Potential, rhs: list[SpectralField]
-) -> AdaptiveRun:
-    """Adaptive source-problem loop.
-
-    Starts from the empty index set with the residual initialized to the
-    data itself; estimate / mark / refine / solve per iteration. The
-    estimator is exact (finite supports), so the recorded eta_tilde and
-    eta_exact coincide.
-    """
-    if config.mode != "source":
-        raise ValueError(f"run_source requires mode 'source', got {config.mode!r}")
-    if config.dim != potential.dim:
-        raise ValueError("config/potential dimension mismatch")
-    if not rhs:
-        raise ValueError("source run needs at least one right-hand side")
-    run = AdaptiveRun(config=config)
-    run.admissible = _check_admissibility(config, potential)
-
-    current = IndexSet(config.dim)
-    solutions = [SpectralField.zero(config.dim) for _ in rhs]
-    full_radius = potential.support_radius()
-    n = 0
-    while True:
-        t0 = time.perf_counter()
-        rs = [source_residual(w, f, potential) for w, f in zip(solutions, rhs)]
-        estimate = cluster_estimate(rs, current)
-        eta_bar = estimate.total
-        onset_max, overall_max = onset_offset_maxima(rs, current)
-
-        stop_reason = None
-        if eta_bar < config.tol:
-            stop_reason = "tol"
-        elif estimate.off_set_sq == 0.0:
-            stop_reason = "exact"  # no markable mass left
-        elif n >= config.max_iter:
-            stop_reason = "max_iter"
-        elif len(current) >= config.max_dof:
-            stop_reason = "max_dof"
-
-        mark = None
-        if stop_reason is None:
-            mark = dorfler_mark(
-                (estimate.pair_reps, estimate.pair_contribs), config.theta_tilde,
-                estimate.off_set_sq, config.dim,
-            )
-            run.marks.append(mark)
-
-        run.records.append(
-            IterationRecord(
-                n=n,
-                index_set_size=len(current),
-                dof_delta=len(current),
-                values=tuple(a_norm(w, potential) for w in solutions),
-                eta_tilde=eta_bar,
-                eta_exact=eta_bar,
-                zeta_actual=0.0,
-                truncation_M=full_radius,
-                marked_pairs=mark.pairs_marked if mark is not None else 0,
-                residual_onset_max=onset_max,
-                residual_max=overall_max,
-                wall_time=time.perf_counter() - t0,
-            )
-        )
-        run.index_sets.append(current)
-        run.solutions.append(solutions)
-        run.estimates.append(estimate)
-
-        if stop_reason is not None:
-            run.termination_reason = stop_reason
-            return run
-        current = union(current, mark.marked)
-        solutions = solve_source(current, potential, rhs)
         n += 1

@@ -42,7 +42,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,9 @@ import numpy as np
 from .adapt import AdaptiveConfig, AdaptiveRun, run_eigen, run_source
 from .frequency import ball, ball_size, shell_counts
 from .marking import MarkingError
-from .operator import Potential, PotentialError, SolverError, verify_potential
+from .operator import (
+    Potential, PotentialError, SolverError, assemble, solve_eigen, solve_source, verify_potential,
+)
 from .spectral import SpectralField, evaluate_on_grid
 from .verify import (
     CoverageError,
@@ -392,8 +394,6 @@ def uniform_sweep(
     """Dense solves on balls of increasing radius, with errors vs reference."""
     if list(m_list) != sorted(m_list):
         raise ValueError("m_list must be ascending")
-    from .operator import assemble, solve_eigen  # local import keeps module load light
-
     rows = []
     for m in m_list:
         basis = ball(m, potential.dim)
@@ -530,16 +530,11 @@ def _write_gnuplot_script(path: Path, mode: str) -> None:
 # -- experiment orchestration -------------------------------------------------
 
 
-def _rate_fit_dict(fit: RateFit | None) -> dict | None:
-    if fit is None:
+def _rate_fit(run: AdaptiveRun, errors: list[float] | None) -> RateFit | None:
+    """Rate fits of a run whose error sequence has at least 4 entries, all positive."""
+    if errors is None or len(errors) < 4 or not all(e > 0.0 for e in errors):
         return None
-    return {
-        "alpha_hat": fit.alpha_hat,
-        "alpha_r2": fit.alpha_r2,
-        "s_hat": fit.s_hat,
-        "s_r2": fit.s_r2,
-        "status": fit.status,
-    }
+    return fit_rates(run.records, errors)
 
 
 def _write_run(
@@ -553,7 +548,7 @@ def _write_run(
         termination_reason=run.termination_reason,
         iterations=len(run.records),
         final_dof=len(run.final_index_set),
-        rate_fits=_rate_fit_dict(fit),
+        rate_fits=None if fit is None else asdict(fit),
     )
 
 
@@ -578,34 +573,46 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
         if not quiet:
             print(msg)
 
-    if mode in ("eigen-feasible", "eigen-exact"):
-        algo = AdaptiveConfig(
-            **{**config.algorithm.__dict__, "mode": mode}  # type: ignore[arg-type]
-        )
+    if mode in ("eigen-feasible", "eigen-exact", "compare"):
+        algo = replace(config.algorithm, mode="eigen-feasible" if mode == "compare" else mode)
         run = run_eigen(algo, potential)
-        distances, fit, ref = _verify_eigen_run(config, potential, run, summary)
-        _write_run(outdir, summary, run, distances, fit)
+        distances, ref = _verify_eigen_run(config, potential, run, summary)
+        errors = distances if distances is not None else [rec.eta_exact for rec in run.records]
+        _write_run(outdir, summary, run, distances, _rate_fit(run, errors))
         summary.data["final_eigenvalues"] = [float(x) for x in run.final_cluster.eigenvalues]
-        summary.data["admissible_parameters"] = run.admissible
-        say(
-            f"{mode}: {run.termination_reason} after {len(run.records)} iterations, "
-            f"dof {len(run.final_index_set)}"
-        )
+        if mode != "compare":
+            summary.data["admissible_parameters"] = run.admissible
+            say(
+                f"{mode}: {run.termination_reason} after {len(run.records)} iterations, "
+                f"dof {len(run.final_index_set)}"
+            )
+        elif ref is None or distances is None:
+            raise SolverError("compare mode requires verification to be enabled")
+        else:
+            m_hi = int(math.ceil(run.final_index_set.max_radius())) + 1
+            m_hi = min(m_hi, config.m_ref)
+            rows = uniform_sweep(
+                potential, config.k0, config.n_eigs,
+                list(range(config.algorithm.M0, m_hi + 1)), ref,
+            )
+            write_uniform_csv(outdir / "uniform.csv", rows)
+            summary.data["files"]["uniform"] = "uniform.csv"
+            comparison = matched_error_comparison(run, distances, rows)
+            write_comparison_csv(outdir / "comparison.csv", comparison)
+            summary.data["files"]["comparison"] = "comparison.csv"
+            summary.data["comparison"] = comparison
+            say(
+                f"compare: adaptive dof {comparison['adaptive_dof']} vs uniform "
+                f"{comparison['uniform_dof']} at matched error"
+            )
     elif mode == "source":
-        algo = AdaptiveConfig(**{**config.algorithm.__dict__, "mode": "source"})
         rhs = build_rhs(config.rhs_spec or [], config.dim)
-        run = run_source(algo, potential, rhs)
+        run = run_source(replace(config.algorithm, mode="source"), potential, rhs)
         errors = None
-        fit = None
         if config.enable_subspace_distance:
-            from .operator import solve_source
-
             ref_sols = solve_source(ball(config.m_ref, config.dim), potential, rhs)
             errors = source_errors(run, ref_sols, potential)
-            positive = [e for e in errors if e > 0.0]
-            if len(positive) == len(errors) and len(errors) >= 4:
-                fit = fit_rates(run.records, errors)
-        _write_run(outdir, summary, run, errors, fit)
+        _write_run(outdir, summary, run, errors, _rate_fit(run, errors))
         summary.data["final_solution_norms"] = list(run.records[-1].values)
         say(
             f"source: {run.termination_reason} after {len(run.records)} iterations, "
@@ -623,30 +630,6 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
         summary.data["termination_reason"] = "max_dof"  # sweep budget exhausted
         summary.data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
         say(f"uniform sweep: {len(rows)} radii")
-    elif mode == "compare":
-        algo = AdaptiveConfig(**{**config.algorithm.__dict__, "mode": "eigen-feasible"})
-        run = run_eigen(algo, potential)
-        distances, fit, ref = _verify_eigen_run(config, potential, run, summary)
-        _write_run(outdir, summary, run, distances, fit)
-        summary.data["final_eigenvalues"] = [float(x) for x in run.final_cluster.eigenvalues]
-        if ref is None or distances is None:
-            raise SolverError("compare mode requires verification to be enabled")
-        m_hi = int(math.ceil(run.final_index_set.max_radius())) + 1
-        m_hi = min(m_hi, config.m_ref)
-        rows = uniform_sweep(
-            potential, config.k0, config.n_eigs,
-            list(range(config.algorithm.M0, m_hi + 1)), ref,
-        )
-        write_uniform_csv(outdir / "uniform.csv", rows)
-        summary.data["files"]["uniform"] = "uniform.csv"
-        comparison = matched_error_comparison(run, distances, rows)
-        write_comparison_csv(outdir / "comparison.csv", comparison)
-        summary.data["files"]["comparison"] = "comparison.csv"
-        summary.data["comparison"] = comparison
-        say(
-            f"compare: adaptive dof {comparison['adaptive_dof']} vs uniform "
-            f"{comparison['uniform_dof']} at matched error"
-        )
     else:
         raise ConfigError("mode", f"unknown mode {mode!r}")
 
@@ -665,9 +648,8 @@ def _verify_eigen_run(
     run: AdaptiveRun,
     summary: RunSummary,
 ):
-    """Reference solve + per-iteration distances + rate fits for eigen runs."""
+    """Reference solve and per-iteration distances for eigen runs."""
     distances = None
-    fit = None
     ref = None
     if config.enable_subspace_distance:
         try:
@@ -680,18 +662,12 @@ def _verify_eigen_run(
             "ok": gap_ok, "below": gap_below, "above": gap_above,
         }
         try:
-            report = run_distances(run, ref, potential)
+            report = run_distances(run, ref)
             distances = report.totals
             summary.data["per_group_distances"] = report.per_group
         except CoverageError as exc:
             summary.data["verification_skipped"] = str(exc)
-    errors = distances
-    if errors is None:
-        errors = [rec.eta_exact for rec in run.records]
-    positive = [e for e in errors if e > 0.0]
-    if len(positive) == len(errors) and len(errors) >= 4:
-        fit = fit_rates(run.records, errors)
-    return distances, fit, ref
+    return distances, ref
 
 
 def matched_error_comparison(
@@ -746,7 +722,7 @@ def main(argv: list[str] | None = None) -> int:
         config = ingest_config(args.config, args.seed)
         outdir = args.out or os.environ.get(ENV_OUTPUT_DIR) or config.output_dir
         if outdir != config.output_dir:
-            config = ExperimentConfig(**{**config.__dict__, "output_dir": outdir})
+            config = replace(config, output_dir=outdir)
         run_experiment(config, mode=args.mode, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

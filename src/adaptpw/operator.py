@@ -189,11 +189,7 @@ class EigenCluster:
         return len(self.eigenvalues)
 
     def field(self, l: int) -> SpectralField:
-        vec = self.vectors[:, l]
-        scale = max(1.0, float(np.max(np.abs(vec))))
-        f = SpectralField(self.basis, vec, real_flag=False)
-        is_real = f.hermitian_defect() <= 1e-10 * scale
-        return SpectralField(self.basis, vec, real_flag=is_real)
+        return SpectralField(self.basis, self.vectors[:, l])
 
     def fields(self) -> list[SpectralField]:
         return [self.field(l) for l in range(self.n_eigs)]
@@ -220,8 +216,8 @@ def solve_eigen(h: Hamiltonian, k0: int, n_eigs: int) -> EigenCluster:
     vectors = v[:, k0 : k0 + n_eigs].copy()
 
     neg = h.basis.negation_permutation()
-    for start, stop in _degenerate_groups(lambdas):
-        vectors[:, start:stop] = _rotate_to_real(vectors[:, start:stop], neg)
+    for sl in group_slices(lambdas, DEGENERACY_RTOL):
+        vectors[:, sl] = _rotate_to_real(vectors[:, sl], neg)
     for j in range(n_eigs):
         vectors[:, j] = _fix_sign(vectors[:, j])
 
@@ -275,20 +271,20 @@ def solve_source(s: IndexSet, potential: Potential, rhs: list[SpectralField]) ->
     ]
 
 
-# -- helpers -----------------------------------------------------------------
-
-
-def _degenerate_groups(lambdas: np.ndarray):
-    """Maximal runs of consecutive eigenvalues with tiny relative gaps."""
-    groups = []
+def group_slices(eigenvalues: np.ndarray, rtol: float) -> list[slice]:
+    """Split a sorted eigenvalue window where a relative gap exceeds `rtol`."""
+    slices = []
     start = 0
-    for i in range(len(lambdas) - 1):
-        scale = max(1.0, abs(float(lambdas[i])), abs(float(lambdas[i + 1])))
-        if lambdas[i + 1] - lambdas[i] >= DEGENERACY_RTOL * scale:
-            groups.append((start, i + 1))
+    for i in range(len(eigenvalues) - 1):
+        scale = max(1.0, abs(float(eigenvalues[i])), abs(float(eigenvalues[i + 1])))
+        if eigenvalues[i + 1] - eigenvalues[i] > rtol * scale:
+            slices.append(slice(start, i + 1))
             start = i + 1
-    groups.append((start, len(lambdas)))
-    return groups
+    slices.append(slice(start, len(eigenvalues)))
+    return slices
+
+
+# -- helpers -----------------------------------------------------------------
 
 
 def _rotate_to_real(q: np.ndarray, neg_perm: np.ndarray) -> np.ndarray:

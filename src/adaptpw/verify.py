@@ -27,7 +27,9 @@ import numpy as np
 
 from .adapt import AdaptiveRun
 from .frequency import IndexSet, ball, union
-from .operator import EigenCluster, Hamiltonian, Potential, assemble, solve_eigen
+from .operator import (
+    EigenCluster, Hamiltonian, Potential, assemble, group_slices, solve_eigen,
+)
 from .spectral import SpectralField
 
 #: relative eigenvalue gap above which reference eigenvalues are split
@@ -96,12 +98,12 @@ def reference_solve(
         )
     h = assemble(basis, potential)
     cluster = solve_eigen(h, k0, n_eigs)
-    metric = EnergyMetric.of_matrix(h)
+    metric = EnergyMetric(h)
     if cluster.lambda_above is None:
         tail_gap = math.inf
     else:
         tail_gap = cluster.lambda_above - float(cluster.eigenvalues[-1])
-    groups = group_slices(cluster.eigenvalues)
+    groups = group_slices(cluster.eigenvalues, GROUP_GAP_RTOL)
     return ReferenceSolution(
         basis=basis,
         cluster=cluster,
@@ -128,38 +130,16 @@ def eigenvalue_gap_check(ref: ReferenceSolution) -> tuple[bool, float, float]:
     return ok, gap_below, gap_above
 
 
-def group_slices(eigenvalues: np.ndarray, rtol: float = GROUP_GAP_RTOL) -> list[slice]:
-    """Split a sorted eigenvalue window into gap-separated groups."""
-    slices = []
-    start = 0
-    for i in range(len(eigenvalues) - 1):
-        scale = max(1.0, abs(float(eigenvalues[i])), abs(float(eigenvalues[i + 1])))
-        if eigenvalues[i + 1] - eigenvalues[i] > rtol * scale:
-            slices.append(slice(start, i + 1))
-            start = i + 1
-    slices.append(slice(start, len(eigenvalues)))
-    return slices
-
-
 class EnergyMetric:
     """Cholesky frame of the energy inner product on a fixed basis.
 
     Mapping coefficient vectors x to L^H x turns the energy inner product
     into the plain Euclidean one, after which subspace angles reduce to
-    ordinary matrix computations. `frame` holds L^H, computed once.
+    ordinary matrix computations. `frame` holds L^H, computed once from
+    the Galerkin matrix `h` of the energy form.
     """
 
-    def __init__(self, basis: IndexSet, potential: Potential) -> None:
-        self._factor(assemble(basis, potential))
-
-    @classmethod
-    def of_matrix(cls, h: Hamiltonian) -> EnergyMetric:
-        """Metric of an already assembled Galerkin matrix."""
-        metric = cls.__new__(cls)
-        metric._factor(h)
-        return metric
-
-    def _factor(self, h: Hamiltonian) -> None:
+    def __init__(self, h: Hamiltonian) -> None:
         try:
             chol = np.linalg.cholesky(h.matrix)
         except np.linalg.LinAlgError as exc:
@@ -229,18 +209,15 @@ class DistanceReport:
 
     totals: list[float]
     per_group: list[list[float]]
-    groups: list[slice]
 
 
-def run_distances(
-    run: AdaptiveRun, ref: ReferenceSolution, potential: Potential
-) -> DistanceReport:
+def run_distances(run: AdaptiveRun, ref: ReferenceSolution) -> DistanceReport:
     """Energy-norm distance between each iterate's cluster and the reference.
 
     Groups are detected from reference eigenvalue gaps; discrete
     counterparts are taken at the same index positions, and group
     distances combine by root-sum-square. Distances use the reference's
-    own energy frame (`ref.metric`), which was built from `potential`.
+    own energy frame (`ref.metric`).
     """
     if not run.clusters:
         raise ValueError("run holds no eigenclusters (source mode?)")
@@ -259,7 +236,7 @@ def run_distances(
         )
     per_group = [ref.group_distances(cluster) for cluster in run.clusters]
     totals = [math.sqrt(sum(d * d for d in ds)) for ds in per_group]
-    return DistanceReport(totals=totals, per_group=per_group, groups=ref.groups)
+    return DistanceReport(totals=totals, per_group=per_group)
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ def cosine_run():
     )
     run = run_eigen(cfg, pot)
     ref = reference_solve(pot, 0, 1, 64)
-    rep = run_distances(run, ref, pot)
+    rep = run_distances(run, ref)
     return TimedRun(
         run=run, potential=pot, seconds=time.perf_counter() - t0,
         ref=ref, distances=rep.totals, per_group=rep.per_group,
@@ -98,7 +98,7 @@ def rd_run():
     )
     run = run_eigen(cfg, pot)
     ref = reference_solve(pot, 0, 2, 64)
-    rep = run_distances(run, ref, pot)
+    rep = run_distances(run, ref)
     tr = TimedRun(
         run=run, potential=pot, seconds=0.0,
         ref=ref, distances=rep.totals, per_group=rep.per_group,
@@ -121,7 +121,7 @@ def d2_run():
         warnings.simplefilter("always")
         run = run_eigen(cfg, pot)
         ref = reference_solve(pot, 0, 5, 12)
-        rep = run_distances(run, ref, pot)
+        rep = run_distances(run, ref)
     tr = TimedRun(
         run=run, potential=pot, seconds=time.perf_counter() - t0,
         ref=ref, distances=rep.totals, per_group=rep.per_group,

@@ -211,3 +211,49 @@ def test_source_requires_mode():
         run_source(AdaptiveConfig(dim=1), v, [SpectralField.unit(1, (0,))])
     with pytest.raises(ValueError):
         run_eigen(AdaptiveConfig(dim=1, mode="source"), v)
+
+
+@pytest.mark.parametrize("mode", ["eigen-feasible", "eigen-exact"])
+def test_source_rejects_eigen_modes(mode):
+    v = trig_potential(1, 1.0, {})
+    with pytest.raises(ValueError, match="run_source requires mode 'source'"):
+        run_source(AdaptiveConfig(dim=1, mode=mode), v, [SpectralField.unit(1, (0,))])
+
+
+def _source_budget_run(potential, **budget):
+    cfg = AdaptiveConfig(dim=1, theta_tilde=0.5, zeta=0.0, tol=0.0, mode="source", **budget)
+    return run_source(cfg, potential, [SpectralField.unit(1, (0,))])
+
+
+def test_source_budget_termination(cosine_potential):
+    # the budgets stop the source loop by the eigen loop's rules
+    run = _source_budget_run(cosine_potential, max_iter=4)
+    assert run.termination_reason == "max_iter"
+    assert [r.n for r in run.records] == list(range(5))
+    run = _source_budget_run(cosine_potential, max_iter=100, max_dof=9)
+    assert run.termination_reason == "max_dof"
+    sizes = [r.index_set_size for r in run.records]
+    assert sizes[-1] >= 9 and all(s < 9 for s in sizes[:-1])
+    for run in (_source_budget_run(cosine_potential, max_iter=4), run):
+        # the start set is empty, so every frequency counts as added
+        assert all(r.dof_delta == r.index_set_size for r in run.records)
+        assert all(r.marked_pairs > 0 for r in run.records[:-1])
+        assert run.records[-1].marked_pairs == 0
+        assert len(run.marks) == len(run.records) - 1
+
+
+def test_source_first_estimate_is_data_norm(cosine_potential):
+    # the empty set's Galerkin solutions are zero, so the first residuals
+    # are the data and eta_tilde is their H^-1 norm
+    rhs = [
+        SpectralField.from_pairs(1, {(0,): 1.0, (2,): 0.5, (-2,): 0.5}),
+        SpectralField.from_pairs(1, {(3,): 2.0, (-3,): 2.0}),
+    ]
+    cfg = AdaptiveConfig(dim=1, theta_tilde=0.5, zeta=0.0, tol=0.0, max_iter=2, mode="source")
+    run = run_source(cfg, cosine_potential, rhs)
+    first = run.records[0]
+    data_norm = math.sqrt(sum(f.hs_norm(-1.0) ** 2 for f in rhs))
+    assert first.index_set_size == 0
+    assert first.values == (0.0, 0.0)
+    assert first.eta_tilde == pytest.approx(data_norm, rel=1e-15)
+    assert first.eta_exact == first.eta_tilde

@@ -8,6 +8,7 @@ from adaptpw import (
     EnergyMetric,
     SpectralField,
     a_norm,
+    assemble,
     ball,
     eigenvalue_gap_check,
     fit_rates,
@@ -73,7 +74,7 @@ def test_gap_check_detects_cut_multiplet(constant_potential):
 
 def test_distance_identical_subspaces(constant_potential):
     basis = ball(2, 1)
-    metric = EnergyMetric(basis, constant_potential)
+    metric = EnergyMetric(assemble(basis, constant_potential))
     rng = np.random.default_rng(1)
     x = rng.normal(size=(len(basis), 2))
     assert subspace_distance(x, x.copy(), metric) <= 1e-13
@@ -81,7 +82,7 @@ def test_distance_identical_subspaces(constant_potential):
 
 def test_distance_orthogonal_subspaces(constant_potential):
     basis = ball(1, 1)
-    metric = EnergyMetric(basis, constant_potential)
+    metric = EnergyMetric(assemble(basis, constant_potential))
     x = np.zeros((3, 1)); x[0, 0] = 1.0  # e_0
     y = np.zeros((3, 1)); y[2, 0] = 1.0  # e_1 (a-orthogonal for constant V)
     assert subspace_distance(x, y, metric) == pytest.approx(1.0, abs=1e-12)
@@ -90,7 +91,7 @@ def test_distance_orthogonal_subspaces(constant_potential):
 def test_distance_matches_sampling_oracle():
     v = trig_potential(1, 1.0, {(1,): 0.6})
     basis = ball(3, 1)  # 7-dim space
-    metric = EnergyMetric(basis, v)
+    metric = EnergyMetric(assemble(basis, v))
     rng = np.random.default_rng(23)
     x = rng.normal(size=(7, 2))
     y = rng.normal(size=(7, 2))
@@ -119,7 +120,7 @@ def test_distance_matches_sampling_oracle():
 
 def test_distance_basis_change_invariance(cosine_potential):
     basis = ball(4, 1)
-    metric = EnergyMetric(basis, cosine_potential)
+    metric = EnergyMetric(assemble(basis, cosine_potential))
     rng = np.random.default_rng(3)
     x = rng.normal(size=(len(basis), 3))
     y = rng.normal(size=(len(basis), 3))
@@ -135,7 +136,7 @@ def test_distance_basis_change_invariance(cosine_potential):
 
 def test_distance_rank_deficiency(constant_potential):
     basis = ball(2, 1)
-    metric = EnergyMetric(basis, constant_potential)
+    metric = EnergyMetric(assemble(basis, constant_potential))
     x = np.zeros((5, 2))
     x[0, 0] = 1.0
     x[0, 1] = 1.0 + 1e-14  # numerically dependent columns
@@ -196,7 +197,7 @@ def test_run_distances_decrease(cosine_potential):
     cfg = AdaptiveConfig(dim=1, M0=1, k0=0, n_eigs=1, tol=0.0, max_iter=5, zeta=0.2)
     run = run_eigen(cfg, cosine_potential)
     ref = reference_solve(cosine_potential, 0, 1, 32)
-    rep = run_distances(run, ref, cosine_potential)
+    rep = run_distances(run, ref)
     assert len(rep.totals) == len(run.records)
     assert all(b < a for a, b in zip(rep.totals, rep.totals[1:]))
     # eigenvalue error is quadratic in the subspace distance in the clean regime
@@ -215,7 +216,7 @@ def test_error_estimator_ratio_window():
     cfg = AdaptiveConfig(dim=1, M0=2, k0=0, n_eigs=1, tol=0.0, max_iter=8, zeta=0.2)
     run = run_eigen(cfg, pot)
     ref = reference_solve(pot, 0, 1, 64)
-    rep = run_distances(run, ref, pot)
+    rep = run_distances(run, ref)
     lo = 1.0 / (2.0 * math.sqrt(pot.alpha_upper))
     hi = 2.0 / math.sqrt(pot.alpha_lower)
     for rec, dist in list(zip(run.records, rep.totals))[1:]:
@@ -230,7 +231,7 @@ def test_run_distances_coverage_error(cosine_potential):
     run = run_eigen(cfg, cosine_potential)
     small_ref = reference_solve(cosine_potential, 0, 1, 4)
     with pytest.raises(CoverageError):
-        run_distances(run, small_ref, cosine_potential)
+        run_distances(run, small_ref)
 
 
 # -- source errors -------------------------------------------------------------
