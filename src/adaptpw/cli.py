@@ -56,7 +56,6 @@ from .operator import (
 from .spectral import SpectralField, evaluate_on_grid
 from .verify import (
     CoverageError,
-    RateFit,
     ReferenceSolution,
     eigenvalue_gap_check,
     fit_rates,
@@ -76,6 +75,9 @@ ALGORITHM_DEFAULTS = {
     "max_iter": 50,
     "max_dof": 20000,
 }
+
+RUN_MODES = ("eigen-feasible", "eigen-exact", "source", "uniform", "compare")
+OUTPUT_FORMATS = ("csv", "json", "gnuplot")
 
 
 class ConfigError(ValueError):
@@ -195,7 +197,11 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
 
     output = raw.get("output", {})
     outdir = str(output.get("directory", "out"))
-    formats = tuple(output.get("formats", ("csv", "json")))
+    formats = output.get("formats", ["csv", "json"])
+    if not isinstance(formats, list) or not all(f in OUTPUT_FORMATS for f in formats):
+        raise ConfigError(
+            "output.formats", f"must be a list drawn from {list(OUTPUT_FORMATS)}, got {formats!r}"
+        )
 
     if seed is None:
         seed = raw.get("seed")
@@ -212,7 +218,7 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
         m_ref=m_ref,
         enable_subspace_distance=enable_dist,
         output_dir=outdir,
-        formats=formats,
+        formats=tuple(formats),
         seed=None if seed is None else int(seed),
         raw=raw,
     )
@@ -242,6 +248,36 @@ def check_reference_memory(m_ref: int, dim: int) -> None:
             f"its dense complex matrix needs {16 * n * n} bytes, more than the "
             f"{limit} bytes of physical memory",
         )
+
+
+def _check_ball_holds_cluster(field_path: str, radius: int, config: ExperimentConfig) -> None:
+    # ball(need) holds at least 2*need+1 frequencies, so counting the ball of
+    # radius min(radius, need) decides the question at bounded cost
+    need = config.k0 + config.n_eigs
+    n = ball_size(min(radius, need), config.dim)
+    if n < need:
+        raise ConfigError(
+            field_path,
+            f"the ball of radius {radius} in {config.dim}D has {n} frequencies, "
+            f"too few for k0={config.k0}, n_eigs={config.n_eigs}",
+        )
+
+
+def preflight(config: ExperimentConfig, mode: str) -> None:
+    """Reject, before any work, a run that its frequency balls cannot carry.
+
+    Eigen, compare and uniform runs need the cluster to fit in the initial
+    ball, and every run that builds a reference needs its dense matrix to
+    fit in memory; an eigen reference must also hold the cluster.
+    """
+    if mode not in RUN_MODES:
+        raise ConfigError("mode", f"unknown mode {mode!r}")
+    if mode != "source":
+        _check_ball_holds_cluster("algorithm.M0", config.algorithm.M0, config)
+    if config.enable_subspace_distance or mode == "uniform":
+        check_reference_memory(config.m_ref, config.dim)
+        if mode != "source":
+            _check_ball_holds_cluster("verification.M_ref", config.m_ref, config)
 
 
 # -- potential families -------------------------------------------------------
@@ -292,16 +328,9 @@ def build_potential(spec: dict, dim: int, seed: int | None = None) -> tuple[Pote
             r_cut=r_cut,
         )
     elif family == "explicit":
-        coeffs = {}
-        for i, entry in enumerate(spec.get("coefficients", [])):
-            k = tuple(int(x) for x in entry["index"])
-            if len(k) != dim:
-                raise ConfigError(
-                    f"problem.potential.coefficients[{i}].index",
-                    f"needs {dim} components",
-                )
-            coeffs[k] = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
-        fld = SpectralField.from_pairs(dim, coeffs)
+        fld = _parse_triples(
+            spec.get("coefficients", []), dim, "problem.potential.coefficients[{}].index"
+        )
         if not fld.real_flag:
             raise ConfigError(
                 "problem.potential.coefficients",
@@ -359,17 +388,23 @@ def _random_decay_field(
     return fld, shift, tail
 
 
+def _parse_triples(triples: list, dim: int, field_path: str) -> SpectralField:
+    """Field from {index, re, im} coefficient triples.
+
+    A malformed index is reported under `field_path`, with any `{}` in it
+    replaced by the triple's position.
+    """
+    coeffs = {}
+    for j, entry in enumerate(triples):
+        k = tuple(int(x) for x in entry["index"])
+        if len(k) != dim:
+            raise ConfigError(field_path.format(j), f"index needs {dim} components")
+        coeffs[k] = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
+    return SpectralField.from_pairs(dim, coeffs)
+
+
 def build_rhs(rhs_spec: list, dim: int) -> list[SpectralField]:
-    fields = []
-    for i, triples in enumerate(rhs_spec):
-        coeffs = {}
-        for entry in triples:
-            k = tuple(int(x) for x in entry["index"])
-            if len(k) != dim:
-                raise ConfigError(f"problem.rhs[{i}]", f"index needs {dim} components")
-            coeffs[k] = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
-        fields.append(SpectralField.from_pairs(dim, coeffs))
-    return fields
+    return [_parse_triples(t, dim, f"problem.rhs[{i}]") for i, t in enumerate(rhs_spec)]
 
 
 # -- uniform sweep ------------------------------------------------------------
@@ -431,6 +466,12 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Comma-separated file; every cell goes through `_fmt`, which prints ints as str does."""
+    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def write_iterations_csv(
     path: Path, run: AdaptiveRun, distances: list[float] | None
 ) -> None:
@@ -447,24 +488,13 @@ def write_iterations_csv(
          "ref_distance"]
         + [f"{value_name}_{i + 1}" for i in range(n_values)]
     )
-    lines = [",".join(header)]
-    for i, rec in enumerate(run.records):
-        dist = distances[i] if distances is not None else math.nan
-        row = [
-            str(rec.n),
-            str(rec.index_set_size),
-            str(rec.dof_delta),
-            _fmt(rec.eta_tilde),
-            _fmt(rec.eta_exact),
-            _fmt(rec.zeta_actual),
-            str(rec.truncation_M),
-            str(rec.marked_pairs),
-            _fmt(rec.residual_onset_max),
-            _fmt(rec.residual_max),
-            _fmt(dist),
-        ] + [_fmt(v) for v in rec.values]
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = [
+        [rec.n, rec.index_set_size, rec.dof_delta, rec.eta_tilde, rec.eta_exact,
+         rec.zeta_actual, rec.truncation_M, rec.marked_pairs, rec.residual_onset_max,
+         rec.residual_max, math.nan if distances is None else distances[i], *rec.values]
+        for i, rec in enumerate(run.records)
+    ]
+    _write_csv(path, header, rows)
 
 
 def write_marked_sets(path: Path, run: AdaptiveRun) -> None:
@@ -490,30 +520,14 @@ def write_uniform_csv(path: Path, rows: list[SweepRow]) -> None:
     header = ["M", "dof", "max_eigenvalue_error", "distance"] + [
         f"lambda_{i + 1}" for i in range(n_values)
     ]
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [str(r.m), str(r.dof), _fmt(r.max_eigenvalue_error), _fmt(r.distance)]
-                + [_fmt(v) for v in r.eigenvalues]
-            )
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_csv(
+        path, header,
+        [[r.m, r.dof, r.max_eigenvalue_error, r.distance, *r.eigenvalues] for r in rows],
+    )
 
 
 def write_comparison_csv(path: Path, comparison: dict) -> None:
-    header = [
-        "adaptive_error", "adaptive_dof", "matched_uniform_M", "uniform_dof",
-        "dof_ratio",
-    ]
-    row = [
-        _fmt(comparison["adaptive_error"]),
-        str(comparison["adaptive_dof"]),
-        str(comparison["matched_uniform_M"]),
-        str(comparison["uniform_dof"]),
-        _fmt(comparison["dof_ratio"]),
-    ]
-    _atomic_write(path, ",".join(header) + "\n" + ",".join(row) + "\n")
+    _write_csv(path, list(comparison), [comparison.values()])
 
 
 def _write_gnuplot_script(path: Path, mode: str) -> None:
@@ -530,18 +544,18 @@ def _write_gnuplot_script(path: Path, mode: str) -> None:
 # -- experiment orchestration -------------------------------------------------
 
 
-def _rate_fit(run: AdaptiveRun, errors: list[float] | None) -> RateFit | None:
-    """Rate fits of a run whose error sequence has at least 4 entries, all positive."""
-    if errors is None or len(errors) < 4 or not all(e > 0.0 for e in errors):
-        return None
-    return fit_rates(run.records, errors)
-
-
 def _write_run(
-    outdir: Path, summary: RunSummary, run: AdaptiveRun, errors: list[float] | None, fit
+    outdir: Path, summary: RunSummary, run: AdaptiveRun, distances: list[float] | None,
+    errors: list[float] | None,
 ) -> None:
-    """Write iterations.csv and marked_sets.jsonl and record the run in the summary."""
-    write_iterations_csv(outdir / "iterations.csv", run, errors)
+    """Write iterations.csv and marked_sets.jsonl and record the run in the summary.
+
+    Rates are fitted to `errors` when it has at least 4 entries, all positive.
+    """
+    fit = None
+    if errors is not None and len(errors) >= 4 and all(e > 0.0 for e in errors):
+        fit = fit_rates(run.records, errors)
+    write_iterations_csv(outdir / "iterations.csv", run, distances)
     write_marked_sets(outdir / "marked_sets.jsonl", run)
     summary.data["files"].update(iterations="iterations.csv", marked_sets="marked_sets.jsonl")
     summary.data.update(
@@ -552,33 +566,76 @@ def _write_run(
     )
 
 
+def _uniform_step(
+    outdir: Path, summary: RunSummary, config: ExperimentConfig, potential: Potential,
+    ref: ReferenceSolution, m_hi: int,
+) -> list[SweepRow]:
+    """Uniform sweep over radii M0..min(m_hi, M_ref), written to uniform.csv.
+
+    The clamp keeps every swept ball inside the reference ball.
+    """
+    m_list = list(range(config.algorithm.M0, min(m_hi, config.m_ref) + 1))
+    rows = uniform_sweep(potential, config.k0, config.n_eigs, m_list, ref)
+    write_uniform_csv(outdir / "uniform.csv", rows)
+    summary.data["files"]["uniform"] = "uniform.csv"
+    return rows
+
+
 def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: bool = False) -> RunSummary:
     """Execute the configured experiment and write artifacts to disk."""
     t_start = time.perf_counter()
     mode = mode or config.algorithm.mode
+    preflight(config, mode)
     outdir = Path(config.output_dir)
-    if config.enable_subspace_distance or mode == "uniform":
-        check_reference_memory(config.m_ref, config.dim)
     outdir.mkdir(parents=True, exist_ok=True)
     potential, pot_meta = build_potential(config.potential_spec, config.dim, config.seed)
 
-    summary = RunSummary()
-    summary.data["config"] = config.raw
-    summary.data["mode"] = mode
-    summary.data["seed"] = config.seed
-    summary.data["potential"] = pot_meta
-    summary.data["files"] = {}
+    summary = RunSummary(
+        {"config": config.raw, "mode": mode, "seed": config.seed, "potential": pot_meta,
+         "files": {}}
+    )
 
     def say(msg: str) -> None:
         if not quiet:
             print(msg)
 
-    if mode in ("eigen-feasible", "eigen-exact", "compare"):
+    if mode == "source":
+        rhs = build_rhs(config.rhs_spec or [], config.dim)
+        run = run_source(replace(config.algorithm, mode="source"), potential, rhs)
+        errors = None
+        if config.enable_subspace_distance:
+            ref_sols = solve_source(ball(config.m_ref, config.dim), potential, rhs)
+            errors = source_errors(run, ref_sols, potential)
+        _write_run(outdir, summary, run, errors, errors)
+        summary.data["final_solution_norms"] = list(run.records[-1].values)
+        say(
+            f"source: {run.termination_reason} after {len(run.records)} iterations, "
+            f"dof {len(run.final_index_set)}"
+        )
+    elif mode == "uniform":
+        ref = reference_solve(potential, config.k0, config.n_eigs, config.m_ref)
+        m_hi = max(config.algorithm.M0 + 1, config.m_ref // 2)
+        rows = _uniform_step(outdir, summary, config, potential, ref, m_hi)
+        summary.data["termination_reason"] = "max_dof"  # sweep budget exhausted
+        summary.data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
+        say(f"uniform sweep: {len(rows)} radii")
+    else:
         algo = replace(config.algorithm, mode="eigen-feasible" if mode == "compare" else mode)
         run = run_eigen(algo, potential)
-        distances, ref = _verify_eigen_run(config, potential, run, summary)
+        distances = ref = None
+        if config.enable_subspace_distance:
+            ref = reference_solve(potential, config.k0, config.n_eigs, config.m_ref)
+            gap_ok, gap_below, gap_above = eigenvalue_gap_check(ref)
+            summary.data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
+            summary.data["cluster_gaps"] = {"ok": gap_ok, "below": gap_below, "above": gap_above}
+            try:
+                report = run_distances(run, ref)
+                distances = report.totals
+                summary.data["per_group_distances"] = report.per_group
+            except CoverageError as exc:
+                summary.data["verification_skipped"] = str(exc)
         errors = distances if distances is not None else [rec.eta_exact for rec in run.records]
-        _write_run(outdir, summary, run, distances, _rate_fit(run, errors))
+        _write_run(outdir, summary, run, distances, errors)
         summary.data["final_eigenvalues"] = [float(x) for x in run.final_cluster.eigenvalues]
         if mode != "compare":
             summary.data["admissible_parameters"] = run.admissible
@@ -586,17 +643,11 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
                 f"{mode}: {run.termination_reason} after {len(run.records)} iterations, "
                 f"dof {len(run.final_index_set)}"
             )
-        elif ref is None or distances is None:
+        elif distances is None:
             raise SolverError("compare mode requires verification to be enabled")
         else:
             m_hi = int(math.ceil(run.final_index_set.max_radius())) + 1
-            m_hi = min(m_hi, config.m_ref)
-            rows = uniform_sweep(
-                potential, config.k0, config.n_eigs,
-                list(range(config.algorithm.M0, m_hi + 1)), ref,
-            )
-            write_uniform_csv(outdir / "uniform.csv", rows)
-            summary.data["files"]["uniform"] = "uniform.csv"
+            rows = _uniform_step(outdir, summary, config, potential, ref, m_hi)
             comparison = matched_error_comparison(run, distances, rows)
             write_comparison_csv(outdir / "comparison.csv", comparison)
             summary.data["files"]["comparison"] = "comparison.csv"
@@ -605,33 +656,6 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
                 f"compare: adaptive dof {comparison['adaptive_dof']} vs uniform "
                 f"{comparison['uniform_dof']} at matched error"
             )
-    elif mode == "source":
-        rhs = build_rhs(config.rhs_spec or [], config.dim)
-        run = run_source(replace(config.algorithm, mode="source"), potential, rhs)
-        errors = None
-        if config.enable_subspace_distance:
-            ref_sols = solve_source(ball(config.m_ref, config.dim), potential, rhs)
-            errors = source_errors(run, ref_sols, potential)
-        _write_run(outdir, summary, run, errors, _rate_fit(run, errors))
-        summary.data["final_solution_norms"] = list(run.records[-1].values)
-        say(
-            f"source: {run.termination_reason} after {len(run.records)} iterations, "
-            f"dof {len(run.final_index_set)}"
-        )
-    elif mode == "uniform":
-        ref = reference_solve(potential, config.k0, config.n_eigs, config.m_ref)
-        m_max = max(config.algorithm.M0 + 1, config.m_ref // 2)
-        rows = uniform_sweep(
-            potential, config.k0, config.n_eigs,
-            list(range(config.algorithm.M0, m_max + 1)), ref,
-        )
-        write_uniform_csv(outdir / "uniform.csv", rows)
-        summary.data["files"]["uniform"] = "uniform.csv"
-        summary.data["termination_reason"] = "max_dof"  # sweep budget exhausted
-        summary.data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
-        say(f"uniform sweep: {len(rows)} radii")
-    else:
-        raise ConfigError("mode", f"unknown mode {mode!r}")
 
     if "gnuplot" in config.formats:
         _write_gnuplot_script(outdir / "plots.gp", mode)
@@ -642,59 +666,24 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
     return summary
 
 
-def _verify_eigen_run(
-    config: ExperimentConfig,
-    potential: Potential,
-    run: AdaptiveRun,
-    summary: RunSummary,
-):
-    """Reference solve and per-iteration distances for eigen runs."""
-    distances = None
-    ref = None
-    if config.enable_subspace_distance:
-        try:
-            ref = reference_solve(potential, config.k0, config.n_eigs, config.m_ref)
-        except ValueError as exc:
-            raise SolverError(str(exc)) from exc
-        gap_ok, gap_below, gap_above = eigenvalue_gap_check(ref)
-        summary.data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
-        summary.data["cluster_gaps"] = {
-            "ok": gap_ok, "below": gap_below, "above": gap_above,
-        }
-        try:
-            report = run_distances(run, ref)
-            distances = report.totals
-            summary.data["per_group_distances"] = report.per_group
-        except CoverageError as exc:
-            summary.data["verification_skipped"] = str(exc)
-    return distances, ref
-
-
 def matched_error_comparison(
     run: AdaptiveRun, distances: list[float], rows: list[SweepRow]
 ) -> dict:
-    """Smallest uniform ball matching the adaptive run's final error."""
+    """Smallest uniform ball matching the adaptive run's final error.
+
+    Keys follow the columns of comparison.csv. Without a match (a nan
+    distance never matches) the uniform radius and dof are -1 and the
+    ratio is inf.
+    """
     target = distances[-1]
     adaptive_dof = len(run.final_index_set)
-    matched = None
-    for row in rows:
-        if not math.isnan(row.distance) and row.distance <= target:
-            matched = row
-            break
-    if matched is None:
-        return {
-            "adaptive_error": target,
-            "adaptive_dof": adaptive_dof,
-            "matched_uniform_M": -1,
-            "uniform_dof": -1,
-            "dof_ratio": math.inf,
-        }
+    matched = next((row for row in rows if row.distance <= target), None)
     return {
         "adaptive_error": target,
         "adaptive_dof": adaptive_dof,
-        "matched_uniform_M": matched.m,
-        "uniform_dof": matched.dof,
-        "dof_ratio": adaptive_dof / matched.dof,
+        "matched_uniform_M": -1 if matched is None else matched.m,
+        "uniform_dof": -1 if matched is None else matched.dof,
+        "dof_ratio": math.inf if matched is None else adaptive_dof / matched.dof,
     }
 
 
@@ -712,7 +701,7 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("--seed", type=int, help="seed override for random potentials")
     runp.add_argument(
         "--mode",
-        choices=["eigen-feasible", "eigen-exact", "source", "uniform", "compare"],
+        choices=RUN_MODES,
         help="run mode override",
     )
     runp.add_argument("--quiet", action="store_true", help="suppress progress output")

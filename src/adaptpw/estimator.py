@@ -51,6 +51,27 @@ def _make_residual(field: SpectralField, bound: float) -> Residual:
     return Residual(field=field, truncation_bound=float(bound), per_frequency=per_freq)
 
 
+def _residual(
+    u: SpectralField, v: SpectralField, lam: float = 0.0, f: SpectralField | None = None,
+    bound: float = 0.0,
+) -> Residual:
+    """head - |G|^2 u - V u, with head = lam*u, or f when f is given.
+
+    Computed coefficientwise on supp u + supp(Vu), and supp f when given;
+    index sets keep canonical order, so the order of the unions is
+    immaterial.
+    """
+    vu = multiply(v, u)
+    support = union(u.support, vu.support)
+    if f is not None:
+        support = union(support, f.support)
+    uc = u.coefficients_on(support)
+    head = lam * uc if f is None else f.coefficients_on(support)
+    r = head - support.norms_sq.astype(np.float64) * uc - vu.coefficients_on(support)
+    real = u.real_flag and v.real_flag and (f is None or f.real_flag)
+    return _make_residual(SpectralField(support, r, real_flag=real), bound)
+
+
 def residual(u: SpectralField, lam: float, potential: Potential) -> Residual:
     """Exact eigenpair residual lam*u + Laplace(u) - V*u in coefficient form.
 
@@ -58,12 +79,7 @@ def residual(u: SpectralField, lam: float, potential: Potential) -> Residual:
     of the supports; for a Galerkin eigenpair the coefficients on the
     current index set vanish up to round-off.
     """
-    vu = multiply(potential.field, u)
-    support = union(u.support, vu.support)
-    uc = u.coefficients_on(support)
-    r = lam * uc - support.norms_sq.astype(np.float64) * uc - vu.coefficients_on(support)
-    field = SpectralField(support, r, real_flag=u.real_flag and potential.field.real_flag)
-    return _make_residual(field, 0.0)
+    return _residual(u, potential.field, lam=lam)
 
 
 def truncated_residual(
@@ -76,31 +92,14 @@ def truncated_residual(
     """
     if radius < 0:
         raise ValueError("truncation radius must be >= 0")
-    vtrunc = potential.truncated_field(radius)
-    vu = multiply(vtrunc, u)
-    support = union(u.support, vu.support)
-    uc = u.coefficients_on(support)
-    r = lam * uc - support.norms_sq.astype(np.float64) * uc - vu.coefficients_on(support)
-    field = SpectralField(support, r, real_flag=u.real_flag and potential.field.real_flag)
     dim = potential.dim
     bound = ((2.0 * math.pi) ** (-dim / 2.0)) * potential.tail_l1(radius) * u.l2_norm()
-    return _make_residual(field, bound)
+    return _residual(u, potential.truncated_field(radius), lam=lam, bound=bound)
 
 
 def source_residual(w: SpectralField, f: SpectralField, potential: Potential) -> Residual:
     """Source-problem residual f - (-Laplace + V) w, exact."""
-    vw = multiply(potential.field, w)
-    support = union(union(f.support, w.support), vw.support)
-    wc = w.coefficients_on(support)
-    r = (
-        f.coefficients_on(support)
-        - support.norms_sq.astype(np.float64) * wc
-        - vw.coefficients_on(support)
-    )
-    field = SpectralField(
-        support, r, real_flag=f.real_flag and w.real_flag and potential.field.real_flag
-    )
-    return _make_residual(field, 0.0)
+    return _residual(w, potential.field, f=f)
 
 
 def eta(r: Residual, subset: IndexSet | None = None) -> float:

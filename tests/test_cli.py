@@ -210,6 +210,65 @@ def test_exit_code_3_on_numerical_failure(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("mode", ["eigen-feasible", "compare", "uniform"])
+@pytest.mark.parametrize(
+    "m0, m_ref, field", [(2, 32, "algorithm.M0"), (4, 2, "verification.M_ref")]
+)
+def test_cluster_ball_preflight_rejects_before_work(
+    tmp_path, monkeypatch, capsys, mode, m0, m_ref, field
+):
+    # 1D balls of radius 2 hold 5 frequencies, too few for a 6-eigenvalue cluster
+    raw = minimal_config(
+        algorithm={"M0": m0}, verification={"M_ref": m_ref},
+        output={"directory": str(tmp_path / "out")},
+    )
+    raw["problem"]["n_eigs"] = 6
+
+    def build_potential(*args):
+        raise AssertionError("potential built before the pre-flight")
+
+    monkeypatch.setattr(cli, "build_potential", build_potential)
+    rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", mode])
+    assert rc == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cluster_ball_preflight_skips_source_mode():
+    # a source run has no eigenvalue cluster for its balls to hold
+    raw = minimal_config(algorithm={"M0": 1}, verification={"M_ref": 1})
+    raw["problem"]["n_eigs"] = 6
+    cli.preflight(validate_config(raw), "source")
+
+
+def test_uniform_sweep_stays_inside_reference(tmp_path):
+    # with M_ref <= M0 the sweep's top radius M0 + 1 would leave the reference ball
+    raw = minimal_config(
+        algorithm={"M0": 2}, verification={"M_ref": 2},
+        output={"directory": str(tmp_path / "out")},
+    )
+    rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "uniform"])
+    assert rc == 0
+    rows = (tmp_path / "out" / "uniform.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["2"]
+
+
+@pytest.mark.parametrize("formats", ["gnuplot", ["csv", "pdf"], {"csv": True}, [["csv"]]])
+def test_output_formats_validated(tmp_path, formats):
+    raw = minimal_config(output={"directory": str(tmp_path / "out"), "formats": formats})
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.field == "output.formats"
+    assert main(["run", str(write_config(tmp_path, raw)), "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_formats_gnuplot_writes_script(tmp_path):
+    raw = minimal_config(output={"directory": str(tmp_path / "out"), "formats": ["gnuplot"]})
+    assert main(["run", str(write_config(tmp_path, raw)), "--quiet"]) == 0
+    assert (tmp_path / "out" / "plots.gp").is_file()
+
+
 def test_uniform_mode(tmp_path):
     raw = minimal_config(
         verification={"M_ref": 12},

@@ -124,7 +124,7 @@ def test_eta_cluster_pythagorean():
 # -- truncated residual ---------------------------------------------------------
 
 
-def test_truncated_equals_exact_beyond_support():
+def test_truncated_equals_exact_beyond_support(rd_potential):
     v = trig_potential(1, 1.0, {(1,): 0.5})
     u = SpectralField.from_pairs(1, {(0,): 1.0, (1,): 0.2, (-1,): 0.2})
     exact = residual(u, 0.8, v)
@@ -133,6 +133,14 @@ def test_truncated_equals_exact_beyond_support():
     assert np.allclose(
         trunc.field.coefficients_on(exact.support), exact.field.coeffs, atol=1e-15
     )
+    # at the support radius the truncated potential is the potential itself,
+    # and both residuals must come out of the same arithmetic bit for bit
+    u = SpectralField.from_pairs(1, {(0,): 1.0, (2,): 0.3 + 0.1j, (-2,): 0.3 - 0.1j})
+    exact = residual(u, 1.7, rd_potential)
+    trunc = truncated_residual(u, 1.7, rd_potential, rd_potential.support_radius())
+    assert np.array_equal(trunc.support.entries, exact.support.entries)
+    assert np.array_equal(trunc.field.coeffs, exact.field.coeffs)
+    assert trunc.truncation_bound == 0.0
 
 
 def test_truncated_overtruncation_example():
