@@ -30,14 +30,18 @@ from .frequency import IndexSet, ball, union, validate_symmetric
 from .marking import MarkingError, MarkResult, dorfler_mark
 from .operator import (
     ClusterBoundaryWarning,
+    CosSinCoordinates,
     EigenCluster,
     Hamiltonian,
     Potential,
     PositivityWarning,
     PotentialError,
+    RealHamiltonian,
     SolverError,
     assemble,
+    assemble_real,
     solve_eigen,
+    solve_eigen_real,
     solve_source,
     verify_potential,
 )

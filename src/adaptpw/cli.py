@@ -118,9 +118,29 @@ class RunSummary:
 
 
 def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
+    if not isinstance(mapping, dict) or key not in mapping:
         raise ConfigError(f"{path}.{key}", "missing required field")
     return mapping[key]
+
+
+def _number(kind: type, value, path: str):
+    """`kind(value)` for kind int or float, a ConfigError naming `path` if it fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(path, f"must be {what}, got {value!r}") from exc
+
+
+def _frequency(value, dim: int, path: str) -> tuple[int, ...]:
+    """An integer frequency with `dim` components, a ConfigError naming `path` otherwise."""
+    try:
+        k = tuple(int(x) for x in value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, f"must be a list of integers, got {value!r}") from exc
+    if len(k) != dim:
+        raise ConfigError(path, f"needs {dim} components")
+    return k
 
 
 def ingest_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
@@ -142,13 +162,13 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
     problem = _require(raw, "problem", "config")
-    dim = int(_require(problem, "dim", "problem"))
+    dim = _number(int, _require(problem, "dim", "problem"), "problem.dim")
     if not 1 <= dim <= 3:
         raise ConfigError("problem.dim", f"must be 1, 2 or 3, got {dim}")
-    k0 = int(problem.get("k0", 0))
+    k0 = _number(int, problem.get("k0", 0), "problem.k0")
     if k0 < 0:
         raise ConfigError("problem.k0", f"must be >= 0, got {k0}")
-    n_eigs = int(_require(problem, "n_eigs", "problem"))
+    n_eigs = _number(int, _require(problem, "n_eigs", "problem"), "problem.n_eigs")
     if n_eigs < 1:
         raise ConfigError("problem.n_eigs", f"must be >= 1, got {n_eigs}")
     pot = _require(problem, "potential", "problem")
@@ -162,7 +182,11 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
     mode = algo.pop("mode")
     if mode not in ("eigen-feasible", "eigen-exact", "source"):
         raise ConfigError("algorithm.mode", f"unknown mode {mode!r}")
-    if float(algo["zeta"]) >= float(algo["theta_tilde"]):
+    for key in ("theta_tilde", "zeta", "tol"):
+        algo[key] = _number(float, algo[key], f"algorithm.{key}")
+    for key in ("M0", "max_iter", "max_dof"):
+        algo[key] = _number(int, algo[key], f"algorithm.{key}")
+    if algo["zeta"] >= algo["theta_tilde"]:
         raise ConfigError(
             "algorithm.zeta",
             f"must be < algorithm.theta_tilde "
@@ -171,14 +195,14 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
     try:
         adaptive = AdaptiveConfig(
             dim=dim,
-            theta_tilde=float(algo["theta_tilde"]),
-            zeta=float(algo["zeta"]),
-            tol=float(algo["tol"]),
-            M0=int(algo["M0"]),
+            theta_tilde=algo["theta_tilde"],
+            zeta=algo["zeta"],
+            tol=algo["tol"],
+            M0=algo["M0"],
             k0=k0,
             n_eigs=n_eigs,
-            max_iter=int(algo["max_iter"]),
-            max_dof=int(algo["max_dof"]),
+            max_iter=algo["max_iter"],
+            max_dof=algo["max_dof"],
             mode=mode,
         )
     except ValueError as exc:
@@ -190,7 +214,7 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
             raise ConfigError("problem.rhs", "source mode requires right-hand sides")
 
     verification = raw.get("verification", {})
-    m_ref = int(verification.get("M_ref", 32))
+    m_ref = _number(int, verification.get("M_ref", 32), "verification.M_ref")
     if m_ref < 1:
         raise ConfigError("verification.M_ref", f"must be >= 1, got {m_ref}")
     enable_dist = bool(verification.get("enable_subspace_distance", True))
@@ -219,7 +243,7 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
         enable_subspace_distance=enable_dist,
         output_dir=outdir,
         formats=tuple(formats),
-        seed=None if seed is None else int(seed),
+        seed=None if seed is None else _number(int, seed, "seed"),
         raw=raw,
     )
 
@@ -228,24 +252,37 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def check_reference_memory(m_ref: int, dim: int) -> None:
-    """Reject a reference ball whose dense complex matrix exceeds physical memory.
+#: peak bytes per n^2 of a reference solve on n frequencies, measured with
+#: ru_maxrss on 2D balls of 1257 to 3209 frequencies (numpy 2.4, OpenBLAS).
+#: The real eigen reference holds its matrix, eigh's copy of it, the
+#: eigenvectors and the divide-and-conquer workspace (2 n^2 doubles);
+#: source mode's complex `solve_source` holds its matrix, the Cholesky
+#: factor and the LU copy of the solve.
+EIGEN_REFERENCE_BYTES = 41
+SOURCE_REFERENCE_BYTES = 51
 
-    The cube |G_i| <= M/sqrt(d) lies inside the ball, so its size is a
-    lower bound. The ball itself is counted (enumerating (2M+1)^(d-1)
+
+def check_reference_memory(
+    m_ref: int, dim: int, bytes_per_n2: int = EIGEN_REFERENCE_BYTES
+) -> None:
+    """Reject a reference ball whose solve needs more than physical memory.
+
+    The solve on n frequencies peaks at `bytes_per_n2 * n^2` bytes. The
+    cube |G_i| <= M/sqrt(d) lies inside the ball, so its size is a lower
+    bound on n. The ball itself is counted (enumerating (2M+1)^(d-1)
     partial norms) unless that bound alone needs over 64 times physical
     memory; such a radius is rejected on the bound without a count that
     could itself be large.
     """
     limit = _physical_memory()
     n = (2 * math.isqrt(m_ref * m_ref // dim) + 1) ** dim
-    if 16 * n * n <= 64 * limit:
+    if bytes_per_n2 * n * n <= 64 * limit:
         n = ball_size(m_ref, dim)
-    if 16 * n * n > limit:
+    if bytes_per_n2 * n * n > limit:
         raise ConfigError(
             "verification.M_ref",
             f"the reference ball of radius {m_ref} in {dim}D has at least {n} frequencies; "
-            f"its dense complex matrix needs {16 * n * n} bytes, more than the "
+            f"its dense reference solve needs {bytes_per_n2 * n * n} bytes, more than the "
             f"{limit} bytes of physical memory",
         )
 
@@ -267,17 +304,19 @@ def preflight(config: ExperimentConfig, mode: str) -> None:
     """Reject, before any work, a run that its frequency balls cannot carry.
 
     Eigen, compare and uniform runs need the cluster to fit in the initial
-    ball, and every run that builds a reference needs its dense matrix to
-    fit in memory; an eigen reference must also hold the cluster.
+    ball, and every run that builds a reference needs its dense solve to
+    fit in memory: the real eigen reference, or source mode's complex
+    `solve_source`. An eigen reference must also hold the cluster.
     """
     if mode not in RUN_MODES:
         raise ConfigError("mode", f"unknown mode {mode!r}")
     if mode != "source":
         _check_ball_holds_cluster("algorithm.M0", config.algorithm.M0, config)
-    if config.enable_subspace_distance or mode == "uniform":
+    if mode == "source" and config.enable_subspace_distance:
+        check_reference_memory(config.m_ref, config.dim, SOURCE_REFERENCE_BYTES)
+    elif config.enable_subspace_distance or mode == "uniform":
         check_reference_memory(config.m_ref, config.dim)
-        if mode != "source":
-            _check_ball_holds_cluster("verification.M_ref", config.m_ref, config)
+        _check_ball_holds_cluster("verification.M_ref", config.m_ref, config)
 
 
 # -- potential families -------------------------------------------------------
@@ -293,20 +332,17 @@ def build_potential(spec: dict, dim: int, seed: int | None = None) -> tuple[Pote
     norm = (2.0 * math.pi) ** (dim / 2.0)
     meta: dict = {"family": family}
     if family == "constant":
-        c = float(spec.get("c", 1.0))
+        c = _number(float, spec.get("c", 1.0), "problem.potential.c")
         if c <= 0.0:
             raise ConfigError("problem.potential.c", f"must be > 0, got {c}")
         fld = SpectralField.from_pairs(dim, {(0,) * dim: c * norm}, real_flag=True)
     elif family == "trig":
-        c = float(spec.get("c", 0.0))
+        c = _number(float, spec.get("c", 0.0), "problem.potential.c")
         coeffs: dict[tuple, complex] = {(0,) * dim: c * norm}
         for i, term in enumerate(spec.get("terms", [])):
-            k = tuple(int(x) for x in term["k"])
-            if len(k) != dim:
-                raise ConfigError(
-                    f"problem.potential.terms[{i}].k", f"needs {dim} components"
-                )
-            a = float(term["a"])
+            path = f"problem.potential.terms[{i}]"
+            k = _frequency(_require(term, "k", path), dim, f"{path}.k")
+            a = _number(float, _require(term, "a", path), f"{path}.a")
             half = 0.5 * a * norm
             neg = tuple(-x for x in k)
             coeffs[k] = coeffs.get(k, 0.0) + half
@@ -315,9 +351,11 @@ def build_potential(spec: dict, dim: int, seed: int | None = None) -> tuple[Pote
     elif family == "random-decay":
         if seed is None:
             raise ConfigError("seed", "random-decay potentials require a seed")
-        amplitude = float(spec.get("amplitude", 1.0))
-        p = float(_require(spec, "p", "problem.potential"))
-        r_cut = int(_require(spec, "r_cut", "problem.potential"))
+        amplitude = _number(float, spec.get("amplitude", 1.0), "problem.potential.amplitude")
+        p = _number(float, _require(spec, "p", "problem.potential"), "problem.potential.p")
+        r_cut = _number(
+            int, _require(spec, "r_cut", "problem.potential"), "problem.potential.r_cut"
+        )
         fld, shift, tail = _random_decay_field(dim, amplitude, p, r_cut, seed)
         meta.update(
             seed=seed,
@@ -328,9 +366,7 @@ def build_potential(spec: dict, dim: int, seed: int | None = None) -> tuple[Pote
             r_cut=r_cut,
         )
     elif family == "explicit":
-        fld = _parse_triples(
-            spec.get("coefficients", []), dim, "problem.potential.coefficients[{}].index"
-        )
+        fld = _parse_triples(spec.get("coefficients", []), dim, "problem.potential.coefficients")
         if not fld.real_flag:
             raise ConfigError(
                 "problem.potential.coefficients",
@@ -389,17 +425,17 @@ def _random_decay_field(
 
 
 def _parse_triples(triples: list, dim: int, field_path: str) -> SpectralField:
-    """Field from {index, re, im} coefficient triples.
+    """Field from {index, re, im} coefficient triples listed at `field_path`.
 
-    A malformed index is reported under `field_path`, with any `{}` in it
-    replaced by the triple's position.
+    A malformed triple is reported under `field_path[j]`.
     """
     coeffs = {}
     for j, entry in enumerate(triples):
-        k = tuple(int(x) for x in entry["index"])
-        if len(k) != dim:
-            raise ConfigError(field_path.format(j), f"index needs {dim} components")
-        coeffs[k] = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
+        path = f"{field_path}[{j}]"
+        k = _frequency(_require(entry, "index", path), dim, f"{path}.index")
+        coeffs[k] = _number(float, entry.get("re", 0.0), f"{path}.re") + 1j * _number(
+            float, entry.get("im", 0.0), f"{path}.im"
+        )
     return SpectralField.from_pairs(dim, coeffs)
 
 
@@ -633,6 +669,11 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
                 distances = report.totals
                 summary.data["per_group_distances"] = report.per_group
             except CoverageError as exc:
+                if mode == "compare":
+                    raise ConfigError(
+                        "verification.M_ref",
+                        f"compare mode needs every iterate inside the reference ball: {exc}",
+                    ) from exc
                 summary.data["verification_skipped"] = str(exc)
         errors = distances if distances is not None else [rec.eta_exact for rec in run.records]
         _write_run(outdir, summary, run, distances, errors)

@@ -119,6 +119,22 @@ class IndexSet:
         ok = np.all((pts > -KEY_LIMIT) & (pts < KEY_LIMIT), axis=1)
         return np.where(ok, self._lookup(lattice_keys(pts * ok[:, None])), -1)
 
+    def sum_positions(self, a, b) -> np.ndarray:
+        """out[i, j] = position of a[i] + b[j] in this set, -1 where absent.
+
+        `a` and `b` are (n, d) and (m, d) frequency arrays with every
+        |component| < KEY_LIMIT / 2. Their sums are then in key range, and
+        key(a + b) = key(a) + key(b) - key(0), so the (n, m, d) array of
+        sums is never formed.
+        """
+        a = np.asarray(a, dtype=np.int64).reshape(-1, self.dim)
+        b = np.asarray(b, dtype=np.int64).reshape(-1, self.dim)
+        for pts in (a, b):
+            if pts.size and np.max(np.abs(pts)) >= KEY_LIMIT // 2:
+                raise ValueError(f"summands need |G_k| < 2^19 = {KEY_LIMIT // 2}")
+        zero = lattice_keys(np.zeros((1, self.dim), dtype=np.int64))[0]
+        return self._lookup(lattice_keys(a)[:, None] + (lattice_keys(b) - zero)[None, :])
+
     def index_of(self, g) -> int:
         i = int(self.positions([g])[0])
         if i < 0:

@@ -7,6 +7,14 @@ dense Hermitian eigenproblem. Everything here is deliberately dense and
 direct: at desk scale (a few thousand frequencies) correctness and
 reproducibility beat iterative speed, and interior eigenvalue clusters
 come for free.
+
+The potential is real, so H[-G, -G'] = conj(H[G, G']), and on a basis
+closed under negation the matrix is real symmetric in cos/sin coordinates
+(`CosSinCoordinates`). `assemble_real` builds that matrix directly and
+`solve_eigen_real` solves it with a real `eigh`, about five times faster
+than the complex solve at a few hundred frequencies; the verification
+reference uses them. The adaptive loop keeps the complex `assemble` and
+`solve_eigen`.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ DEGENERACY_RTOL = 1e-9
 
 #: relative cluster-boundary gap below which a warning is emitted
 CLUSTER_GAP_RTOL = 1e-8
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class PotentialError(ValueError):
@@ -168,6 +178,116 @@ def assemble(s: IndexSet, potential: Potential) -> Hamiltonian:
 
 
 @dataclass(frozen=True)
+class CosSinCoordinates:
+    """Real cos/sin coordinates of coefficient vectors on a symmetric basis.
+
+    The coordinate functions are e_0 (when 0 is in the basis), then
+    (e_G + e_-G)/sqrt(2) for each +-pair representative G, then
+    i(e_G - e_-G)/sqrt(2) in the same order. This change of basis U is
+    unitary, and real coordinate vectors are exactly the real functions
+    (u_-G = conj(u_G)). `zero` holds the position of 0 in `basis` (empty
+    without it), `reps` the positions of the representatives in canonical
+    order and `negs` those of their negations.
+    """
+
+    basis: IndexSet
+    zero: np.ndarray
+    reps: np.ndarray
+    negs: np.ndarray
+
+    @classmethod
+    def of(cls, basis: IndexSet) -> CosSinCoordinates:
+        neg = basis.negation_permutation()
+        reps = np.flatnonzero(basis.keys > basis.keys[neg])
+        return cls(basis, np.flatnonzero(neg == np.arange(len(basis))), reps, neg[reps])
+
+    def from_coefficients(self, vectors: np.ndarray) -> np.ndarray:
+        """U^H x for coefficient columns x over `basis`."""
+        plus, minus = vectors[self.reps], vectors[self.negs]
+        return np.concatenate(
+            [vectors[self.zero], (plus + minus) * _SQRT_HALF, (plus - minus) * (-1j * _SQRT_HALF)]
+        )
+
+    def to_coefficients(self, x: np.ndarray) -> np.ndarray:
+        """U x: coefficient columns over `basis` of coordinate columns x."""
+        z, p = len(self.zero), len(self.reps)
+        cos, sin = x[z : z + p] * _SQRT_HALF, x[z + p :] * (1j * _SQRT_HALF)
+        u = np.empty((len(self.basis), x.shape[1]), dtype=np.complex128)
+        u[self.zero] = x[:z]
+        u[self.reps] = cos + sin
+        u[self.negs] = cos - sin
+        return u
+
+
+@dataclass(frozen=True)
+class RealHamiltonian:
+    """Real symmetric Galerkin matrix U^H H U in cos/sin coordinates."""
+
+    coords: CosSinCoordinates
+    matrix: np.ndarray
+
+    @property
+    def basis(self) -> IndexSet:
+        return self.coords.basis
+
+
+def assemble_real(s: IndexSet, potential: Potential) -> RealHamiltonian:
+    """Assemble H on `s` directly in its cos/sin coordinates.
+
+    For representatives G, G' let A = H[G, G'] and B = H[G, -G'] =
+    (2*pi)^(-d/2) V_{G+G'}. The cos/cos block is Re(A + B), sin/sin
+    Re(A - B), cos/sin Im(B - A) and sin/cos Im(A + B). Taking
+    e_0 = (e_0 + e_-0)/2 as the first cos function gives its row and column
+    the same formulas scaled by 1/sqrt(2). Potential coefficients are
+    gathered per pair of frequencies by lattice-key sums; neither U nor the
+    complex H is formed.
+    """
+    if s.dim != potential.dim:
+        raise ValueError(f"dimension mismatch: {s.dim} vs {potential.dim}")
+    if not validate_symmetric(s):
+        raise ValueError("basis index set must be closed under negation")
+    coords = CosSinCoordinates.of(s)
+    z = len(coords.zero)
+    cos_pos = np.concatenate([coords.zero, coords.reps])
+    r = _cos_sin_blocks(s.entries[cos_pos], potential, z)
+    r[np.diag_indices(len(s))] += s.norms_sq[np.concatenate([cos_pos, coords.reps])]
+    r[:z, :] *= _SQRT_HALF
+    r[:, :z] *= _SQRT_HALF
+    scale = max(1.0, float(np.max(np.abs(r), initial=0.0)))
+    asym = r - r.T
+    defect = float(np.max(np.abs(asym, out=asym), initial=0.0))
+    if defect > 1e-13 * scale:
+        raise SolverError(f"assembled matrix is not symmetric (defect {defect:.3e})")
+    return RealHamiltonian(coords=coords, matrix=r)
+
+
+def _cos_sin_blocks(g: np.ndarray, potential: Potential, z: int) -> np.ndarray:
+    """Potential part of the real matrix over cos frequencies `g`, e_0 unscaled.
+
+    `g` lists 0 first when z = 1, then the representatives; the sin block
+    uses the representatives only.
+    """
+    factor = (2.0 * math.pi) ** (-potential.dim / 2.0)
+    vf = potential.field
+    # position -1 (frequency outside the support) reads the appended 0
+    v_re = np.append(factor * vf.coeffs.real, 0.0)
+    v_im = np.append(factor * vf.coeffs.imag, 0.0)
+    pos = vf.support.sum_positions(g, -g)  # G - G'
+    re_a, im_a = v_re[pos], v_im[pos]
+    pos = vf.support.sum_positions(g, g)  # G + G'
+    re_b, im_b = v_re[pos], v_im[pos]
+    del pos
+    m = len(g)
+    n = 2 * m - z
+    r = np.empty((n, n))
+    np.add(re_a, re_b, out=r[:m, :m])
+    np.subtract(re_a[z:, z:], re_b[z:, z:], out=r[m:, m:])
+    np.subtract(im_b[:, z:], im_a[:, z:], out=r[:m, m:])
+    np.add(im_a[z:, :], im_b[z:, :], out=r[m:, :m])
+    return r
+
+
+@dataclass(frozen=True)
 class EigenCluster:
     """N consecutive discrete eigenpairs at offset k0, L^2-orthonormal.
 
@@ -204,23 +324,54 @@ def solve_eigen(h: Hamiltonian, k0: int, n_eigs: int) -> EigenCluster:
     negation, so such a basis exists); a deterministic sign convention
     makes repeated solves bit-reproducible.
     """
-    n = len(h.basis)
+    w, vectors = _eigen_window(h.matrix, k0, n_eigs)
+    neg = h.basis.negation_permutation()
+    for sl in group_slices(w[k0 : k0 + n_eigs], DEGENERACY_RTOL):
+        vectors[:, sl] = _rotate_to_real(vectors[:, sl], neg)
+    for j in range(n_eigs):
+        vectors[:, j] = _fix_sign(vectors[:, j])
+    return _checked_cluster(h.basis, k0, w, vectors)
+
+
+def solve_eigen_real(
+    h: RealHamiltonian, k0: int, n_eigs: int
+) -> tuple[EigenCluster, np.ndarray]:
+    """`solve_eigen` for a real matrix in cos/sin coordinates.
+
+    Returns the cluster and its real coordinate columns. The eigenvectors
+    are real in these coordinates, so the cluster's coefficient columns are
+    real functions without any rotation; the same sign convention applies
+    to the coordinate columns.
+    """
+    w, x = _eigen_window(h.matrix, k0, n_eigs)
+    for j in range(n_eigs):
+        x[:, j] = _fix_sign(x[:, j])
+    return _checked_cluster(h.basis, k0, w, h.coords.to_coefficients(x)), x
+
+
+def _eigen_window(matrix: np.ndarray, k0: int, n_eigs: int) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues and a copy of the window's eigenvectors (the rest are freed)."""
+    n = matrix.shape[0]
     if k0 < 0 or n_eigs < 1:
         raise ValueError(f"need k0 >= 0 and n_eigs >= 1, got k0={k0}, n_eigs={n_eigs}")
     if k0 + n_eigs > n:
         raise ValueError(
             f"cluster k0={k0}, n_eigs={n_eigs} out of range for basis of size {n}"
         )
-    w, v = np.linalg.eigh(h.matrix)
+    w, v = np.linalg.eigh(matrix)
+    return w, v[:, k0 : k0 + n_eigs].copy()
+
+
+def _checked_cluster(
+    basis: IndexSet, k0: int, w: np.ndarray, vectors: np.ndarray
+) -> EigenCluster:
+    """Cluster of the window at k0 after an orthonormality check.
+
+    Warns (on behalf of the solver's caller) when the gap to the next
+    eigenvalue is tiny, since the window may then cut a multiplet.
+    """
+    n, n_eigs = len(w), vectors.shape[1]
     lambdas = w[k0 : k0 + n_eigs].copy()
-    vectors = v[:, k0 : k0 + n_eigs].copy()
-
-    neg = h.basis.negation_permutation()
-    for sl in group_slices(lambdas, DEGENERACY_RTOL):
-        vectors[:, sl] = _rotate_to_real(vectors[:, sl], neg)
-    for j in range(n_eigs):
-        vectors[:, j] = _fix_sign(vectors[:, j])
-
     gram = vectors.conj().T @ vectors
     ortho_defect = float(np.max(np.abs(gram - np.eye(n_eigs))))
     if ortho_defect > 1e-10:
@@ -235,10 +386,10 @@ def solve_eigen(h: Hamiltonian, k0: int, n_eigs: int) -> EigenCluster:
                 f"cluster boundary gap {gap:.3e} below threshold; "
                 "the selected window may cut a multiplet",
                 ClusterBoundaryWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
     return EigenCluster(
-        basis=h.basis,
+        basis=basis,
         k0=k0,
         eigenvalues=lambdas,
         vectors=vectors,

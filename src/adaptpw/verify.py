@@ -28,7 +28,8 @@ import numpy as np
 from .adapt import AdaptiveRun
 from .frequency import IndexSet, ball, union
 from .operator import (
-    EigenCluster, Hamiltonian, Potential, assemble, group_slices, solve_eigen,
+    EigenCluster, Hamiltonian, Potential, RealHamiltonian, assemble, assemble_real,
+    group_slices, solve_eigen_real,
 )
 from .spectral import SpectralField
 
@@ -73,7 +74,9 @@ class ReferenceSolution:
         """Energy-norm distance of each group of `cluster` from the reference group.
 
         Discrete counterparts are taken at the same index positions as the
-        reference groups.
+        reference groups. The iterate's columns are zero-padded to the
+        reference ball and gathered into its cos/sin coordinates by
+        `metric.to_frame`.
         """
         emb = embed_columns(cluster.vectors, cluster.basis, self.basis)
         return [
@@ -87,8 +90,11 @@ def reference_solve(
 ) -> ReferenceSolution:
     """Reference eigensolve on ball(m_ref); warns when the cluster gap is tiny.
 
-    The one assembled matrix serves both the eigensolve and the energy
-    Cholesky frame, and is released on return.
+    The ball is closed under negation, so the solve runs on the real
+    symmetric matrix in cos/sin coordinates (`assemble_real`). That one
+    matrix serves the real `eigh` and the real Cholesky of the energy frame,
+    and is released on return; no complex n x n array is formed. The
+    cluster's vectors are mapped back to coefficient columns over the ball.
     """
     basis = ball(m_ref, potential.dim)
     if k0 + n_eigs > len(basis):
@@ -96,8 +102,8 @@ def reference_solve(
             f"reference ball of radius {m_ref} has {len(basis)} frequencies, "
             f"too few for k0={k0}, n_eigs={n_eigs}"
         )
-    h = assemble(basis, potential)
-    cluster = solve_eigen(h, k0, n_eigs)
+    h = assemble_real(basis, potential)
+    cluster, x = solve_eigen_real(h, k0, n_eigs)
     metric = EnergyMetric(h)
     if cluster.lambda_above is None:
         tail_gap = math.inf
@@ -110,9 +116,7 @@ def reference_solve(
         eigenvalue_tail_gap=tail_gap,
         metric=metric,
         groups=groups,
-        group_frames=[
-            _orthonormal_frame(metric.to_frame(cluster.vectors[:, sl])) for sl in groups
-        ],
+        group_frames=[_orthonormal_frame(metric.frame @ x[:, sl]) for sl in groups],
     )
 
 
@@ -133,13 +137,16 @@ def eigenvalue_gap_check(ref: ReferenceSolution) -> tuple[bool, float, float]:
 class EnergyMetric:
     """Cholesky frame of the energy inner product on a fixed basis.
 
-    Mapping coefficient vectors x to L^H x turns the energy inner product
-    into the plain Euclidean one, after which subspace angles reduce to
-    ordinary matrix computations. `frame` holds L^H, computed once from
-    the Galerkin matrix `h` of the energy form.
+    Mapping coefficient vectors x to L^H x, where H = L L^H is the Galerkin
+    matrix of the energy form, turns the energy inner product into the
+    plain Euclidean one, after which subspace angles reduce to ordinary
+    matrix computations. `frame` holds L^H, computed once. For a
+    `RealHamiltonian` R = U^H H U the factor is real and x maps to
+    L^T (U^H x), the real frame acting on the real and imaginary parts of
+    the cos/sin coordinates in turn, so no complex copy of it is made.
     """
 
-    def __init__(self, h: Hamiltonian) -> None:
+    def __init__(self, h: Hamiltonian | RealHamiltonian) -> None:
         try:
             chol = np.linalg.cholesky(h.matrix)
         except np.linalg.LinAlgError as exc:
@@ -149,9 +156,13 @@ class EnergyMetric:
         np.conjugate(chol, out=chol)
         self.basis = h.basis
         self.frame = chol.T
+        self._coords = h.coords if isinstance(h, RealHamiltonian) else None
 
     def to_frame(self, vectors: np.ndarray) -> np.ndarray:
-        return self.frame @ vectors
+        if self._coords is None:
+            return self.frame @ vectors
+        y = self._coords.from_coefficients(vectors)
+        return self.frame @ y.real + 1j * (self.frame @ y.imag)
 
 
 def _orthonormal_frame(z: np.ndarray) -> np.ndarray:

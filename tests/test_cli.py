@@ -210,6 +210,89 @@ def test_exit_code_3_on_numerical_failure(tmp_path):
     assert rc == 3
 
 
+def test_compare_run_outside_reference_names_m_ref(tmp_path, capsys):
+    # the run reaches radius 7, beyond the reference ball of radius 3; the
+    # error names the reference radius, not disabled verification
+    raw = {
+        "problem": {
+            "dim": 1,
+            "n_eigs": 1,
+            "potential": {"family": "trig", "c": 1.0, "terms": [{"k": [1], "a": 1.0}]},
+        },
+        "algorithm": {"M0": 1, "tol": 1e-10},
+        "verification": {"M_ref": 3},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "compare"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: verification.M_ref:" in err
+    assert "radius 7.0" in err and "reference radius 3.0" in err
+    assert "verification to be enabled" not in err
+
+
+def _set_path(raw, path, value):
+    *parents, last = path
+    node = raw
+    for key in parents:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("problem", "dim"), "one", "problem.dim"),
+        (("problem", "k0"), [0], "problem.k0"),
+        (("problem", "n_eigs"), "two", "problem.n_eigs"),
+        (("algorithm", "tol"), "small", "algorithm.tol"),
+        (("algorithm", "zeta"), None, "algorithm.zeta"),
+        (("algorithm", "M0"), "two", "algorithm.M0"),
+        (("verification", "M_ref"), "big", "verification.M_ref"),
+        (("seed",), "seven", "seed"),
+        (("problem", "potential", "c"), "one", "problem.potential.c"),
+        (
+            ("problem", "potential"),
+            {"family": "trig", "terms": [{"k": ["x"], "a": 1.0}]},
+            "problem.potential.terms[0].k",
+        ),
+        (
+            ("problem", "potential"),
+            {"family": "trig", "terms": [{"k": [1], "a": "big"}]},
+            "problem.potential.terms[0].a",
+        ),
+        (
+            ("problem", "potential"),
+            {"family": "random-decay", "p": 2.5, "r_cut": "eight"},
+            "problem.potential.r_cut",
+        ),
+        (
+            ("problem", "potential"),
+            {"family": "explicit", "coefficients": [{"re": 1.0}]},
+            "problem.potential.coefficients[0].index",
+        ),
+        (
+            ("problem", "potential"),
+            {"family": "explicit", "coefficients": [{"index": [0], "im": "i"}]},
+            "problem.potential.coefficients[0].im",
+        ),
+        (
+            ("problem", "potential"),
+            {"family": "explicit", "coefficients": [5]},
+            "problem.potential.coefficients[0].index",
+        ),
+        (("problem", "rhs"), [[{"index": 0, "re": 1.0}]], "problem.rhs[0][0].index"),
+    ],
+)
+def test_malformed_config_values_exit_2(tmp_path, capsys, path, value, field):
+    raw = minimal_config(output={"directory": str(tmp_path / "out")}, seed=7)
+    _set_path(raw, path, value)
+    mode = "source" if path[-1] == "rhs" else "eigen-feasible"
+    rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", mode])
+    assert rc == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["eigen-feasible", "compare", "uniform"])
 @pytest.mark.parametrize(
     "m0, m_ref, field", [(2, 32, "algorithm.M0"), (4, 2, "verification.M_ref")]
@@ -340,7 +423,7 @@ def test_output_dir_override(tmp_path, monkeypatch):
 
 def test_reference_ball_preflight_rejects_before_work(tmp_path, monkeypatch, capsys):
     # a 3D run with the default M_ref=32 and verification on needs a
-    # 137065-dof reference: 16 * 137065^2 bytes of dense complex matrix
+    # 137065-dof reference: 41 * 137065^2 bytes at the real reference solve's peak
     raw = minimal_config(output={"directory": str(tmp_path / "out")})
     raw["problem"]["dim"] = 3
 
@@ -355,13 +438,13 @@ def test_reference_ball_preflight_rejects_before_work(tmp_path, monkeypatch, cap
     tracemalloc.stop()
     assert rc == 2
     err = capsys.readouterr().err
-    assert "verification.M_ref" in err and str(16 * 137065**2) in err
+    assert "verification.M_ref" in err and str(41 * 137065**2) in err
     assert not (tmp_path / "out").exists()
     assert peak < 2**20
 
 
 def test_reference_ball_preflight_follows_verification(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * 401**2 - 1)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 41 * 401**2 - 1)
     cli.check_reference_memory(199, 1)  # 399 frequencies fit, 401 do not
     raw = minimal_config(verification={"M_ref": 200})
     assert main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "uniform"]) == 2
@@ -413,15 +496,21 @@ def test_source_runs_do_not_import_scipy(tmp_path):
 
 def test_compare_builds_reference_matrix_once(tmp_path, monkeypatch):
     # the reference eigensolve, run distances and uniform sweep share one
-    # assembled reference matrix and one Cholesky factorisation of it
+    # assembled real reference matrix and one Cholesky factorisation of it,
+    # and no complex matrix of reference size is assembled
     import adaptpw.operator as operator
 
-    assembled, factored = [], []
-    assemble, cholesky = operator.assemble, np.linalg.cholesky
+    assembled, assembled_complex, factored = [], [], []
+    assemble, assemble_real = operator.assemble, operator.assemble_real
+    cholesky = np.linalg.cholesky
 
     def counting_assemble(s, potential):
-        assembled.append(len(s))
+        assembled_complex.append(len(s))
         return assemble(s, potential)
+
+    def counting_assemble_real(s, potential):
+        assembled.append(len(s))
+        return assemble_real(s, potential)
 
     def counting_cholesky(a):
         factored.append(a.shape[0])
@@ -432,6 +521,8 @@ def test_compare_builds_reference_matrix_once(tmp_path, monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is assemble:
                     monkeypatch.setattr(module, key, counting_assemble)
+                elif value is assemble_real:
+                    monkeypatch.setattr(module, key, counting_assemble_real)
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     raw = {
         "problem": {
@@ -447,6 +538,7 @@ def test_compare_builds_reference_matrix_once(tmp_path, monkeypatch):
     assert rc == 0
     n_ref = len(cli.ball(32, 1))
     assert assembled.count(n_ref) == 1 and factored.count(n_ref) == 1
+    assert assembled_complex and n_ref not in assembled_complex
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["comparison"]["uniform_dof"] < n_ref
 

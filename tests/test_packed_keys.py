@@ -3,7 +3,8 @@
 The references below are the dict/tuple and per-frequency loop versions
 of canonical ordering, lookup, convolution, assembly, pair aggregation
 and marking. The array versions keep the same summation order, so every
-comparison is exact equality, not a tolerance.
+comparison is exact equality, not a tolerance. The real cos/sin assembly
+is the exception: its oracle is an explicit U^H H U, equal up to round-off.
 """
 
 import math
@@ -19,6 +20,7 @@ from adaptpw import (
     Residual,
     SpectralField,
     assemble,
+    assemble_real,
     cluster_estimate,
     dorfler_mark,
     multiply,
@@ -98,6 +100,30 @@ def ref_dorfler(contribs, theta, total_sq):
     return ref_canonical(np.array(points, dtype=np.int64)), math.sqrt(accumulated / total_sq)
 
 
+def ref_cos_sin_unitary(s):
+    """Explicit U: columns e_0, then (e_G + e_-G)/sqrt(2), then i(e_G - e_-G)/sqrt(2).
+
+    Representatives G are the entries lexicographically above their
+    negation, in canonical order.
+    """
+    entries = [tuple(g) for g in s.entries.tolist()]
+    index = {g: i for i, g in enumerate(entries)}
+    reps = [g for g in entries if g > tuple(-x for x in g)]
+    zero = (0,) * s.dim
+    u = np.zeros((len(entries), len(entries)), dtype=complex)
+    col = 0
+    if zero in index:
+        u[index[zero], 0] = 1.0
+        col = 1
+    r = math.sqrt(0.5)
+    for j, g in enumerate(reps):
+        i, k = index[g], index[tuple(-x for x in g)]
+        u[i, col + j] = u[k, col + j] = r
+        u[i, col + len(reps) + j] = 1j * r
+        u[k, col + len(reps) + j] = -1j * r
+    return u
+
+
 # -- strategies -------------------------------------------------------------------
 
 
@@ -173,6 +199,55 @@ def test_assemble_matches_reference_exactly(data):
     s = IndexSet(dim, data.draw(symmetric_points(dim)))
     potential = Potential(vf, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert np.array_equal(assemble(s, potential).matrix, ref_assemble(s, vf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sum_positions_matches_reference(data):
+    dim = data.draw(dims)
+    s = IndexSet(dim, data.draw(symmetric_points(dim, radius=4)))
+    a = data.draw(symmetric_points(dim, max_size=8))
+    b = data.draw(symmetric_points(dim, max_size=8))
+    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, dim)
+    expected = ref_positions(s.entries, sums).reshape(len(a), len(b))
+    assert np.array_equal(s.sum_positions(a, b), expected)
+
+
+def test_sum_positions_rejects_summands_out_of_range():
+    s = IndexSet(1, [[0]])
+    half = KEY_LIMIT // 2
+    assert s.sum_positions([[half - 1]], [[1 - half]]).tolist() == [[0]]
+    with pytest.raises(ValueError, match=str(half)):
+        s.sum_positions([[half]], [[-half]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_real_assembly_matches_explicit_unitary_transform(data):
+    dim = data.draw(dims)
+    v = data.draw(field_on(dim, radius=3, max_size=15))
+    neg = v.support.negation_permutation()
+    hermitian = 0.5 * (v.coeffs + np.conj(v.coeffs[neg]))
+    vf = SpectralField(v.support, hermitian, real_flag=True)
+    s = IndexSet(dim, data.draw(symmetric_points(dim)))
+    potential = Potential(vf, 0.0, 0.0, 0.0, 0.0, 0.0)
+    h = assemble(s, potential).matrix
+    u = ref_cos_sin_unitary(s)
+    oracle = u.conj().T @ h @ u
+    real = assemble_real(s, potential)
+    tol = 1e-13 * max(1.0, float(np.linalg.norm(h, 2)))
+    assert real.matrix.dtype == np.float64
+    assert np.max(np.abs(oracle.imag)) <= tol
+    assert np.max(np.abs(real.matrix - oracle.real)) <= tol
+
+    # the coordinate maps are U^H and U, and invert each other
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(len(s), 3)) + 1j * rng.normal(size=(len(s), 3))
+    coords = real.coords
+    y = coords.from_coefficients(x)
+    assert np.max(np.abs(y - u.conj().T @ x)) <= 1e-14 * np.max(np.abs(x))
+    assert np.max(np.abs(coords.to_coefficients(y) - x)) <= 1e-14 * np.max(np.abs(x))
+    assert np.max(np.abs(coords.to_coefficients(x) - u @ x)) <= 1e-14 * np.max(np.abs(x))
 
 
 @settings(max_examples=60, deadline=None)

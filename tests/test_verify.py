@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from adaptpw import (
     AdaptiveConfig,
+    ClusterBoundaryWarning,
     EnergyMetric,
     SpectralField,
     a_norm,
@@ -16,11 +19,15 @@ from adaptpw import (
     run_distances,
     run_eigen,
     run_source,
+    solve_eigen,
     solve_source,
     subspace_distance,
 )
 from adaptpw.adapt import IterationRecord
-from adaptpw.verify import RankDeficiencyError, group_slices, source_errors
+from adaptpw.cli import build_potential
+from adaptpw.verify import (
+    GROUP_GAP_RTOL, RankDeficiencyError, embed_columns, group_slices, source_errors,
+)
 from conftest import trig_potential
 
 
@@ -58,8 +65,6 @@ def test_reference_self_consistency(cosine_potential):
 
 
 def test_gap_check_detects_cut_multiplet(constant_potential):
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ref = reference_solve(constant_potential, 0, 2, 10)
@@ -67,6 +72,82 @@ def test_gap_check_detects_cut_multiplet(constant_potential):
     assert not ok
     ref_trig = reference_solve(trig_potential(1, 1.0, {(1,): 1.0}), 0, 2, 32)
     assert eigenvalue_gap_check(ref_trig)[0]
+
+
+def test_reference_warns_on_cut_multiplet(constant_potential):
+    # eigenvalues 1, 2, 2: a window of two cuts the pair at 2
+    with pytest.warns(ClusterBoundaryWarning):
+        reference_solve(constant_potential, 0, 2, 10)
+
+
+def complex_reference_oracle(potential, k0, n_eigs, m_ref, clusters):
+    """Reference eigenvalues and per-group distances from the complex Hermitian solve."""
+    basis = ball(m_ref, potential.dim)
+    h = assemble(basis, potential)
+    ref = solve_eigen(h, k0, n_eigs)
+    metric = EnergyMetric(h)
+    groups = group_slices(ref.eigenvalues, GROUP_GAP_RTOL)
+    distances = [
+        [
+            subspace_distance(
+                embed_columns(c.vectors, c.basis, basis)[:, sl], ref.vectors[:, sl], metric
+            )
+            for sl in groups
+        ]
+        for c in clusters
+    ]
+    return ref.eigenvalues, distances
+
+
+@pytest.mark.parametrize(
+    "dim, n_eigs, m_ref, spec, largest_group",
+    [
+        (2, 2, 12, {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 1),
+        # the symmetric perturbation keeps a degenerate pair of eigenvalues
+        (2, 5, 10, {"family": "trig", "c": 1.0, "terms": [{"k": [1, 0], "a": 0.3},
+                                                          {"k": [0, 1], "a": 0.3}]}, 2),
+        (3, 2, 5, {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 2}, 1),
+    ],
+)
+def test_reference_matches_complex_oracle(dim, n_eigs, m_ref, spec, largest_group):
+    pot, _ = build_potential(spec, dim, seed=7)
+    cfg = AdaptiveConfig(dim=dim, M0=1, k0=0, n_eigs=n_eigs, tol=0.0, max_iter=4, zeta=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run = run_eigen(cfg, pot)
+        ref = reference_solve(pot, 0, n_eigs, m_ref)
+        lam, expected = complex_reference_oracle(pot, 0, n_eigs, m_ref, run.clusters)
+    assert max(sl.stop - sl.start for sl in ref.groups) == largest_group
+    np.testing.assert_allclose(ref.cluster.eigenvalues, lam, rtol=0.0, atol=1e-12)
+    got = [ref.group_distances(c) for c in run.clusters]
+    assert min(min(d) for d in expected) > 1e-8
+    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
+    # the reference vectors are real functions: u_-G = conj(u_G)
+    neg = ref.basis.negation_permutation()
+    vec = ref.cluster.vectors
+    assert np.max(np.abs(np.conj(vec[neg]) - vec)) <= 1e-15
+
+
+def test_reference_path_allocates_no_complex_square_array():
+    # the real n x n matrix, and after it its Cholesky frame, is alive on the
+    # whole reference path (8 n^2 bytes); a complex n x n array (16 n^2 bytes)
+    # beside it would lift the traced peak to at least 24 n^2 bytes
+    pot, _ = build_potential(
+        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
+    )
+    cfg = AdaptiveConfig(dim=2, M0=2, k0=0, n_eigs=2, tol=1.2e-2, zeta=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run = run_eigen(cfg, pot)
+    n = len(ball(16, 2))
+    tracemalloc.start()
+    try:
+        ref = reference_solve(pot, 0, 2, 16)
+        run_distances(run, ref)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n * n
 
 
 # -- subspace distance --------------------------------------------------------
