@@ -51,7 +51,8 @@ from .adapt import AdaptiveConfig, AdaptiveRun, run_eigen, run_source
 from .frequency import ball, ball_size, shell_counts
 from .marking import MarkingError
 from .operator import (
-    Potential, PotentialError, SolverError, assemble, solve_eigen, solve_source, verify_potential,
+    Potential, PotentialError, SolverError, assemble_real, solve_eigen_real, solve_source,
+    verify_potential,
 )
 from .spectral import SpectralField, evaluate_on_grid
 from .verify import (
@@ -132,6 +133,16 @@ def _number(kind: type, value, path: str):
         raise ConfigError(path, f"must be {what}, got {value!r}") from exc
 
 
+_KIND_NAMES = {dict: "an object", list: "a list", bool: "true or false"}
+
+
+def _typed(kind: type, value, path: str):
+    """`value` if it is a `kind` (dict, list or bool), a ConfigError naming `path` otherwise."""
+    if not isinstance(value, kind):
+        raise ConfigError(path, f"must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def _frequency(value, dim: int, path: str) -> tuple[int, ...]:
     """An integer frequency with `dim` components, a ConfigError naming `path` otherwise."""
     try:
@@ -178,7 +189,7 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
         raise ConfigError("problem.potential.family", f"unknown family {pot['family']!r}")
 
     algo = dict(ALGORITHM_DEFAULTS)
-    algo.update(raw.get("algorithm", {}))
+    algo.update(_typed(dict, raw.get("algorithm", {}), "algorithm"))
     mode = algo.pop("mode")
     if mode not in ("eigen-feasible", "eigen-exact", "source"):
         raise ConfigError("algorithm.mode", f"unknown mode {mode!r}")
@@ -213,13 +224,16 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
         if not rhs_spec:
             raise ConfigError("problem.rhs", "source mode requires right-hand sides")
 
-    verification = raw.get("verification", {})
+    verification = _typed(dict, raw.get("verification", {}), "verification")
     m_ref = _number(int, verification.get("M_ref", 32), "verification.M_ref")
     if m_ref < 1:
         raise ConfigError("verification.M_ref", f"must be >= 1, got {m_ref}")
-    enable_dist = bool(verification.get("enable_subspace_distance", True))
+    enable_dist = _typed(
+        bool, verification.get("enable_subspace_distance", True),
+        "verification.enable_subspace_distance",
+    )
 
-    output = raw.get("output", {})
+    output = _typed(dict, raw.get("output", {}), "output")
     outdir = str(output.get("directory", "out"))
     formats = output.get("formats", ["csv", "json"])
     if not isinstance(formats, list) or not all(f in OUTPUT_FORMATS for f in formats):
@@ -306,7 +320,9 @@ def preflight(config: ExperimentConfig, mode: str) -> None:
     Eigen, compare and uniform runs need the cluster to fit in the initial
     ball, and every run that builds a reference needs its dense solve to
     fit in memory: the real eigen reference, or source mode's complex
-    `solve_source`. An eigen reference must also hold the cluster.
+    `solve_source`. The uniform sweep's balls lie inside the reference ball
+    and are solved the same real way, so they peak no higher. An eigen
+    reference must also hold the cluster.
     """
     if mode not in RUN_MODES:
         raise ConfigError("mode", f"unknown mode {mode!r}")
@@ -339,7 +355,7 @@ def build_potential(spec: dict, dim: int, seed: int | None = None) -> tuple[Pote
     elif family == "trig":
         c = _number(float, spec.get("c", 0.0), "problem.potential.c")
         coeffs: dict[tuple, complex] = {(0,) * dim: c * norm}
-        for i, term in enumerate(spec.get("terms", [])):
+        for i, term in enumerate(_typed(list, spec.get("terms", []), "problem.potential.terms")):
             path = f"problem.potential.terms[{i}]"
             k = _frequency(_require(term, "k", path), dim, f"{path}.k")
             a = _number(float, _require(term, "a", path), f"{path}.a")
@@ -430,7 +446,7 @@ def _parse_triples(triples: list, dim: int, field_path: str) -> SpectralField:
     A malformed triple is reported under `field_path[j]`.
     """
     coeffs = {}
-    for j, entry in enumerate(triples):
+    for j, entry in enumerate(_typed(list, triples, field_path)):
         path = f"{field_path}[{j}]"
         k = _frequency(_require(entry, "index", path), dim, f"{path}.index")
         coeffs[k] = _number(float, entry.get("re", 0.0), f"{path}.re") + 1j * _number(
@@ -440,7 +456,10 @@ def _parse_triples(triples: list, dim: int, field_path: str) -> SpectralField:
 
 
 def build_rhs(rhs_spec: list, dim: int) -> list[SpectralField]:
-    return [_parse_triples(t, dim, f"problem.rhs[{i}]") for i, t in enumerate(rhs_spec)]
+    return [
+        _parse_triples(t, dim, f"problem.rhs[{i}]")
+        for i, t in enumerate(_typed(list, rhs_spec, "problem.rhs"))
+    ]
 
 
 # -- uniform sweep ------------------------------------------------------------
@@ -462,13 +481,17 @@ def uniform_sweep(
     m_list: list[int],
     ref: ReferenceSolution | None = None,
 ) -> list[SweepRow]:
-    """Dense solves on balls of increasing radius, with errors vs reference."""
+    """Dense solves on balls of increasing radius, with errors vs reference.
+
+    Each ball is closed under negation, so it is solved in real cos/sin
+    coordinates (`assemble_real`, `solve_eigen_real`), like the reference.
+    """
     if list(m_list) != sorted(m_list):
         raise ValueError("m_list must be ascending")
     rows = []
     for m in m_list:
         basis = ball(m, potential.dim)
-        cluster = solve_eigen(assemble(basis, potential), k0, n_eigs)
+        cluster, _ = solve_eigen_real(assemble_real(basis, potential), k0, n_eigs)
         lam = tuple(float(x) for x in cluster.eigenvalues)
         err = math.nan
         dist = math.nan

@@ -108,7 +108,7 @@ def eta(r: Residual, subset: IndexSet | None = None) -> float:
         return float(math.sqrt(np.sum(r.per_frequency)))
     if len(r.support) == 0:
         return 0.0
-    mask = subset.positions(r.support.entries) >= 0
+    mask = subset.positions(r.support) >= 0
     return float(math.sqrt(np.sum(r.per_frequency[mask])))
 
 
@@ -197,7 +197,7 @@ def cluster_estimate(rs: list[Residual], current: IndexSet) -> EstimatorValue:
     reps, contribs = [np.empty((0, current.dim), dtype=np.int64)], [np.empty(0)]
     for r in rs:
         total_sq += float(np.sum(r.per_frequency))
-        outside = current.positions(r.support.entries) < 0
+        outside = current.positions(r.support) < 0
         rows = r.support.entries[outside]
         is_rep = (r.support.pair_keys() == r.support.keys)[outside]
         reps.append(np.where(is_rep[:, None], rows, -rows))
@@ -230,7 +230,7 @@ def onset_offset_maxima(rs: list[Residual], current: IndexSet) -> tuple[float, f
             continue
         mags = np.abs(r.field.coeffs)
         overall = max(overall, float(mags.max()))
-        inside = current.positions(r.support.entries) >= 0
+        inside = current.positions(r.support) >= 0
         if np.any(inside):
             onset = max(onset, float(mags[inside].max()))
     return onset, overall

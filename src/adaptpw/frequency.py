@@ -11,7 +11,9 @@ Each frequency G is also packed into one int64 lattice key: component k
 takes 21 bits at shift 21*(d-1-k) with offset 2^20, so |G_k| < 2^20
 (`KEY_LIMIT`). Ascending keys are ascending lexicographic order, and
 key(-G) = 2*key(0) - key(G). Lookups are `np.searchsorted` over the
-sorted keys; canonical order is `np.lexsort((keys, |G|^2))`.
+sorted keys; canonical order is `np.lexsort((keys, |G|^2))`. Key addition,
+key(a + b) = key(a) + key(b) - key(0), is the one way frequency sums are
+found (`minkowski_sum`, `IndexSet.sum_positions`).
 """
 
 from __future__ import annotations
@@ -42,6 +44,18 @@ def _negated_keys(keys: np.ndarray, dim: int) -> np.ndarray:
     return zero - (keys - zero)
 
 
+def _sum_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """keys[i, j] = key(a[i] + b[j]) for (n, d) and (m, d) frequency arrays a, b."""
+    reach_a, reach_b = (np.max(np.abs(x), axis=0, initial=0) for x in (a, b))
+    if np.any(reach_a + reach_b >= KEY_LIMIT):
+        raise ValueError(
+            f"frequency sums need max|a_k| + max|b_k| < 2^20 = {KEY_LIMIT}, "
+            f"got maxima {reach_a.tolist()} and {reach_b.tolist()}"
+        )
+    zero = lattice_keys(np.zeros((1, a.shape[1]), dtype=np.int64))
+    return lattice_keys(a)[:, None] + (lattice_keys(b) - zero)[None, :]
+
+
 class IndexSet:
     """Immutable, canonically ordered set of integer frequencies in Z^d.
 
@@ -62,9 +76,18 @@ class IndexSet:
             arr = np.asarray(entries, dtype=np.int64).reshape(-1, dim)
         if arr.size and (arr.min() <= -KEY_LIMIT or arr.max() >= KEY_LIMIT):
             raise ValueError(f"frequency components must satisfy |G_k| < 2^20 = {KEY_LIMIT}")
+        self._build(dim, lattice_keys(arr))
+
+    @classmethod
+    def _from_keys(cls, dim: int, keys: np.ndarray) -> IndexSet:
+        s = cls.__new__(cls)
+        s._build(dim, keys)
+        return s
+
+    def _build(self, dim: int, keys: np.ndarray) -> None:
         # sorted unique keys, reordered canonically by (|G|^2, key); sort and
         # mask beat np.unique, whose first call also imports numpy.ma
-        keys = np.sort(lattice_keys(arr))
+        keys = np.sort(keys)
         sorted_keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
         sorted_rows = ((sorted_keys[:, None] >> _shifts(dim)) & (2 * KEY_LIMIT - 1)) - KEY_LIMIT
         order = np.lexsort((sorted_keys, np.sum(sorted_rows * sorted_rows, axis=1)))
@@ -113,7 +136,11 @@ class IndexSet:
         return np.where(self._sorted[i] == keys, self._rank[i], -1)
 
     def positions(self, points) -> np.ndarray:
-        """Positions of `points` rows in this set, -1 where absent."""
+        """Positions of `points` rows, or of an IndexSet's keys, in this set; -1 where absent."""
+        if isinstance(points, IndexSet):
+            if points.dim != self.dim:
+                raise ValueError(f"dimension mismatch: {points.dim} vs {self.dim}")
+            return self._lookup(points.keys)
         pts = np.asarray(points, dtype=np.int64).reshape(-1, self.dim)
         # rows outside the key range cannot be members, and their keys would alias
         ok = np.all((pts > -KEY_LIMIT) & (pts < KEY_LIMIT), axis=1)
@@ -122,18 +149,12 @@ class IndexSet:
     def sum_positions(self, a, b) -> np.ndarray:
         """out[i, j] = position of a[i] + b[j] in this set, -1 where absent.
 
-        `a` and `b` are (n, d) and (m, d) frequency arrays with every
-        |component| < KEY_LIMIT / 2. Their sums are then in key range, and
-        key(a + b) = key(a) + key(b) - key(0), so the (n, m, d) array of
-        sums is never formed.
+        Sums are looked up by key, never formed. Per component, max|a_k| +
+        max|b_k| < KEY_LIMIT keeps them in key range; else a ValueError.
         """
         a = np.asarray(a, dtype=np.int64).reshape(-1, self.dim)
         b = np.asarray(b, dtype=np.int64).reshape(-1, self.dim)
-        for pts in (a, b):
-            if pts.size and np.max(np.abs(pts)) >= KEY_LIMIT // 2:
-                raise ValueError(f"summands need |G_k| < 2^19 = {KEY_LIMIT // 2}")
-        zero = lattice_keys(np.zeros((1, self.dim), dtype=np.int64))[0]
-        return self._lookup(lattice_keys(a)[:, None] + (lattice_keys(b) - zero)[None, :])
+        return self._lookup(_sum_keys(a, b))
 
     def index_of(self, g) -> int:
         i = int(self.positions([g])[0])
@@ -161,11 +182,8 @@ class IndexSet:
     def norms_sq(self) -> np.ndarray:
         return np.sum(self.entries * self.entries, axis=1)
 
-    def max_norm_sq(self) -> int:
-        return int(self.norms_sq.max()) if len(self) else 0
-
     def max_radius(self) -> float:
-        return math.sqrt(self.max_norm_sq())
+        return math.sqrt(int(self.norms_sq.max(initial=0)))
 
 
 def ball(radius: int, dim: int) -> IndexSet:
@@ -213,6 +231,15 @@ def shell_counts(radius: int, dim: int) -> np.ndarray:
             grown[k * k :] += 2 * counts[: r2 + 1 - k * k]
         counts = grown
     return counts
+
+
+def minkowski_sum(a: IndexSet, b: IndexSet) -> tuple[IndexSet, np.ndarray]:
+    """The set {a_i + b_j} and the position in it of each sum, i-major; one key per sum."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    keys = _sum_keys(a.entries, b.entries).reshape(-1)
+    out = IndexSet._from_keys(a.dim, keys)
+    return out, out._lookup(keys)
 
 
 def union(a: IndexSet, b: IndexSet) -> IndexSet:

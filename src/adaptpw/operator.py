@@ -13,8 +13,8 @@ closed under negation the matrix is real symmetric in cos/sin coordinates
 (`CosSinCoordinates`). `assemble_real` builds that matrix directly and
 `solve_eigen_real` solves it with a real `eigh`, about five times faster
 than the complex solve at a few hundred frequencies; the verification
-reference uses them. The adaptive loop keeps the complex `assemble` and
-`solve_eigen`.
+reference and the uniform sweep use them. Only the adaptive loop and the
+source solves use the complex `assemble`.
 """
 
 from __future__ import annotations
@@ -148,9 +148,13 @@ class Hamiltonian:
     basis: IndexSet
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
+
+def _potential_gather(potential: Potential, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[i, j] = (2*pi)^(-d/2) V_{a_i + b_j} for frequency rows a, b; 0 outside supp V."""
+    vf = potential.field
+    # position -1 (a sum outside the support) reads the appended 0
+    v = np.append((2.0 * math.pi) ** (-potential.dim / 2.0) * vf.coeffs, 0.0)
+    return v[vf.support.sum_positions(a, b)]
 
 
 def assemble(s: IndexSet, potential: Potential) -> Hamiltonian:
@@ -159,17 +163,8 @@ def assemble(s: IndexSet, potential: Potential) -> Hamiltonian:
         raise ValueError(f"dimension mismatch: {s.dim} vs {potential.dim}")
     if not validate_symmetric(s):
         raise ValueError("basis index set must be closed under negation")
-    n = len(s)
-    h = np.zeros((n, n), dtype=np.complex128)
-    h[np.diag_indices(n)] = s.norms_sq.astype(np.float64)
-    factor = (2.0 * math.pi) ** (-s.dim / 2.0)
-    vf = potential.field
-    # row of G' + K for every (K, G') pair; each matrix entry gets one K
-    rows = s.positions(s.entries[None, :, :] + vf.support.entries[:, None, :])
-    keep = rows >= 0
-    cols = np.tile(np.arange(n), len(vf.support))
-    vals = np.repeat(factor * vf.coeffs, n)
-    h[rows[keep], cols[keep]] += vals[keep]
+    h = _potential_gather(potential, s.entries, -s.entries)
+    h[np.diag_indices(len(s))] += s.norms_sq
     defect = float(np.max(np.abs(h - h.conj().T), initial=0.0))
     scale = max(1.0, float(np.max(np.abs(h), initial=0.0)))
     if defect > 1e-13 * scale:
@@ -238,18 +233,28 @@ def assemble_real(s: IndexSet, potential: Potential) -> RealHamiltonian:
     (2*pi)^(-d/2) V_{G+G'}. The cos/cos block is Re(A + B), sin/sin
     Re(A - B), cos/sin Im(B - A) and sin/cos Im(A + B). Taking
     e_0 = (e_0 + e_-0)/2 as the first cos function gives its row and column
-    the same formulas scaled by 1/sqrt(2). Potential coefficients are
-    gathered per pair of frequencies by lattice-key sums; neither U nor the
-    complex H is formed.
+    the same formulas scaled by 1/sqrt(2). A and B are gathered from the
+    potential at G - G' and G + G' over the cos frequencies only; neither U
+    nor the complex H is formed.
     """
     if s.dim != potential.dim:
         raise ValueError(f"dimension mismatch: {s.dim} vs {potential.dim}")
     if not validate_symmetric(s):
         raise ValueError("basis index set must be closed under negation")
     coords = CosSinCoordinates.of(s)
-    z = len(coords.zero)
+    z, m = len(coords.zero), len(coords.zero) + len(coords.reps)
+    # cos frequencies: 0 first when z = 1, then the representatives; the sin
+    # block uses the representatives only
     cos_pos = np.concatenate([coords.zero, coords.reps])
-    r = _cos_sin_blocks(s.entries[cos_pos], potential, z)
+    g = s.entries[cos_pos]
+    a = _potential_gather(potential, g, -g)  # G - G'
+    b = _potential_gather(potential, g, g)  # G + G'
+    r = np.empty((len(s), len(s)))
+    np.add(a.real, b.real, out=r[:m, :m])
+    np.subtract(a.real[z:, z:], b.real[z:, z:], out=r[m:, m:])
+    np.subtract(b.imag[:, z:], a.imag[:, z:], out=r[:m, m:])
+    np.add(a.imag[z:, :], b.imag[z:, :], out=r[m:, :m])
+    del a, b
     r[np.diag_indices(len(s))] += s.norms_sq[np.concatenate([cos_pos, coords.reps])]
     r[:z, :] *= _SQRT_HALF
     r[:, :z] *= _SQRT_HALF
@@ -259,32 +264,6 @@ def assemble_real(s: IndexSet, potential: Potential) -> RealHamiltonian:
     if defect > 1e-13 * scale:
         raise SolverError(f"assembled matrix is not symmetric (defect {defect:.3e})")
     return RealHamiltonian(coords=coords, matrix=r)
-
-
-def _cos_sin_blocks(g: np.ndarray, potential: Potential, z: int) -> np.ndarray:
-    """Potential part of the real matrix over cos frequencies `g`, e_0 unscaled.
-
-    `g` lists 0 first when z = 1, then the representatives; the sin block
-    uses the representatives only.
-    """
-    factor = (2.0 * math.pi) ** (-potential.dim / 2.0)
-    vf = potential.field
-    # position -1 (frequency outside the support) reads the appended 0
-    v_re = np.append(factor * vf.coeffs.real, 0.0)
-    v_im = np.append(factor * vf.coeffs.imag, 0.0)
-    pos = vf.support.sum_positions(g, -g)  # G - G'
-    re_a, im_a = v_re[pos], v_im[pos]
-    pos = vf.support.sum_positions(g, g)  # G + G'
-    re_b, im_b = v_re[pos], v_im[pos]
-    del pos
-    m = len(g)
-    n = 2 * m - z
-    r = np.empty((n, n))
-    np.add(re_a, re_b, out=r[:m, :m])
-    np.subtract(re_a[z:, z:], re_b[z:, z:], out=r[m:, m:])
-    np.subtract(im_b[:, z:], im_a[:, z:], out=r[:m, m:])
-    np.add(im_a[z:, :], im_b[z:, :], out=r[m:, :m])
-    return r
 
 
 @dataclass(frozen=True)

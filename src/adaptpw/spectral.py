@@ -8,9 +8,10 @@ norms are plain weighted Euclidean norms with weights (1+|G|^2)^s.
 Products V*u are realized as exact finite convolutions, never via FFT:
 adaptive supports are small and irregular, and exactness removes aliasing
 from the list of error sources that estimator certification has to cover.
-`multiply` looks up the whole Minkowski sum of the supports at once and
-accumulates it with one `np.bincount` per real and imaginary part. The
-single (2*pi)^(-d/2) convolution factor lives there too.
+`multiply` takes the Minkowski sum of the supports and the position of
+every product in it from one lattice-key sum per pair and accumulates the
+products with one `np.bincount` per real and imaginary part. The single
+(2*pi)^(-d/2) convolution factor lives there too.
 
 Grid evaluation is the one FFT: `evaluate_on_grid` folds each coefficient
 onto its grid bin G mod n and applies one inverse FFT. Folding is exact at
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from .frequency import IndexSet, union
+from .frequency import IndexSet, minkowski_sum, union
 
 
 class FieldError(ValueError):
@@ -102,10 +103,9 @@ class SpectralField:
         realizes the L^2 projection onto the span of `basis`.
         """
         out = np.zeros(len(basis), dtype=np.complex128)
-        if len(self.support):
-            pos = basis.positions(self.support.entries)
-            keep = pos >= 0
-            out[pos[keep]] = self.coeffs[keep]
+        pos = basis.positions(self.support)
+        keep = pos >= 0
+        out[pos[keep]] = self.coeffs[keep]
         return out
 
     def hermitian_defect(self) -> float:
@@ -162,9 +162,7 @@ def project(f: SpectralField, s: IndexSet) -> SpectralField:
     """L^2 projection: restrict coefficients to support(f) intersected with s."""
     if f.support.dim != s.dim:
         raise ValueError(f"dimension mismatch: {f.support.dim} vs {s.dim}")
-    if len(f.support) == 0:
-        return f
-    keep = s.positions(f.support.entries) >= 0
+    keep = s.positions(f.support) >= 0
     return SpectralField(
         IndexSet(f.support.dim, f.support.entries[keep]), f.coeffs[keep], f.real_flag
     )
@@ -175,7 +173,8 @@ def multiply(v: SpectralField, u: SpectralField) -> SpectralField:
 
     Coefficient at G is (2*pi)^(-d/2) * sum_K v_K u_{G-K}; the support is
     the Minkowski sum of the input supports, so the result is exact (no
-    FFT, no aliasing). The products v_K u_J are laid out K-major and summed
+    FFT, no aliasing), and `minkowski_sum` gives it with the position of
+    every sum K + J. The products v_K u_J are laid out K-major and summed
     by `np.bincount`, which adds in input order, so every coefficient
     accumulates its terms in ascending K, one term per K.
     """
@@ -184,9 +183,7 @@ def multiply(v: SpectralField, u: SpectralField) -> SpectralField:
     dim = v.support.dim
     if len(v.support) == 0 or len(u.support) == 0:
         return SpectralField.zero(dim)
-    sums = (u.support.entries[None, :, :] + v.support.entries[:, None, :]).reshape(-1, dim)
-    out_support = IndexSet(dim, sums)
-    pos = out_support.positions(sums)
+    out_support, pos = minkowski_sum(v.support, u.support)
     # numpy rounds the complex product of two 1-element arrays differently
     # from a broadcast scalar times an array; keep the scalar form for one K
     if len(v.support) == 1:
@@ -249,12 +246,8 @@ def a_norm(u: SpectralField, potential) -> float:
 
 def _l2_pairing(a: SpectralField, b: SpectralField, kinetic: bool) -> complex:
     """sum over common frequencies of w(G) * conj(a_G) * b_G."""
-    if len(a.support) == 0 or len(b.support) == 0:
-        return 0.0 + 0.0j
-    pos = b.support.positions(a.support.entries)
+    pos = b.support.positions(a.support)
     keep = pos >= 0
-    if not np.any(keep):
-        return 0.0 + 0.0j
     terms = np.conj(a.coeffs[keep]) * b.coeffs[pos[keep]]
     if kinetic:
         terms = terms * a.support.norms_sq[keep].astype(np.float64)

@@ -206,7 +206,7 @@ def _frame_distance(qx: np.ndarray, qy: np.ndarray) -> float:
 
 def embed_columns(vectors: np.ndarray, basis: IndexSet, target: IndexSet) -> np.ndarray:
     """Zero-pad coefficient columns from `basis` into `target` order."""
-    pos = target.positions(basis.entries)
+    pos = target.positions(basis)
     if np.any(pos < 0):
         raise CoverageError("basis is not contained in the target index set")
     out = np.zeros((len(target), vectors.shape[1]), dtype=np.complex128)

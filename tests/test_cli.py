@@ -282,6 +282,23 @@ def _set_path(raw, path, value):
             "problem.potential.coefficients[0].index",
         ),
         (("problem", "rhs"), [[{"index": 0, "re": 1.0}]], "problem.rhs[0][0].index"),
+        (("algorithm",), [0.5], "algorithm"),
+        (("verification",), 32, "verification"),
+        (("output",), "out", "output"),
+        (("verification", "enable_subspace_distance"), "false",
+         "verification.enable_subspace_distance"),
+        (("problem", "rhs"), 5, "problem.rhs"),
+        (("problem", "rhs"), [5], "problem.rhs[0]"),
+        (
+            ("problem", "potential"),
+            {"family": "trig", "terms": {"k": [1], "a": 1.0}},
+            "problem.potential.terms",
+        ),
+        (
+            ("problem", "potential"),
+            {"family": "explicit", "coefficients": 5},
+            "problem.potential.coefficients",
+        ),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, path, value, field):
@@ -494,26 +511,25 @@ def test_source_runs_do_not_import_scipy(tmp_path):
     assert len(rows) > 2 and "nan" not in rows[-1]
 
 
-def test_compare_builds_reference_matrix_once(tmp_path, monkeypatch):
-    # the reference eigensolve, run distances and uniform sweep share one
-    # assembled real reference matrix and one Cholesky factorisation of it,
-    # and no complex matrix of reference size is assembled
+@pytest.fixture
+def counted_solves(monkeypatch):
+    """Sizes of every complex assembly, real assembly and Cholesky factorisation."""
     import adaptpw.operator as operator
 
-    assembled, assembled_complex, factored = [], [], []
+    counts = {"complex": [], "real": [], "cholesky": []}
     assemble, assemble_real = operator.assemble, operator.assemble_real
     cholesky = np.linalg.cholesky
 
     def counting_assemble(s, potential):
-        assembled_complex.append(len(s))
+        counts["complex"].append(len(s))
         return assemble(s, potential)
 
     def counting_assemble_real(s, potential):
-        assembled.append(len(s))
+        counts["real"].append(len(s))
         return assemble_real(s, potential)
 
     def counting_cholesky(a):
-        factored.append(a.shape[0])
+        counts["cholesky"].append(a.shape[0])
         return cholesky(a)
 
     for name, module in list(sys.modules.items()):
@@ -524,6 +540,13 @@ def test_compare_builds_reference_matrix_once(tmp_path, monkeypatch):
                 elif value is assemble_real:
                     monkeypatch.setattr(module, key, counting_assemble_real)
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    return counts
+
+
+def test_compare_builds_reference_matrix_once(tmp_path, counted_solves):
+    # the reference eigensolve, run distances and uniform sweep share one
+    # assembled real reference matrix and one Cholesky factorisation of it,
+    # and no complex matrix of reference size is assembled
     raw = {
         "problem": {
             "dim": 1,
@@ -537,10 +560,35 @@ def test_compare_builds_reference_matrix_once(tmp_path, monkeypatch):
     rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "compare"])
     assert rc == 0
     n_ref = len(cli.ball(32, 1))
-    assert assembled.count(n_ref) == 1 and factored.count(n_ref) == 1
-    assert assembled_complex and n_ref not in assembled_complex
+    assert counted_solves["real"].count(n_ref) == 1
+    assert counted_solves["cholesky"].count(n_ref) == 1
+    assert counted_solves["complex"] and n_ref not in counted_solves["complex"]
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["comparison"]["uniform_dof"] < n_ref
+
+
+@pytest.mark.filterwarnings("ignore::adaptpw.verify.CoverageWarning")
+def test_compare_sweep_reaching_reference_ball_solves_it_real(tmp_path, counted_solves):
+    # the sweep's top radius is clamped to M_ref; solving that ball must stay
+    # within the real-path peak the pre-flight counts, so no complex matrix
+    # of reference size may be assembled
+    raw = {
+        "problem": {
+            "dim": 1,
+            "n_eigs": 1,
+            "potential": {"family": "trig", "c": 1.0, "terms": [{"k": [1], "a": 1.0}]},
+        },
+        "algorithm": {"M0": 1, "tol": 1e-6},
+        "verification": {"M_ref": 6},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "compare"])
+    assert rc == 0
+    rows = (tmp_path / "out" / "uniform.csv").read_text().splitlines()
+    assert rows[-1].split(",")[0] == "6"
+    n_ref = len(cli.ball(6, 1))
+    assert counted_solves["real"].count(n_ref) == 2
+    assert n_ref not in counted_solves["complex"]
 
 
 # -- uniform sweep ----------------------------------------------------------------

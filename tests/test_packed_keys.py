@@ -8,6 +8,7 @@ is the exception: its oracle is an explicit U^H H U, equal up to round-off.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ from adaptpw import (
     SpectralField,
     assemble,
     assemble_real,
+    ball,
     cluster_estimate,
     dorfler_mark,
     multiply,
     union,
     validate_symmetric,
 )
+from adaptpw.cli import build_potential
 from adaptpw.frequency import KEY_LIMIT
 
 # -- loop references ------------------------------------------------------------
@@ -221,6 +224,21 @@ def test_sum_positions_rejects_summands_out_of_range():
         s.sum_positions([[half]], [[-half]])
 
 
+def test_far_potential_support_matches_references():
+    # a summand past KEY_LIMIT / 2 is fine while every sum stays in key range
+    far = 600_000
+    vf = SpectralField.from_pairs(1, {(-far,): 0.5 - 0.25j, (0,): 2.0, (far,): 0.5 + 0.25j})
+    assert vf.real_flag
+    s = ball(2, 1)
+    u = SpectralField(s, np.arange(1.0, len(s) + 1) + 0.5j)
+    support, coeffs = ref_multiply(vf, u)
+    w = multiply(vf, u)
+    assert np.array_equal(w.support.entries, support)
+    assert np.array_equal(w.coeffs, coeffs)
+    potential = Potential(vf, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(assemble(s, potential).matrix, ref_assemble(s, vf))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_real_assembly_matches_explicit_unitary_transform(data):
@@ -300,3 +318,30 @@ def test_out_of_range_queries_do_not_alias():
     with pytest.raises(ValueError):
         IndexSet(1, [[np.iinfo(np.int64).min]])
     assert [-1, 2 * KEY_LIMIT] not in s
+
+
+# -- memory ---------------------------------------------------------------------
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assemble_and_multiply_peaks():
+    # assemble peaks in its Hermitian check, the matrix beside two complex
+    # temporaries (48 n^2 bytes); multiply forms one key per (K, G) pair and
+    # no array of summed frequencies
+    potential, _ = build_potential(
+        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
+    )
+    s = ball(16, 2)
+    n, pairs = len(s), len(potential.field.support) * len(s)
+    rng = np.random.default_rng(3)
+    u = SpectralField(s, rng.normal(size=n) + 1j * rng.normal(size=n))
+    assert _traced_peak(assemble, s, potential) < 52 * n * n
+    assert _traced_peak(multiply, potential.field, u) < 48 * pairs
