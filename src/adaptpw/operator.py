@@ -165,7 +165,9 @@ def assemble(s: IndexSet, potential: Potential) -> Hamiltonian:
         raise ValueError("basis index set must be closed under negation")
     h = _potential_gather(potential, s.entries, -s.entries)
     h[np.diag_indices(len(s))] += s.norms_sq
-    defect = float(np.max(np.abs(h - h.conj().T), initial=0.0))
+    d = np.conj(h.T)  # h^H - h in place: one complex temporary beside h
+    d -= h
+    defect = float(np.max(np.abs(d), initial=0.0))
     scale = max(1.0, float(np.max(np.abs(h), initial=0.0)))
     if defect > 1e-13 * scale:
         raise SolverError(f"assembled matrix is not Hermitian (defect {defect:.3e})")

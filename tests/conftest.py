@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from adaptpw import SpectralField, verify_potential
+from adaptpw import SpectralField, eta_cluster, truncated_residual, verify_potential
 
 
 def trig_field(dim, c, terms):
@@ -30,3 +30,25 @@ def cosine_potential():
 @pytest.fixture(scope="session")
 def constant_potential():
     return trig_potential(1, 1.0, {})
+
+
+def exhaustive_truncation(fields, lambdas, potential, zeta, rs_exact):
+    """Truncation search without the certified skip, as the oracle of it.
+
+    Computes the truncated residuals at every radius 1, 2, 4, ... below
+    the potential's support and tests each; `choose_truncation` must make
+    the same decisions and return bit-identical residuals.
+    """
+    full = potential.support_radius()
+    radius = 1
+    while True:
+        if radius >= full or potential.tail_l1(radius) == 0.0:
+            return full, rs_exact
+        rs = [
+            truncated_residual(u, lam, potential, radius)
+            for u, lam in zip(fields, lambdas)
+        ]
+        bound = math.sqrt(sum(r.truncation_bound**2 for r in rs))
+        if bound <= zeta * eta_cluster(rs):
+            return radius, rs
+        radius *= 2

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import adaptpw.adapt as adapt
 import adaptpw.cli as cli
 from adaptpw import reference_solve
 from adaptpw.cli import (
@@ -19,6 +20,7 @@ from adaptpw.cli import (
     validate_config,
 )
 from adaptpw.spectral import evaluate_on_grid
+from conftest import exhaustive_truncation
 
 
 def minimal_config(**overrides):
@@ -613,3 +615,29 @@ def test_uniform_sweep_monotone(cosine_potential):
 def test_uniform_sweep_requires_ascending(cosine_potential):
     with pytest.raises(ValueError):
         uniform_sweep(cosine_potential, 0, 1, [3, 2])
+
+
+def test_compare_outputs_match_exhaustive_truncation_search(tmp_path, monkeypatch):
+    # the certified skip decides every radius as the full search would, so
+    # the per-iteration outputs are byte-identical to those of the oracle
+    def run(name):
+        raw = {
+            "problem": {
+                "dim": 2,
+                "n_eigs": 2,
+                "potential": {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 6},
+            },
+            "algorithm": {"M0": 2, "tol": 2e-2, "zeta": 0.1},
+            "verification": {"M_ref": 10},
+            "output": {"directory": str(tmp_path / name)},
+            "seed": 7,
+        }
+        path = write_config(tmp_path, raw, name=f"{name}.json")
+        assert main(["run", str(path), "--quiet", "--mode", "compare"]) == 0
+        out = tmp_path / name
+        return [(out / f).read_bytes() for f in ("iterations.csv", "marked_sets.jsonl")]
+
+    skipping = run("skip")
+    monkeypatch.setattr(adapt, "choose_truncation", exhaustive_truncation)
+    assert run("oracle") == skipping
+    assert skipping[0].count(b"\n") > 3

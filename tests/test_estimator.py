@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import adaptpw.estimator as estimator
 from adaptpw import (
+    AdaptiveConfig,
     IndexSet,
     SpectralField,
     assemble,
@@ -14,13 +18,14 @@ from adaptpw import (
     eta_cluster,
     hs_norm,
     residual,
+    run_eigen,
     solve_eigen,
     solve_source,
     source_residual,
     truncated_residual,
 )
 from adaptpw.cli import build_potential
-from conftest import trig_potential
+from conftest import exhaustive_truncation, trig_potential
 
 TWO_PI = 2.0 * math.pi
 
@@ -208,6 +213,94 @@ def test_choose_truncation_trig_sandwich(cosine_potential):
     exact = eta_cluster(rs_exact)
     assert (1 - 0.2) * eta_tilde <= exact + 1e-12
     assert exact <= (1 + 0.2) * eta_tilde + 1e-12
+
+
+# -- certified skip of the truncation search --------------------------------------
+
+
+@st.composite
+def truncation_case(draw):
+    """Random fields against a 1D-3D random-decay potential, 1-3 members."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    r_cut = draw(st.integers(1, {1: 16, 2: 8, 3: 4}[dim]))
+    spec = {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": r_cut}
+    pot, _ = build_potential(spec, dim, seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = ball(draw(st.integers(0, 3)), dim)
+    members = draw(st.integers(1, 3))
+    fields = [
+        SpectralField(support, rng.normal(size=len(support)) + 1j * rng.normal(size=len(support)))
+        for _ in range(members)
+    ]
+    lams = [float(x) for x in rng.uniform(0.0, 10.0, members)]
+    return pot, fields, lams
+
+
+@settings(max_examples=60, deadline=None)
+@given(truncation_case(), st.data())
+def test_truncated_estimator_within_exact_plus_bound(case, data):
+    pot, fields, lams = case
+    radius = data.draw(st.integers(0, pot.support_radius()))
+    rs_exact = [residual(u, lam, pot) for u, lam in zip(fields, lams)]
+    rs = [truncated_residual(u, lam, pot, radius) for u, lam in zip(fields, lams)]
+    bound = math.sqrt(sum(r.truncation_bound**2 for r in rs))
+    assert eta_cluster(rs) <= eta_cluster(rs_exact) + bound * (1 + 1e-12)
+
+
+def assert_same_search(fields, lams, pot, zeta):
+    rs_exact = [residual(u, lam, pot) for u, lam in zip(fields, lams)]
+    m, rs = choose_truncation(fields, lams, pot, zeta, rs_exact)
+    m_ref, rs_ref = exhaustive_truncation(fields, lams, pot, zeta, rs_exact)
+    assert m == m_ref
+    assert len(rs) == len(rs_ref)
+    for r, r_ref in zip(rs, rs_ref):
+        assert r.truncation_bound == r_ref.truncation_bound
+        assert np.array_equal(r.support.keys, r_ref.support.keys)
+        assert np.array_equal(r.field.coeffs, r_ref.field.coeffs)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(truncation_case(), st.floats(0.0, 0.95))
+def test_choose_truncation_matches_exhaustive_search(case, zeta):
+    pot, fields, lams = case
+    assert_same_search(fields, lams, pot, zeta)
+
+
+@pytest.mark.parametrize(
+    "dim, r_cut, radius, n_eigs, zeta, truncated",
+    # the first case is test_choose_truncation_sandwich's
+    [(1, 32, 2, 2, 0.4, True), (1, 8, 2, 2, 0.1, False), (2, 8, 2, 2, 0.1, False),
+     (3, 4, 1, 1, 0.3, False)],
+)
+def test_choose_truncation_matches_exhaustive_search_on_clusters(
+    dim, r_cut, radius, n_eigs, zeta, truncated
+):
+    spec = {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": r_cut}
+    pot, _ = build_potential(spec, dim, seed=7)
+    cluster = solve_eigen(assemble(ball(radius, dim), pot), 0, n_eigs)
+    lams = [float(x) for x in cluster.eigenvalues]
+    m = assert_same_search(cluster.fields(), lams, pot, zeta)
+    assert (m < pot.support_radius()) == truncated
+
+
+def test_feasible_loop_computes_no_truncated_residual(monkeypatch):
+    # every radius of this run is skipped; test_choose_truncation_sandwich
+    # still accepts a truncated radius, which needs truncated_residual
+    calls = []
+    real = estimator.truncated_residual
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(estimator, "truncated_residual", counted)
+    spec = {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 4}
+    pot, _ = build_potential(spec, 3, seed=7)
+    run = run_eigen(AdaptiveConfig(dim=3, tol=1e-2, zeta=0.1), pot)
+    assert run.termination_reason == "tol" and len(run.records) > 2
+    assert all(rec.truncation_M == pot.support_radius() for rec in run.records)
+    assert calls == []
 
 
 # -- source residual -------------------------------------------------------------

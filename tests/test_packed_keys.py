@@ -345,3 +345,14 @@ def test_assemble_and_multiply_peaks():
     u = SpectralField(s, rng.normal(size=n) + 1j * rng.normal(size=n))
     assert _traced_peak(assemble, s, potential) < 52 * n * n
     assert _traced_peak(multiply, potential.field, u) < 48 * pairs
+
+
+def test_assemble_hermitian_check_keeps_one_temporary():
+    # h^H - h is formed in place in one complex copy beside the matrix, and
+    # its modulus is the only other n^2 array: 16 + 16 + 8 = 40 n^2 bytes
+    potential, _ = build_potential(
+        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
+    )
+    s = ball(16, 2)
+    n = len(s)
+    assert _traced_peak(assemble, s, potential) < 44 * n * n
