@@ -29,6 +29,7 @@ from .estimator import (
 from .frequency import IndexSet, ball, union, validate_symmetric
 from .marking import MarkingError, MarkResult, dorfler_mark
 from .operator import (
+    BlockSolveStats,
     ClusterBoundaryWarning,
     CosSinCoordinates,
     EigenCluster,
@@ -40,7 +41,9 @@ from .operator import (
     SolverError,
     assemble,
     assemble_real,
+    certify_count,
     solve_eigen,
+    solve_eigen_block,
     solve_eigen_real,
     solve_source,
     verify_potential,

@@ -268,11 +268,15 @@ def _physical_memory() -> int:
 
 #: peak bytes per n^2 of a reference solve on n frequencies, measured with
 #: ru_maxrss on 2D balls of 1257 to 3209 frequencies (numpy 2.4, OpenBLAS).
-#: The real eigen reference holds its matrix, eigh's copy of it, the
-#: eigenvectors and the divide-and-conquer workspace (2 n^2 doubles);
-#: source mode's complex `solve_source` holds its matrix, the Cholesky
-#: factor and the LU copy of the solve.
-EIGEN_REFERENCE_BYTES = 41
+#: The eigen reference keeps its real matrix for the distances while a
+#: compare run's uniform sweep solves its balls; when the run reaches radius
+#: M_ref - 1 the sweep's last ball is the reference ball itself, solved by a
+#: dense real `eigh` (matrix, eigh's copy, eigenvectors, workspace), and
+#: that sweep peaks at 49.3-51.5 n^2. The certified reference solve alone
+#: peaks at 30.3-32.4 n^2 (matrix, the certificate's saved lower triangle,
+#: mask, Cholesky buffer and factor). Source mode's complex `solve_source`
+#: holds its matrix, the Cholesky factor and the LU copy of the solve.
+EIGEN_REFERENCE_BYTES = 52
 SOURCE_REFERENCE_BYTES = 51
 
 
@@ -296,7 +300,7 @@ def check_reference_memory(
         raise ConfigError(
             "verification.M_ref",
             f"the reference ball of radius {m_ref} in {dim}D has at least {n} frequencies; "
-            f"its dense reference solve needs {bytes_per_n2 * n * n} bytes, more than the "
+            f"its reference solve needs {bytes_per_n2 * n * n} bytes, more than the "
             f"{limit} bytes of physical memory",
         )
 
@@ -318,11 +322,10 @@ def preflight(config: ExperimentConfig, mode: str) -> None:
     """Reject, before any work, a run that its frequency balls cannot carry.
 
     Eigen, compare and uniform runs need the cluster to fit in the initial
-    ball, and every run that builds a reference needs its dense solve to
-    fit in memory: the real eigen reference, or source mode's complex
-    `solve_source`. The uniform sweep's balls lie inside the reference ball
-    and are solved the same real way, so they peak no higher. An eigen
-    reference must also hold the cluster.
+    ball, and every run that builds a reference needs its solve to fit in
+    memory: the eigen reference together with a uniform sweep that reaches
+    the reference ball while the reference matrix is held, or source mode's
+    complex `solve_source`. An eigen reference must also hold the cluster.
     """
     if mode not in RUN_MODES:
         raise ConfigError("mode", f"unknown mode {mode!r}")
@@ -677,6 +680,7 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
         rows = _uniform_step(outdir, summary, config, potential, ref, m_hi)
         summary.data["termination_reason"] = "max_dof"  # sweep budget exhausted
         summary.data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
+        summary.data["reference_solver"] = asdict(ref.solver)
         say(f"uniform sweep: {len(rows)} radii")
     else:
         algo = replace(config.algorithm, mode="eigen-feasible" if mode == "compare" else mode)
@@ -686,6 +690,7 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
             ref = reference_solve(potential, config.k0, config.n_eigs, config.m_ref)
             gap_ok, gap_below, gap_above = eigenvalue_gap_check(ref)
             summary.data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
+            summary.data["reference_solver"] = asdict(ref.solver)
             summary.data["cluster_gaps"] = {"ok": gap_ok, "below": gap_below, "above": gap_above}
             try:
                 report = run_distances(run, ref)

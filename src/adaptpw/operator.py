@@ -3,18 +3,21 @@
 In the orthonormal planewave basis the stiffness matrix of the energy
 form is H[G, G'] = |G|^2 delta_{GG'} + (2*pi)^(-d/2) V_{G-G'} and the mass
 matrix is the identity, so the discrete eigenvalue problem is a standard
-dense Hermitian eigenproblem. Everything here is deliberately dense and
-direct: at desk scale (a few thousand frequencies) correctness and
-reproducibility beat iterative speed, and interior eigenvalue clusters
-come for free.
+dense Hermitian eigenproblem. Matrices are dense, and the adaptive loop,
+the source solves and the uniform sweep solve them directly (`eigh`,
+Cholesky): at desk scale correctness and reproducibility come first, and
+interior eigenvalue clusters come for free. The verification reference
+needs only the lowest k0+n_eigs+1 pairs of a much larger ball; it uses a
+block iteration whose result is certified (`solve_eigen_block`,
+`certify_count`), so it never returns a window that misses an eigenvalue.
 
 The potential is real, so H[-G, -G'] = conj(H[G, G']), and on a basis
 closed under negation the matrix is real symmetric in cos/sin coordinates
-(`CosSinCoordinates`). `assemble_real` builds that matrix directly and
+(`CosSinCoordinates`). `assemble_real` builds that matrix directly.
 `solve_eigen_real` solves it with a real `eigh`, about five times faster
-than the complex solve at a few hundred frequencies; the verification
-reference and the uniform sweep use them. Only the adaptive loop and the
-source solves use the complex `assemble`.
+than the complex solve at a few hundred frequencies, for the uniform
+sweep; `solve_eigen_block` solves it for the verification reference. Only
+the adaptive loop and the source solves use the complex `assemble`.
 """
 
 from __future__ import annotations
@@ -29,11 +32,23 @@ from .frequency import IndexSet, ball, validate_symmetric
 from .spectral import SpectralField, evaluate_on_grid, project
 
 #: relative gap below which adjacent eigenvalues are treated as one
-#: degenerate group for basis post-processing
+#: degenerate group for basis post-processing and the block solver's cut
 DEGENERACY_RTOL = 1e-9
 
 #: relative cluster-boundary gap below which a warning is emitted
 CLUSTER_GAP_RTOL = 1e-8
+
+#: residual tolerance of `solve_eigen_block`, relative to max(1, max diag H)
+BLOCK_RTOL = 1e-14
+
+#: vectors the block eigensolver carries beyond the k0+n_eigs+1 it converges
+BLOCK_GUARD = 4
+
+#: guard doublings before the block eigensolver gives up with SolverError
+BLOCK_GUARD_GROWS = 3
+
+#: block iterations per attempt before the guard grows
+BLOCK_MAX_STEPS = 200
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -330,15 +345,231 @@ def solve_eigen_real(
     return _checked_cluster(h.basis, k0, w, h.coords.to_coefficients(x)), x
 
 
-def _eigen_window(matrix: np.ndarray, k0: int, n_eigs: int) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues and a copy of the window's eigenvectors (the rest are freed)."""
-    n = matrix.shape[0]
+@dataclass(frozen=True)
+class BlockSolveStats:
+    """Counters of one `solve_eigen_block` call.
+
+    `steps` block iterations with `block_size` vectors after `guard_grows`
+    guard enlargements; `max_residual` is the largest residual norm of the
+    certified pairs and `rho` the certified bound. A Rayleigh-Ritz solve on
+    the whole space reports n vectors, 0 steps, the window's residuals and
+    no `rho`: it needs no certificate.
+    """
+
+    steps: int
+    block_size: int
+    guard_grows: int
+    max_residual: float
+    rho: float | None
+
+
+def solve_eigen_block(
+    h: RealHamiltonian, k0: int, n_eigs: int
+) -> tuple[EigenCluster, np.ndarray, BlockSolveStats]:
+    """`solve_eigen_real` by a certified block iteration instead of a full `eigh`.
+
+    LOBPCG (Knyazev 2001) in cos/sin coordinates iterates the lowest
+    p = m + guard pairs, m = k0 + n_eigs + 1, with the kinetic
+    preconditioner 1/(diag(H) + 1), starting from the p coordinate vectors
+    of lowest diagonal entry. It stops when the first m pairs (more when
+    the m-th Ritz value opens a multiplet) have residual norms at most
+    `BLOCK_RTOL * max(1, max diag H)`. `certify_count` then proves that no
+    eigenvalue was missed; when it cannot, or the iteration stalls, the
+    guard doubles, at most `BLOCK_GUARD_GROWS` times, before SolverError.
+    When the search block [X, W, P] of 3p vectors would span all n
+    coordinates, Rayleigh-Ritz on the whole space (a full `eigh`) is the
+    exact answer and is returned instead. Sign convention, window and
+    warnings are those of `solve_eigen_real`.
+    """
+    a = h.matrix
+    n = a.shape[0]
+    _check_window(n, k0, n_eigs)
+    m = k0 + n_eigs + 1
+    tol = BLOCK_RTOL * max(1.0, float(a.diagonal().max()))
+    guard, grows = BLOCK_GUARD, 0
+    while True:
+        p = m + guard
+        if 3 * p >= n:  # the search block [X, W, P] would span every coordinate
+            theta, window = _eigen_window(a, k0, n_eigs)
+            p, steps, rho = n, 0, None
+            res = np.linalg.norm(a @ window - window * theta[k0 : k0 + n_eigs], axis=0)
+            break
+        try:
+            theta, x, res, steps = _block_iterate(a, p, m, tol)
+            rho, cut = certify_count(a, theta, x, res, m)
+        except SolverError:
+            if grows == BLOCK_GUARD_GROWS:
+                raise
+            guard, grows = 2 * guard, grows + 1
+            continue
+        window, res = x[:, k0 : k0 + n_eigs].copy(), res[:cut]
+        break
+    for j in range(n_eigs):
+        window[:, j] = _fix_sign(window[:, j])
+    cluster = _checked_cluster(h.basis, k0, theta, h.coords.to_coefficients(window))
+    stats = BlockSolveStats(steps, p, grows, float(res.max()), rho)
+    return cluster, window, stats
+
+
+def _block_iterate(
+    a: np.ndarray, p: int, m: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """LOBPCG for the lowest p eigenpairs of the real symmetric `a`.
+
+    The search basis [X, W, P] is kept orthonormal: W (preconditioned
+    residuals of the unconverged columns) is orthonormalised off [X, P]
+    (`_orthonormal_complement`), and P is the part of the new Ritz vectors'
+    update that is orthogonal to them, taken in the small coefficient space
+    (Hetmaniuk & Lehoucq 2006), so one product `a @ W` per step suffices. Convergence is
+    decided on a fresh product `a @ X` after re-orthonormalisation, since
+    the recurrences for `a @ X` drift by rounding. `eigh` of the small
+    projected matrices reads their lower triangles, which is all the
+    symmetry they need. Returns the p Ritz values, Ritz vectors, their
+    residual norms and the step count.
+    """
+    n = a.shape[0]
+    diag = a.diagonal()
+    prec = 1.0 / (diag + 1.0)
+    start = np.argsort(diag, kind="stable")[:p]
+    theta, c = np.linalg.eigh(a[np.ix_(start, start)])
+    x = np.zeros((n, p))
+    x[start] = c
+    ax = a[:, start] @ c
+    pb = apb = np.empty((n, 0))
+    for step in range(1, BLOCK_MAX_STEPS + 1):
+        r = ax - x * theta
+        res = np.linalg.norm(r, axis=0)
+        if res[: _cut(theta, m)].max() <= tol:
+            x, _ = np.linalg.qr(x)
+            ax = a @ x
+            theta, c = np.linalg.eigh(x.T @ ax)
+            x, ax = x @ c, ax @ c
+            r = ax - x * theta
+            res = np.linalg.norm(r, axis=0)
+            if res[: _cut(theta, m)].max() <= tol:
+                return theta, x, res, step
+        w = _orthonormal_complement(r[:, res > tol] * prec[:, None], np.hstack([x, pb]))
+        s = np.hstack([x, w, pb])
+        as_ = np.hstack([ax, a @ w, apb])
+        vals, c = np.linalg.eigh(s.T @ as_)
+        theta, c1, c2 = vals[:p], c[:, :p], c[:, p:]
+        update = c1.copy()
+        update[:p] = 0.0
+        q, _ = np.linalg.qr(c2.T @ update)
+        x, ax = s @ c1, as_ @ c1
+        pb, apb = s @ (c2 @ q), as_ @ (c2 @ q)
+    raise SolverError(
+        f"block eigensolver did not converge in {BLOCK_MAX_STEPS} steps "
+        f"(residual {float(res.max()):.3e}, tolerance {tol:.3e})"
+    )
+
+
+def _orthonormal_complement(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the part of span(w) orthogonal to `basis`.
+
+    `basis` has orthonormal columns. Each of two passes projects w off it
+    and orthonormalises the unit-scaled columns through their Gram matrix,
+    dropping directions whose Gram eigenvalue is below 1e-12 of the largest
+    (numerically in the span of `basis` or of the other columns).
+    """
+    for _ in range(2):
+        w = w - basis @ (basis.T @ w)
+        norms = np.linalg.norm(w, axis=0)
+        w = w[:, norms > 0.0] / norms[norms > 0.0]
+        s, v = np.linalg.eigh(w.T @ w)
+        keep = s > 1e-12 * s.max(initial=0.0)
+        w = w @ (v[:, keep] / np.sqrt(s[keep]))
+    return w
+
+
+def certify_count(
+    a: np.ndarray, theta: np.ndarray, x: np.ndarray, residuals: np.ndarray, m: int
+) -> tuple[float, int]:
+    """Prove that `a` has exactly `cut` eigenvalues below rho; return (rho, cut).
+
+    `theta` are ascending Ritz values of the orthonormal columns `x` and
+    `residuals` their residual norms. The cut is the first relative Ritz
+    gap above DEGENERACY_RTOL at or after position m (a multiplet cut by m
+    moves it up) and rho = theta_cut + ||R_cut||_F, so every residual
+    interval of the first `cut` pairs lies below rho; a gap too narrow for
+    rho + delta is skipped like a multiplet. With X the first `cut`
+    columns and c = 2 (rho - theta_1) + 1 > rho - theta_1, a successful
+    Cholesky factorisation of A = H + c X X^T - (rho + delta) I shows
+    lambda_(cut+1)(H) > rho: a rank-`cut` PSD update raises lambda_1 no
+    higher than lambda_(cut+1), since some unit vector in the span of the
+    lowest cut+1 eigenvectors is orthogonal to X. delta covers rounding.
+    The computed factor R of the formed matrix satisfies R^T R = A + E,
+    ||E||_2 <= gamma_(n+1) ||R||_F^2 <= gamma_(n+1) trace(A) /
+    (1 - n gamma_(n+1)) (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3, and || |R^T||R| ||_2 <= ||R||_F^2), and forming A
+    errs by at most gamma_(cut+3) (||H||_F + c ||X||_F^2 + sqrt(n) rho) in
+    the 2-norm. With unit roundoff u, delta = 2u ((n + 1) trace(A) +
+    (cut + 3) (||H||_F + c ||X||_F^2 + sqrt(n) |rho|)) covers both for any
+    n below 1/(4u). Courant-Fischer bounds lambda_i <= theta_i, and Kahan's
+    residual theorem then pairs them to within ||R_cut||_F.
+
+    `np.linalg.cholesky` reads only the lower triangle, so A is written
+    there and `a` is restored bit for bit afterwards: the certificate holds
+    one n x n factor beside `a`, not a second copy. Raises SolverError
+    when no gap qualifies or the factorisation breaks down.
+    """
+    n = a.shape[0]
+    u = np.finfo(float).eps / 2.0
+    frob_a = float(np.linalg.norm(a))
+    trace_a = float(np.trace(a))
+    for group in group_slices(theta, DEGENERACY_RTOL)[:-1]:
+        cut = group.stop
+        if cut < m:
+            continue
+        rho = float(theta[cut - 1] + np.linalg.norm(residuals[:cut]))
+        xc = x[:, :cut]
+        c = 2.0 * (rho - float(theta[0])) + 1.0
+        xf2 = float(np.sum(xc * xc))
+        trace = max(trace_a + c * xf2 - n * rho, 0.0)
+        frob = frob_a + c * xf2 + math.sqrt(n) * abs(rho)
+        delta = 2.0 * u * ((n + 1) * trace + (cut + 3) * frob)
+        if rho + delta < theta[cut]:
+            break
+    else:
+        raise SolverError(
+            f"no Ritz gap to certify at or after position {m} among {len(theta)} Ritz values"
+        )
+    lower = np.tri(n, dtype=bool)
+    saved = a[lower]
+    shift = c * (xc @ xc.T)
+    shift[np.diag_indices(n)] -= rho + delta
+    np.add(a, shift, out=a, where=lower)
+    del shift
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            f"count certificate failed: more than {cut} eigenvalues below {rho:.15g}"
+        ) from exc
+    finally:
+        a[lower] = saved
+    return rho, cut
+
+
+def _cut(theta: np.ndarray, m: int) -> int:
+    """Leading Ritz values to converge: m, extended to the end of the m-th's multiplet."""
+    return next(
+        (sl.stop for sl in group_slices(theta, DEGENERACY_RTOL) if sl.stop >= m), len(theta)
+    )
+
+
+def _check_window(n: int, k0: int, n_eigs: int) -> None:
     if k0 < 0 or n_eigs < 1:
         raise ValueError(f"need k0 >= 0 and n_eigs >= 1, got k0={k0}, n_eigs={n_eigs}")
     if k0 + n_eigs > n:
         raise ValueError(
             f"cluster k0={k0}, n_eigs={n_eigs} out of range for basis of size {n}"
         )
+
+
+def _eigen_window(matrix: np.ndarray, k0: int, n_eigs: int) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues and a copy of the window's eigenvectors (the rest are freed)."""
+    _check_window(matrix.shape[0], k0, n_eigs)
     w, v = np.linalg.eigh(matrix)
     return w, v[:, k0 : k0 + n_eigs].copy()
 

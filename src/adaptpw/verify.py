@@ -12,9 +12,11 @@ Numerical note: for a-orthonormal bases X, Y the directed distance is
 sqrt(1 - sigma_min(X^H A Y)^2), but evaluating that expression directly
 loses all accuracy once the distance drops below ~1e-8 (the singular
 value sits within round-off of 1). We evaluate the algebraically
-identical projection-residual form ||(I - P_Y) X||, which resolves
+identical projection-residual form ||(I - P_Y) X||_a, which resolves
 distances down to ~1e-14; a sampling/optimization oracle for the
 defining sup-inf is kept in the test suite as a permanent cross-check.
+Every inner product is a k x k Gram matrix X^H A Y formed by products
+with the Galerkin matrix, so no n x n factor of it is needed.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 from .adapt import AdaptiveRun
 from .frequency import IndexSet, ball, union
 from .operator import (
-    EigenCluster, Hamiltonian, Potential, RealHamiltonian, assemble, assemble_real,
-    group_slices, solve_eigen_real,
+    BlockSolveStats, EigenCluster, Hamiltonian, Potential, RealHamiltonian, assemble,
+    assemble_real, group_slices, solve_eigen_block,
 )
 from .spectral import SpectralField
 
@@ -52,11 +54,11 @@ class RankDeficiencyError(ValueError):
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Dense solve on a large ball standing in for the exact solution.
+    """Certified solve on a large ball standing in for the exact solution.
 
-    `metric` is the energy frame of the same Galerkin matrix, and
-    `group_frames[i]` the orthonormal frame of the reference vectors of
-    `groups[i]` in it; both are computed once per reference.
+    `metric` is the energy inner product of the same Galerkin matrix,
+    `group_blocks[i]` the a-orthonormal block of the reference vectors of
+    `groups[i]` in it, and `solver` the block eigensolver's counters.
     """
 
     basis: IndexSet
@@ -64,7 +66,8 @@ class ReferenceSolution:
     eigenvalue_tail_gap: float
     metric: EnergyMetric
     groups: list[slice]
-    group_frames: list[np.ndarray]
+    group_blocks: list[EnergyBlock]
+    solver: BlockSolveStats
 
     @property
     def radius(self) -> float:
@@ -76,12 +79,14 @@ class ReferenceSolution:
         Discrete counterparts are taken at the same index positions as the
         reference groups. The iterate's columns are zero-padded to the
         reference ball and gathered into its cos/sin coordinates by
-        `metric.to_frame`.
+        `metric.coordinates`.
         """
-        emb = embed_columns(cluster.vectors, cluster.basis, self.basis)
+        y = self.metric.coordinates(
+            embed_columns(cluster.vectors, cluster.basis, self.basis)
+        )
         return [
-            _frame_distance(q, _orthonormal_frame(self.metric.to_frame(emb[:, sl])))
-            for sl, q in zip(self.groups, self.group_frames)
+            _block_distance(self.metric.block(y[:, sl]), ref)
+            for sl, ref in zip(self.groups, self.group_blocks)
         ]
 
 
@@ -91,10 +96,11 @@ def reference_solve(
     """Reference eigensolve on ball(m_ref); warns when the cluster gap is tiny.
 
     The ball is closed under negation, so the solve runs on the real
-    symmetric matrix in cos/sin coordinates (`assemble_real`). That one
-    matrix serves the real `eigh` and the real Cholesky of the energy frame,
-    and is released on return; no complex n x n array is formed. The
-    cluster's vectors are mapped back to coefficient columns over the ball.
+    symmetric matrix in cos/sin coordinates (`assemble_real`), by the
+    certified block eigensolver `solve_eigen_block`: no full `eigh` and no
+    complex n x n array. The same matrix is the energy inner product of
+    every distance (`EnergyMetric`). The cluster's vectors are mapped back
+    to coefficient columns over the ball.
     """
     basis = ball(m_ref, potential.dim)
     if k0 + n_eigs > len(basis):
@@ -103,7 +109,7 @@ def reference_solve(
             f"too few for k0={k0}, n_eigs={n_eigs}"
         )
     h = assemble_real(basis, potential)
-    cluster, x = solve_eigen_real(h, k0, n_eigs)
+    cluster, x, stats = solve_eigen_block(h, k0, n_eigs)
     metric = EnergyMetric(h)
     if cluster.lambda_above is None:
         tail_gap = math.inf
@@ -116,7 +122,8 @@ def reference_solve(
         eigenvalue_tail_gap=tail_gap,
         metric=metric,
         groups=groups,
-        group_frames=[_orthonormal_frame(metric.frame @ x[:, sl]) for sl in groups],
+        group_blocks=[metric.block(x[:, sl]) for sl in groups],
+        solver=stats,
     )
 
 
@@ -134,46 +141,50 @@ def eigenvalue_gap_check(ref: ReferenceSolution) -> tuple[bool, float, float]:
     return ok, gap_below, gap_above
 
 
-class EnergyMetric:
-    """Cholesky frame of the energy inner product on a fixed basis.
+@dataclass(frozen=True)
+class EnergyBlock:
+    """a-orthonormal columns `q` (coordinates of `EnergyMetric`) and `hq` = H q."""
 
-    Mapping coefficient vectors x to L^H x, where H = L L^H is the Galerkin
-    matrix of the energy form, turns the energy inner product into the
-    plain Euclidean one, after which subspace angles reduce to ordinary
-    matrix computations. `frame` holds L^H, computed once. For a
-    `RealHamiltonian` R = U^H H U the factor is real and x maps to
-    L^T (U^H x), the real frame acting on the real and imaginary parts of
-    the cos/sin coordinates in turn, so no complex copy of it is made.
+    q: np.ndarray
+    hq: np.ndarray
+
+
+class EnergyMetric:
+    """Energy inner product on a fixed basis, by products with its Galerkin matrix.
+
+    Inner products of blocks are k x k Gram matrices X^H H Y. For a
+    `RealHamiltonian` R = U^H H U, coefficient columns x enter as their
+    cos/sin coordinates U^H x, and R acts on their real and imaginary
+    parts in turn, so no complex copy of it is made.
     """
 
     def __init__(self, h: Hamiltonian | RealHamiltonian) -> None:
-        try:
-            chol = np.linalg.cholesky(h.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError(
-                f"energy form not positive definite on basis: {exc}"
-            ) from exc
-        np.conjugate(chol, out=chol)
         self.basis = h.basis
-        self.frame = chol.T
+        self.matrix = h.matrix
         self._coords = h.coords if isinstance(h, RealHamiltonian) else None
 
-    def to_frame(self, vectors: np.ndarray) -> np.ndarray:
-        if self._coords is None:
-            return self.frame @ vectors
-        y = self._coords.from_coefficients(vectors)
-        return self.frame @ y.real + 1j * (self.frame @ y.imag)
+    def coordinates(self, vectors: np.ndarray) -> np.ndarray:
+        """Coordinate columns of coefficient columns over `basis`."""
+        return vectors if self._coords is None else self._coords.from_coefficients(vectors)
 
+    def block(self, y: np.ndarray) -> EnergyBlock:
+        """a-orthonormal basis of the span of coordinate columns y.
 
-def _orthonormal_frame(z: np.ndarray) -> np.ndarray:
-    """Orthonormal column span of z, rejecting badly conditioned inputs."""
-    u, s, _ = np.linalg.svd(z, full_matrices=False)
-    if s[-1] <= 0.0 or s[0] / s[-1] > 1e6:
-        cond = math.inf if s[-1] <= 0.0 else (s[0] / s[-1]) ** 2
-        raise RankDeficiencyError(
-            f"basis is numerically rank deficient (Gram condition {cond:.3e})"
-        )
-    return u
+        y is orthonormalised through its Gram matrix G = y^H H y; a
+        condition number of G above 1e12 is rejected as rank deficient.
+        """
+        if np.iscomplexobj(y) and not np.iscomplexobj(self.matrix):
+            hy = self.matrix @ y.real + 1j * (self.matrix @ y.imag)
+        else:
+            hy = self.matrix @ y
+        s, v = np.linalg.eigh(y.conj().T @ hy)
+        if s[0] <= 0.0 or s[-1] / s[0] > 1e12:
+            cond = math.inf if s[0] <= 0.0 else s[-1] / s[0]
+            raise RankDeficiencyError(
+                f"basis is numerically rank deficient (Gram condition {cond:.3e})"
+            )
+        t = v / np.sqrt(s)
+        return EnergyBlock(y @ t, hy @ t)
 
 
 def subspace_distance(
@@ -185,23 +196,33 @@ def subspace_distance(
     give equal directed distances; the maximum of both directions is
     returned either way.
     """
-    return _frame_distance(
-        _orthonormal_frame(metric.to_frame(x)), _orthonormal_frame(metric.to_frame(y))
+    return _block_distance(
+        metric.block(metric.coordinates(x)), metric.block(metric.coordinates(y))
     )
 
 
-def _frame_distance(qx: np.ndarray, qy: np.ndarray) -> float:
-    """subspace_distance between the spans of two orthonormal frames."""
-    rx = qx - qy @ (qy.conj().T @ qx)
-    ry = qy - qx @ (qx.conj().T @ qy)
-    dxy = float(np.linalg.norm(rx, 2))
-    dyx = float(np.linalg.norm(ry, 2))
-    if qx.shape[1] == qy.shape[1] and abs(dxy - dyx) > 1e-8:
+def _block_distance(bx: EnergyBlock, by: EnergyBlock) -> float:
+    """subspace_distance between the spans of two a-orthonormal blocks."""
+    dxy, dyx = _directed_distance(bx, by), _directed_distance(by, bx)
+    if bx.q.shape[1] == by.q.shape[1] and abs(dxy - dyx) > 1e-8:
         raise RankDeficiencyError(
             f"directed distances diverge ({dxy:.3e} vs {dyx:.3e}) "
             "for equal-dimensional subspaces"
         )
     return max(dxy, dyx)
+
+
+def _directed_distance(bx: EnergyBlock, by: EnergyBlock) -> float:
+    """sup over a-unit x in span(bx) of ||x - P_y x||_a: sqrt(lambda_max(R^H H R)).
+
+    R = X - Y (Y^H H X) is formed explicitly (and H R from the stored
+    products), which keeps the projection-residual resolution. `eigvalsh`
+    reads only the lower triangle of R^H H R, so it is not symmetrised.
+    """
+    m = by.q.conj().T @ bx.hq
+    r = bx.q - by.q @ m
+    hr = bx.hq - by.hq @ m
+    return math.sqrt(max(float(np.linalg.eigvalsh(r.conj().T @ hr)[-1]), 0.0))
 
 
 def embed_columns(vectors: np.ndarray, basis: IndexSet, target: IndexSet) -> np.ndarray:

@@ -1,0 +1,200 @@
+"""The certified block eigensolver of the verification reference, against `eigh`."""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import adaptpw.operator as operator
+from adaptpw import (
+    ClusterBoundaryWarning,
+    EnergyMetric,
+    SolverError,
+    assemble_real,
+    ball,
+    certify_count,
+    reference_solve,
+    solve_eigen_block,
+    subspace_distance,
+)
+from adaptpw.cli import build_potential, main
+from adaptpw.operator import group_slices
+from conftest import trig_potential
+from test_cli import write_config
+
+#: reference radii per dimension: the first ball of each is small enough
+#: that the block's search space spans it whole for some windows
+RADII = {1: (4, 8, 32), 2: (2, 8), 3: (2, 3)}
+R_CUT = {1: 8, 2: 4, 3: 2}
+
+#: window groups are compared by subspace where Ritz values lie closer than
+#: this (relative); closer pairs have ill-conditioned individual vectors
+COMPARE_GROUP_RTOL = 1e-3
+
+
+def potential_for(family, dim, seed):
+    if family == "constant":
+        return trig_potential(dim, 1.0, {})
+    if family == "symmetric-trig":  # the criterion 10 potential, pairs of degenerate eigenvalues
+        return trig_potential(2, 1.0, {(1, 0): 0.3, (0, 1): 0.3})
+    spec = {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": R_CUT[dim]}
+    return build_potential(spec, dim, seed)[0]
+
+
+@st.composite
+def block_case(draw):
+    family = draw(st.sampled_from(["random-decay", "random-decay", "constant", "symmetric-trig"]))
+    dim = 2 if family == "symmetric-trig" else draw(st.sampled_from([1, 2, 3]))
+    m_ref = draw(st.sampled_from(RADII[dim]))
+    k0 = draw(st.sampled_from([0, 1, 3]))
+    n_eigs = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return potential_for(family, dim, seed), m_ref, k0, n_eigs
+
+
+def solve_recording(solve, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = solve(*args)
+    return out, any(issubclass(w.category, ClusterBoundaryWarning) for w in caught)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_case())
+def test_block_solver_matches_eigh(case):
+    pot, m_ref, k0, n_eigs = case
+    h = assemble_real(ball(m_ref, pot.dim), pot)
+    n = h.matrix.shape[0]
+    w, v = np.linalg.eigh(h.matrix)  # the oracle
+    (cluster, x, stats), warned = solve_recording(solve_eigen_block, h, k0, n_eigs)
+
+    top = k0 + n_eigs
+    np.testing.assert_allclose(cluster.eigenvalues, w[k0:top], rtol=0.0, atol=1e-12)
+    assert abs(cluster.lambda_below - (w[k0 - 1] if k0 else 0.0)) <= 1e-12
+    if top == n:
+        assert cluster.lambda_above is None
+    else:
+        assert abs(cluster.lambda_above - w[top]) <= 1e-12
+        gap = w[top] - w[top - 1]
+        assert warned == (gap < operator.CLUSTER_GAP_RTOL * max(1.0, abs(w[top - 1])))
+    block = k0 + n_eigs + 1 + operator.BLOCK_GUARD * 2**stats.guard_grows
+    assert stats.block_size == (n if 3 * block >= n else block)
+    assert (stats.rho is None) == (stats.block_size == n)
+
+    # groups of close eigenvalues that lie wholly inside the window
+    metric = EnergyMetric(h)
+    oracle = h.coords.to_coefficients(v[:, k0:top])
+    for sl in group_slices(w, COMPARE_GROUP_RTOL):
+        if k0 <= sl.start and sl.stop <= top:
+            window = slice(sl.start - k0, sl.stop - k0)
+            d = subspace_distance(cluster.vectors[:, window], oracle[:, window], metric)
+            assert d <= 1e-10
+
+    (again, x_again, stats_again), _ = solve_recording(solve_eigen_block, h, k0, n_eigs)
+    assert np.array_equal(again.eigenvalues, cluster.eigenvalues)
+    assert np.array_equal(again.vectors, cluster.vectors)
+    assert np.array_equal(x_again, x) and stats_again == stats
+
+
+def skipping_window(a, p, m, tol):
+    """eigh's pairs 2..p+1: a converged block that misses lambda_1."""
+    w, v = np.linalg.eigh(a)
+    theta, x = w[1 : p + 1], v[:, 1 : p + 1]
+    return theta, x, np.linalg.norm(a @ x - x * theta, axis=0), 0
+
+
+@pytest.fixture(scope="module")
+def rd_hamiltonian():
+    # 317 frequencies: every guard the solver tries leaves the block smaller
+    # than a third of the ball, so no attempt is whole-space
+    pot, _ = build_potential(
+        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
+    )
+    return assemble_real(ball(10, 2), pot)
+
+
+def test_certificate_rejects_window_that_skips_lambda_1(rd_hamiltonian):
+    a = rd_hamiltonian.matrix
+    before = a.copy()
+    m = 3
+    w, v = np.linalg.eigh(a)
+    theta, x, res, _ = skipping_window(a, m + 1, m, 0.0)  # eigh's vectors 2..m+2
+    assert theta[m] - theta[m - 1] > 1e-3  # a gap at position m to certify
+    with pytest.raises(SolverError, match="count certificate failed"):
+        certify_count(a, theta, x, res, m)
+    assert np.array_equal(a, before)  # the lower triangle is restored bit for bit
+
+    x = v[:, : m + 1]
+    rho, cut = certify_count(a, w[: m + 1], x, np.linalg.norm(a @ x - x * w[: m + 1], axis=0), m)
+    assert cut == m and w[m - 1] < rho < w[m]
+    assert np.array_equal(a, before)
+
+
+def test_certificate_moves_cut_past_multiplet():
+    # constant potential in 1D: eigenvalues 1, 2, 2, 5, 5; a cut after the
+    # second pair would split the multiplet at 2
+    h = assemble_real(ball(8, 1), trig_potential(1, 1.0, {}))
+    w, v = np.linalg.eigh(h.matrix)
+    rho, cut = certify_count(h.matrix, w[:5], v[:, :5], np.zeros(5), 2)
+    assert cut == 3 and rho == pytest.approx(2.0, abs=1e-12)
+
+
+def test_block_solver_raises_when_every_window_skips_lambda_1(rd_hamiltonian, monkeypatch):
+    monkeypatch.setattr(operator, "_block_iterate", skipping_window)
+    with pytest.raises(SolverError, match="count certificate failed"):
+        solve_eigen_block(rd_hamiltonian, 0, 2)
+
+
+def run_compare(tmp_path, m_ref):
+    raw = {
+        "problem": {
+            "dim": 1,
+            "n_eigs": 1,
+            "potential": {"family": "trig", "c": 1.0, "terms": [{"k": [1], "a": 1.0}]},
+        },
+        "algorithm": {"M0": 1, "tol": 1e-5, "zeta": 0.2},
+        "verification": {"M_ref": m_ref},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    return main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "compare"])
+
+
+def test_compare_run_exits_3_when_the_certificate_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(operator, "_block_iterate", skipping_window)
+    assert run_compare(tmp_path, 64) == 3  # 129 frequencies, no attempt solved whole
+    assert "count certificate failed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_reference_solve_calls_no_full_eigh(monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    pot, _ = build_potential(
+        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
+    )
+    ref = reference_solve(pot, 0, 2, 16)
+    n = len(ref.basis)
+    assert n == 797
+    assert sizes and max(sizes) < n // 3
+    assert ref.solver.rho is not None and ref.solver.guard_grows == 0
+
+
+def test_summary_records_reference_solver(tmp_path):
+    assert run_compare(tmp_path, 32) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    solver = summary["reference_solver"]
+    assert set(solver) == {"steps", "block_size", "guard_grows", "max_residual", "rho"}
+    assert solver["steps"] > 0 and solver["block_size"] == 1 + 1 + operator.BLOCK_GUARD
+    lam = summary["reference_eigenvalues"][-1]
+    lambda_above = lam + summary["cluster_gaps"]["above"] * max(1.0, abs(lam))
+    assert lambda_above < solver["rho"] < lambda_above + 1e-9
+    assert "reference_solver" not in (tmp_path / "out" / "iterations.csv").read_text()

@@ -442,7 +442,7 @@ def test_output_dir_override(tmp_path, monkeypatch):
 
 def test_reference_ball_preflight_rejects_before_work(tmp_path, monkeypatch, capsys):
     # a 3D run with the default M_ref=32 and verification on needs a
-    # 137065-dof reference: 41 * 137065^2 bytes at the real reference solve's peak
+    # 137065-dof reference: EIGEN_REFERENCE_BYTES * 137065^2 bytes at its peak
     raw = minimal_config(output={"directory": str(tmp_path / "out")})
     raw["problem"]["dim"] = 3
 
@@ -457,13 +457,13 @@ def test_reference_ball_preflight_rejects_before_work(tmp_path, monkeypatch, cap
     tracemalloc.stop()
     assert rc == 2
     err = capsys.readouterr().err
-    assert "verification.M_ref" in err and str(41 * 137065**2) in err
+    assert "verification.M_ref" in err and str(cli.EIGEN_REFERENCE_BYTES * 137065**2) in err
     assert not (tmp_path / "out").exists()
     assert peak < 2**20
 
 
 def test_reference_ball_preflight_follows_verification(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 41 * 401**2 - 1)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: cli.EIGEN_REFERENCE_BYTES * 401**2 - 1)
     cli.check_reference_memory(199, 1)  # 399 frequencies fit, 401 do not
     raw = minimal_config(verification={"M_ref": 200})
     assert main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "uniform"]) == 2

@@ -12,6 +12,7 @@ from adaptpw import (
     SpectralField,
     a_norm,
     assemble,
+    assemble_real,
     ball,
     eigenvalue_gap_check,
     fit_rates,
@@ -128,10 +129,54 @@ def test_reference_matches_complex_oracle(dim, n_eigs, m_ref, spec, largest_grou
     assert np.max(np.abs(np.conj(vec[neg]) - vec)) <= 1e-15
 
 
+def frame_distance_oracle(h, x, y):
+    """subspace_distance through the Cholesky frame L^T of the real energy form."""
+    frame = np.linalg.cholesky(h.matrix).T
+
+    def orthonormal_frame(v):
+        c = h.coords.from_coefficients(v)
+        u, s, _ = np.linalg.svd(frame @ c.real + 1j * (frame @ c.imag), full_matrices=False)
+        assert s[0] / s[-1] < 1e6
+        return u
+
+    qx, qy = orthonormal_frame(x), orthonormal_frame(y)
+    return max(
+        float(np.linalg.norm(qx - qy @ (qy.conj().T @ qx), 2)),
+        float(np.linalg.norm(qy - qx @ (qx.conj().T @ qy), 2)),
+    )
+
+
+@pytest.mark.parametrize(
+    "dim, m_ref, r_cut", [(2, 12, 8), (3, 5, 2)]
+)
+def test_distance_matches_cholesky_frame_oracle(dim, m_ref, r_cut):
+    # the random-decay cases of test_reference_matches_complex_oracle
+    pot, _ = build_potential(
+        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": r_cut}, dim, seed=7
+    )
+    cfg = AdaptiveConfig(dim=dim, M0=1, k0=0, n_eigs=2, tol=0.0, max_iter=4, zeta=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run = run_eigen(cfg, pot)
+        ref = reference_solve(pot, 0, 2, m_ref)
+    h = assemble_real(ref.basis, pot)
+    y = ref.cluster.vectors
+    for cluster in run.clusters:
+        x = embed_columns(cluster.vectors, cluster.basis, ref.basis)
+        expected = [frame_distance_oracle(h, x[:, sl], y[:, sl]) for sl in ref.groups]
+        assert min(expected) >= 1e-8
+        got = [subspace_distance(x[:, sl], y[:, sl], ref.metric) for sl in ref.groups]
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(ref.group_distances(cluster), expected, rtol=1e-10, atol=0.0)
+        both = frame_distance_oracle(h, x, y)
+        assert subspace_distance(x, y, ref.metric) == pytest.approx(both, rel=1e-10, abs=0.0)
+
+
 def test_reference_path_allocates_no_complex_square_array():
-    # the real n x n matrix, and after it its Cholesky frame, is alive on the
-    # whole reference path (8 n^2 bytes); a complex n x n array (16 n^2 bytes)
-    # beside it would lift the traced peak to at least 24 n^2 bytes
+    # the real n x n matrix is alive on the whole reference path (8 n^2
+    # bytes), and the count certificate briefly adds its factor, the saved
+    # lower triangle and a mask (13 n^2); a complex n x n array (16 n^2
+    # bytes) beside the matrix would lift the traced peak to at least 24 n^2
     pot, _ = build_potential(
         {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
     )
@@ -172,7 +217,8 @@ def test_distance_orthogonal_subspaces(constant_potential):
 def test_distance_matches_sampling_oracle():
     v = trig_potential(1, 1.0, {(1,): 0.6})
     basis = ball(3, 1)  # 7-dim space
-    metric = EnergyMetric(assemble(basis, v))
+    h = assemble(basis, v)
+    metric = EnergyMetric(h)
     rng = np.random.default_rng(23)
     x = rng.normal(size=(7, 2))
     y = rng.normal(size=(7, 2))
@@ -180,8 +226,9 @@ def test_distance_matches_sampling_oracle():
 
     # oracle: scan the a-unit circle of span(x), project each sample onto
     # span(y); coarse scan plus one local refinement reaches ~1e-8
-    zx = metric.to_frame(x).real
-    zy = metric.to_frame(y).real
+    frame = np.linalg.cholesky(h.matrix).conj().T  # energy inner product = Euclidean
+    zx = (frame @ x).real
+    zy = (frame @ y).real
     qx, _ = np.linalg.qr(zx)
     qy, _ = np.linalg.qr(zy)
 
