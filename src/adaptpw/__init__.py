@@ -44,7 +44,6 @@ from .operator import (
     certify_count,
     solve_eigen,
     solve_eigen_block,
-    solve_eigen_real,
     solve_source,
     verify_potential,
 )

@@ -200,10 +200,8 @@ def run_eigen(config: AdaptiveConfig, potential: Potential) -> AdaptiveRun:
         fields = cluster.fields()
         lambdas = [float(x) for x in cluster.eigenvalues]
         rs_exact = [residual(u, lam, potential) for u, lam in zip(fields, lambdas)]
-        if config.mode == "eigen-exact":
-            trunc_m, rs = potential.support_radius(), rs_exact
-        else:
-            trunc_m, rs = choose_truncation(fields, lambdas, potential, zeta, rs_exact)
+        # zeta = 0 (eigen-exact) rules out every radius below full support
+        trunc_m, rs = choose_truncation(fields, lambdas, potential, zeta, rs_exact)
         return lambdas, rs_exact, rs, trunc_m, eta_cluster(rs_exact)
 
     return _refine(run, potential, current, solve, config.tol / (1.0 + zeta))

@@ -51,7 +51,7 @@ from .adapt import AdaptiveConfig, AdaptiveRun, run_eigen, run_source
 from .frequency import ball, ball_size, shell_counts
 from .marking import MarkingError
 from .operator import (
-    Potential, PotentialError, SolverError, assemble_real, solve_eigen_real, solve_source,
+    Potential, PotentialError, SolverError, assemble_real, solve_eigen_block, solve_source,
     verify_potential,
 )
 from .spectral import SpectralField, evaluate_on_grid
@@ -267,16 +267,17 @@ def _physical_memory() -> int:
 
 
 #: peak bytes per n^2 of a reference solve on n frequencies, measured with
-#: ru_maxrss on 2D balls of 1257 to 3209 frequencies (numpy 2.4, OpenBLAS).
-#: The eigen reference keeps its real matrix for the distances while a
-#: compare run's uniform sweep solves its balls; when the run reaches radius
-#: M_ref - 1 the sweep's last ball is the reference ball itself, solved by a
-#: dense real `eigh` (matrix, eigh's copy, eigenvectors, workspace), and
-#: that sweep peaks at 49.3-51.5 n^2. The certified reference solve alone
-#: peaks at 30.3-32.4 n^2 (matrix, the certificate's saved lower triangle,
-#: mask, Cholesky buffer and factor). Source mode's complex `solve_source`
-#: holds its matrix, the Cholesky factor and the LU copy of the solve.
-EIGEN_REFERENCE_BYTES = 52
+#: ru_maxrss (numpy 2.4, OpenBLAS). The eigen reference keeps its real matrix
+#: for the distances while a compare run's uniform sweep solves its balls by
+#: the same certified block solver; the reference ball itself is not solved
+#: again. A sweep over radii M_ref - 1 and M_ref after the reference solve
+#: peaks at 34.8-38.5 n^2 on 2D balls of 1257-3209 frequencies, 38.8-45.0 n^2
+#: on 1D balls of 1201-3001 (sweep ball n - 2) and 30.6 n^2 on the 3D ball of
+#: 3071; the reference solve alone at 30.4-33.7 n^2 (matrix, the
+#: certificate's saved lower triangle, mask, Cholesky buffer and factor).
+#: Source mode's complex `solve_source` holds its matrix, the Cholesky factor
+#: and the LU copy of the solve.
+EIGEN_REFERENCE_BYTES = 46
 SOURCE_REFERENCE_BYTES = 51
 
 
@@ -323,9 +324,10 @@ def preflight(config: ExperimentConfig, mode: str) -> None:
 
     Eigen, compare and uniform runs need the cluster to fit in the initial
     ball, and every run that builds a reference needs its solve to fit in
-    memory: the eigen reference together with a uniform sweep that reaches
-    the reference ball while the reference matrix is held, or source mode's
-    complex `solve_source`. An eigen reference must also hold the cluster.
+    memory: the eigen reference together with a uniform sweep ball of nearly
+    reference size solved while the reference matrix is held, or source
+    mode's complex `solve_source`. An eigen reference must also hold the
+    cluster.
     """
     if mode not in RUN_MODES:
         raise ConfigError("mode", f"unknown mode {mode!r}")
@@ -482,34 +484,32 @@ def uniform_sweep(
     k0: int,
     n_eigs: int,
     m_list: list[int],
-    ref: ReferenceSolution | None = None,
+    ref: ReferenceSolution,
 ) -> list[SweepRow]:
-    """Dense solves on balls of increasing radius, with errors vs reference.
+    """Solves on balls of increasing radius, with errors vs the reference.
 
     Each ball is closed under negation, so it is solved in real cos/sin
-    coordinates (`assemble_real`, `solve_eigen_real`), like the reference.
+    coordinates by the certified `solve_eigen_block`, like the reference;
+    the reference ball itself is not solved again: its row is the
+    reference cluster. Every ball must lie inside the reference ball.
     """
     if list(m_list) != sorted(m_list):
         raise ValueError("m_list must be ascending")
     rows = []
     for m in m_list:
         basis = ball(m, potential.dim)
-        cluster, _ = solve_eigen_real(assemble_real(basis, potential), k0, n_eigs)
+        if len(basis) == len(ref.basis):  # nested balls of equal size are equal
+            cluster = ref.cluster
+        else:
+            cluster, _, _ = solve_eigen_block(assemble_real(basis, potential), k0, n_eigs)
         lam = tuple(float(x) for x in cluster.eigenvalues)
-        err = math.nan
-        dist = math.nan
-        if ref is not None:
-            err = float(
-                np.max(np.array(lam) - ref.cluster.eigenvalues.astype(np.float64))
-            )
-            dist = math.sqrt(sum(d * d for d in ref.group_distances(cluster)))
         rows.append(
             SweepRow(
                 m=m,
                 dof=len(basis),
                 eigenvalues=lam,
-                max_eigenvalue_error=err,
-                distance=dist,
+                max_eigenvalue_error=float(np.max(cluster.eigenvalues - ref.cluster.eigenvalues)),
+                distance=math.sqrt(sum(d * d for d in ref.group_distances(cluster))),
             )
         )
     return rows

@@ -3,21 +3,20 @@
 In the orthonormal planewave basis the stiffness matrix of the energy
 form is H[G, G'] = |G|^2 delta_{GG'} + (2*pi)^(-d/2) V_{G-G'} and the mass
 matrix is the identity, so the discrete eigenvalue problem is a standard
-dense Hermitian eigenproblem. Matrices are dense, and the adaptive loop,
-the source solves and the uniform sweep solve them directly (`eigh`,
-Cholesky): at desk scale correctness and reproducibility come first, and
-interior eigenvalue clusters come for free. The verification reference
-needs only the lowest k0+n_eigs+1 pairs of a much larger ball; it uses a
-block iteration whose result is certified (`solve_eigen_block`,
-`certify_count`), so it never returns a window that misses an eigenvalue.
+dense Hermitian eigenproblem. Matrices are dense, and the adaptive loop
+and the source solves solve them directly (`eigh`, Cholesky): at desk
+scale correctness and reproducibility come first, and interior eigenvalue
+clusters come for free. Verification needs only the lowest k0+n_eigs+1
+pairs of each ball it solves, the reference ball and every ball of the
+uniform sweep; it uses a block iteration whose result is certified
+(`solve_eigen_block`, `certify_count`), so it never returns a window that
+misses an eigenvalue.
 
 The potential is real, so H[-G, -G'] = conj(H[G, G']), and on a basis
 closed under negation the matrix is real symmetric in cos/sin coordinates
-(`CosSinCoordinates`). `assemble_real` builds that matrix directly.
-`solve_eigen_real` solves it with a real `eigh`, about five times faster
-than the complex solve at a few hundred frequencies, for the uniform
-sweep; `solve_eigen_block` solves it for the verification reference. Only
-the adaptive loop and the source solves use the complex `assemble`.
+(`CosSinCoordinates`). `assemble_real` builds that matrix directly and
+`solve_eigen_block` solves it. Only the adaptive loop and the source
+solves use the complex `assemble`.
 """
 
 from __future__ import annotations
@@ -329,22 +328,6 @@ def solve_eigen(h: Hamiltonian, k0: int, n_eigs: int) -> EigenCluster:
     return _checked_cluster(h.basis, k0, w, vectors)
 
 
-def solve_eigen_real(
-    h: RealHamiltonian, k0: int, n_eigs: int
-) -> tuple[EigenCluster, np.ndarray]:
-    """`solve_eigen` for a real matrix in cos/sin coordinates.
-
-    Returns the cluster and its real coordinate columns. The eigenvectors
-    are real in these coordinates, so the cluster's coefficient columns are
-    real functions without any rotation; the same sign convention applies
-    to the coordinate columns.
-    """
-    w, x = _eigen_window(h.matrix, k0, n_eigs)
-    for j in range(n_eigs):
-        x[:, j] = _fix_sign(x[:, j])
-    return _checked_cluster(h.basis, k0, w, h.coords.to_coefficients(x)), x
-
-
 @dataclass(frozen=True)
 class BlockSolveStats:
     """Counters of one `solve_eigen_block` call.
@@ -366,20 +349,22 @@ class BlockSolveStats:
 def solve_eigen_block(
     h: RealHamiltonian, k0: int, n_eigs: int
 ) -> tuple[EigenCluster, np.ndarray, BlockSolveStats]:
-    """`solve_eigen_real` by a certified block iteration instead of a full `eigh`.
+    """Eigenpairs (k0+1)..(k0+n_eigs) of a real matrix in cos/sin coordinates.
 
-    LOBPCG (Knyazev 2001) in cos/sin coordinates iterates the lowest
-    p = m + guard pairs, m = k0 + n_eigs + 1, with the kinetic
-    preconditioner 1/(diag(H) + 1), starting from the p coordinate vectors
-    of lowest diagonal entry. It stops when the first m pairs (more when
-    the m-th Ritz value opens a multiplet) have residual norms at most
-    `BLOCK_RTOL * max(1, max diag H)`. `certify_count` then proves that no
+    Returns the cluster, its real coordinate columns and the solver's
+    counters. LOBPCG (Knyazev 2001) iterates the lowest p = m + guard pairs,
+    m = k0 + n_eigs + 1, with the kinetic preconditioner 1/(diag(H) + 1),
+    starting from the p coordinate vectors of lowest diagonal entry. It
+    stops when the first m pairs (more when the m-th Ritz value opens a
+    multiplet) have residual norms at most `BLOCK_RTOL * max(1, max diag H)`. `certify_count` then proves that no
     eigenvalue was missed; when it cannot, or the iteration stalls, the
     guard doubles, at most `BLOCK_GUARD_GROWS` times, before SolverError.
     When the search block [X, W, P] of 3p vectors would span all n
     coordinates, Rayleigh-Ritz on the whole space (a full `eigh`) is the
-    exact answer and is returned instead. Sign convention, window and
-    warnings are those of `solve_eigen_real`.
+    exact answer and is returned instead. The eigenvectors are real in
+    these coordinates, so the cluster's coefficient columns are real
+    functions without any rotation; window checks, the sign convention and
+    the boundary-gap warning are those of `solve_eigen`.
     """
     a = h.matrix
     n = a.shape[0]

@@ -63,7 +63,6 @@ class ReferenceSolution:
 
     basis: IndexSet
     cluster: EigenCluster
-    eigenvalue_tail_gap: float
     metric: EnergyMetric
     groups: list[slice]
     group_blocks: list[EnergyBlock]
@@ -111,15 +110,10 @@ def reference_solve(
     h = assemble_real(basis, potential)
     cluster, x, stats = solve_eigen_block(h, k0, n_eigs)
     metric = EnergyMetric(h)
-    if cluster.lambda_above is None:
-        tail_gap = math.inf
-    else:
-        tail_gap = cluster.lambda_above - float(cluster.eigenvalues[-1])
     groups = group_slices(cluster.eigenvalues, GROUP_GAP_RTOL)
     return ReferenceSolution(
         basis=basis,
         cluster=cluster,
-        eigenvalue_tail_gap=tail_gap,
         metric=metric,
         groups=groups,
         group_blocks=[metric.block(x[:, sl]) for sl in groups],

@@ -10,7 +10,7 @@ import pytest
 
 import adaptpw.adapt as adapt
 import adaptpw.cli as cli
-from adaptpw import reference_solve
+from adaptpw import EigenCluster, assemble_real, reference_solve
 from adaptpw.cli import (
     ConfigError,
     build_potential,
@@ -473,8 +473,8 @@ def test_reference_ball_preflight_follows_verification(tmp_path, monkeypatch):
 
 
 def test_eigen_runs_do_not_import_scipy():
-    # scipy (0.2-0.35 s, ~28 MB) belongs to source mode's Cholesky only, and
-    # numpy.ma comes with np.unique's first call, which index sets avoid
+    # adaptpw needs numpy only: scipy (0.2-0.35 s, ~28 MB to import) is kept
+    # out, and numpy.ma comes with np.unique's first call, which index sets avoid
     code = (
         "import adaptpw, adaptpw.cli, sys; adaptpw.ball(2, 3); "
         "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)"
@@ -571,9 +571,9 @@ def test_compare_builds_reference_matrix_once(tmp_path, counted_solves):
 
 @pytest.mark.filterwarnings("ignore::adaptpw.verify.CoverageWarning")
 def test_compare_sweep_reaching_reference_ball_solves_it_real(tmp_path, counted_solves):
-    # the sweep's top radius is clamped to M_ref; solving that ball must stay
-    # within the real-path peak the pre-flight counts, so no complex matrix
-    # of reference size may be assembled
+    # the sweep's top radius is clamped to M_ref; that ball is the reference
+    # ball, whose certified cluster the sweep takes over, so it is assembled
+    # once (real, by the reference) and no complex matrix of its size appears
     raw = {
         "problem": {
             "dim": 1,
@@ -589,8 +589,9 @@ def test_compare_sweep_reaching_reference_ball_solves_it_real(tmp_path, counted_
     rows = (tmp_path / "out" / "uniform.csv").read_text().splitlines()
     assert rows[-1].split(",")[0] == "6"
     n_ref = len(cli.ball(6, 1))
-    assert counted_solves["real"].count(n_ref) == 2
+    assert counted_solves["real"].count(n_ref) == 1
     assert n_ref not in counted_solves["complex"]
+    assert float(rows[-1].split(",")[2]) == 0.0
 
 
 # -- uniform sweep ----------------------------------------------------------------
@@ -612,9 +613,35 @@ def test_uniform_sweep_monotone(cosine_potential):
     assert [r.dof for r in rows] == [2 * m + 1 for m in range(1, 7)]
 
 
+def _dense_sweep_row(potential, k0, n_eigs, m, ref):
+    """Oracle: eigenvalues and reference distance of ball(m) by a full real `eigh`."""
+    h = assemble_real(cli.ball(m, potential.dim), potential)
+    w, v = np.linalg.eigh(h.matrix)
+    window = slice(k0, k0 + n_eigs)
+    cluster = EigenCluster(
+        h.basis, k0, w[window], h.coords.to_coefficients(v[:, window]), 0.0, None
+    )
+    return w[window], np.sqrt(sum(d * d for d in ref.group_distances(cluster)))
+
+
+def test_uniform_sweep_matches_dense_eigh_oracle():
+    # radii 2..10 hold 13-317 frequencies, on both sides of the block
+    # solver's switch to a whole-space eigh (3p >= n, p = 7 here)
+    spec = {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}
+    potential, _ = build_potential(spec, 2, seed=7)
+    ref = reference_solve(potential, 0, 2, 16)
+    rows = uniform_sweep(potential, 0, 2, list(range(2, 11)), ref)
+    assert [r.dof for r in rows] == [len(cli.ball(m, 2)) for m in range(2, 11)]
+    for row in rows:
+        lam, distance = _dense_sweep_row(potential, 0, 2, row.m, ref)
+        assert np.max(np.abs(np.array(row.eigenvalues) - lam)) <= 1e-12
+        assert row.distance == pytest.approx(distance, rel=1e-10, abs=0.0)
+
+
 def test_uniform_sweep_requires_ascending(cosine_potential):
+    ref = reference_solve(cosine_potential, 0, 1, 8)
     with pytest.raises(ValueError):
-        uniform_sweep(cosine_potential, 0, 1, [3, 2])
+        uniform_sweep(cosine_potential, 0, 1, [3, 2], ref)
 
 
 def test_compare_outputs_match_exhaustive_truncation_search(tmp_path, monkeypatch):

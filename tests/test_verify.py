@@ -51,7 +51,7 @@ def test_reference_constant(constant_potential):
     assert np.allclose(ref.cluster.eigenvalues, [1.0, 2.0, 2.0], atol=1e-12)
     ok, below, above = eigenvalue_gap_check(ref)
     assert ok
-    assert ref.eigenvalue_tail_gap == pytest.approx(3.0, abs=1e-12)
+    assert above == pytest.approx(1.5, abs=1e-12)
 
 
 def test_reference_interior_cluster(constant_potential):
