@@ -51,8 +51,8 @@ from .adapt import AdaptiveConfig, AdaptiveRun, run_eigen, run_source
 from .frequency import ball, ball_size, shell_counts
 from .marking import MarkingError
 from .operator import (
-    Potential, PotentialError, SolverError, assemble_real, solve_eigen_block, solve_source,
-    verify_potential,
+    CosSinCoordinates, Potential, PotentialError, RealHamiltonian, SolverError,
+    solve_eigen_block, solve_source, verify_potential,
 )
 from .spectral import SpectralField, evaluate_on_grid
 from .verify import (
@@ -268,13 +268,16 @@ def _physical_memory() -> int:
 
 #: peak bytes per n^2 of a reference solve on n frequencies, measured with
 #: ru_maxrss (numpy 2.4, OpenBLAS). The eigen reference keeps its real matrix
-#: for the distances while a compare run's uniform sweep solves its balls by
-#: the same certified block solver; the reference ball itself is not solved
-#: again. A sweep over radii M_ref - 1 and M_ref after the reference solve
-#: peaks at 34.8-38.5 n^2 on 2D balls of 1257-3209 frequencies, 38.8-45.0 n^2
-#: on 1D balls of 1201-3001 (sweep ball n - 2) and 30.6 n^2 on the 3D ball of
-#: 3071; the reference solve alone at 30.4-33.7 n^2 (matrix, the
-#: certificate's saved lower triangle, mask, Cholesky buffer and factor).
+#: for the distances while a compare run's uniform sweep copies each ball's
+#: submatrix out of it and solves it by the same certified block solver; the
+#: reference ball itself is not solved again. A sweep over radii M_ref - 1
+#: and M_ref after the reference solve peaks at 34.8-36.3 n^2 on 2D balls of
+#: 1257-3209 frequencies, 38.3-42.2 n^2 on 1D balls of 1201-4001 (sweep ball
+#: n - 2) and 30.8 n^2 on the 3D ball of 3071; the reference solve alone at
+#: 30.1-33.9 n^2 (matrix, the certificate's saved lower triangle, mask,
+#: Cholesky buffer and factor), so the certificates' Cholesky phases still
+#: set the peak. Smaller balls, where fixed buffers weigh more, read up to
+#: 46.6 n^2 (1D, 801 frequencies: 30 MB), far below any memory limit.
 #: Source mode's complex `solve_source` holds its matrix, the Cholesky factor
 #: and the LU copy of the solve.
 EIGEN_REFERENCE_BYTES = 46
@@ -488,10 +491,13 @@ def uniform_sweep(
 ) -> list[SweepRow]:
     """Solves on balls of increasing radius, with errors vs the reference.
 
-    Each ball is closed under negation, so it is solved in real cos/sin
-    coordinates by the certified `solve_eigen_block`, like the reference;
-    the reference ball itself is not solved again: its row is the
-    reference cluster. Every ball must lie inside the reference ball.
+    Every ball must lie inside the reference ball. Its cos/sin coordinates
+    are rows of the reference's (`ReferenceSolution.coordinate_rows`), and
+    its real matrix is the reference matrix on those rows and columns, bit
+    for bit what `assemble_real` builds, so no ball is assembled. Each is
+    solved by the certified `solve_eigen_block`, like the reference, and its
+    coordinate columns go into the distances as they are. The reference
+    ball itself is not solved again: its row is the reference cluster.
     """
     if list(m_list) != sorted(m_list):
         raise ValueError("m_list must be ascending")
@@ -500,8 +506,13 @@ def uniform_sweep(
         basis = ball(m, potential.dim)
         if len(basis) == len(ref.basis):  # nested balls of equal size are equal
             cluster = ref.cluster
+            distances = ref.group_distances(cluster)
         else:
-            cluster, _, _ = solve_eigen_block(assemble_real(basis, potential), k0, n_eigs)
+            coords = CosSinCoordinates.of(basis)
+            idx = ref.coordinate_rows(coords)
+            h = RealHamiltonian(coords, ref.metric.matrix[np.ix_(idx, idx)])
+            cluster, window, _ = solve_eigen_block(h, k0, n_eigs)
+            distances = ref.coordinate_distances(window, idx)
         lam = tuple(float(x) for x in cluster.eigenvalues)
         rows.append(
             SweepRow(
@@ -509,7 +520,7 @@ def uniform_sweep(
                 dof=len(basis),
                 eigenvalues=lam,
                 max_eigenvalue_error=float(np.max(cluster.eigenvalues - ref.cluster.eigenvalues)),
-                distance=math.sqrt(sum(d * d for d in ref.group_distances(cluster))),
+                distance=math.sqrt(sum(d * d for d in distances)),
             )
         )
     return rows

@@ -8,9 +8,9 @@ and the source solves solve them directly (`eigh`, Cholesky): at desk
 scale correctness and reproducibility come first, and interior eigenvalue
 clusters come for free. Verification needs only the lowest k0+n_eigs+1
 pairs of each ball it solves, the reference ball and every ball of the
-uniform sweep; it uses a block iteration whose result is certified
-(`solve_eigen_block`, `certify_count`), so it never returns a window that
-misses an eigenvalue.
+uniform sweep; above a measured size (`BLOCK_DENSE_MAX`) it uses a block
+iteration whose result is certified (`solve_eigen_block`,
+`certify_count`), so it never returns a window that misses an eigenvalue.
 
 The potential is real, so H[-G, -G'] = conj(H[G, G']), and on a basis
 closed under negation the matrix is real symmetric in cos/sin coordinates
@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frequency import IndexSet, ball, validate_symmetric
+from .frequency import IndexSet, ball, sum_box, validate_symmetric
 from .spectral import SpectralField, evaluate_on_grid, project
 
 #: relative gap below which adjacent eigenvalues are treated as one
@@ -49,6 +50,14 @@ BLOCK_GUARD_GROWS = 3
 #: block iterations per attempt before the guard grows
 BLOCK_MAX_STEPS = 200
 
+#: largest matrix `solve_eigen_block` solves by a full `eigh`, whatever its
+#: block size: below it `eigh` is faster than LOBPCG and its certificate
+BLOCK_DENSE_MAX = 256
+
+#: side of the square tiles of `assemble_real`'s symmetry check; it gathers
+#: blocks of A and B of about _TILE**2 entries at a time
+_TILE = 128
+
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -58,6 +67,10 @@ class PotentialError(ValueError):
 
 class SolverError(RuntimeError):
     pass
+
+
+class RitzGapError(SolverError):
+    """No Ritz gap of a block qualifies for the count certificate."""
 
 
 class PositivityWarning(UserWarning):
@@ -163,12 +176,34 @@ class Hamiltonian:
     matrix: np.ndarray
 
 
+def _potential_rows(
+    potential: Potential, a: np.ndarray, b: np.ndarray
+) -> Callable[[int, int], np.ndarray]:
+    """rows(i, j)[k, l] = (2*pi)^(-d/2) V_{a_(i+k) + b_l}: rows i..j-1 of the gather.
+
+    The values are read from a dense table over the `SumBox` of a and b, which
+    holds the support entries inside the box and 0 elsewhere; the table index
+    of a sum is an outer add of two int vectors. When the box has more cells
+    than the gather has entries (far-apart frequencies), the sums are looked
+    up by lattice key in the support instead (`IndexSet.sum_positions`), and
+    position -1 reads an appended 0. Both read the same products, so the
+    result is the same bit for bit.
+    """
+    vf = potential.field
+    v = (2.0 * math.pi) ** (-potential.dim / 2.0) * vf.coeffs
+    box = sum_box(a, b, len(a) * len(b)) if len(a) and len(b) else None
+    if box is None:
+        v = np.append(v, 0.0)
+        return lambda i, j: v[vf.support.sum_positions(a[i:j], b)]
+    table = np.zeros(box.cells, dtype=v.dtype)
+    index, inside = box.index(vf.support.entries)
+    table[index] = v[inside]
+    return lambda i, j: table[box.a_index[i:j, None] + box.b_index]
+
+
 def _potential_gather(potential: Potential, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[i, j] = (2*pi)^(-d/2) V_{a_i + b_j} for frequency rows a, b; 0 outside supp V."""
-    vf = potential.field
-    # position -1 (a sum outside the support) reads the appended 0
-    v = np.append((2.0 * math.pi) ** (-potential.dim / 2.0) * vf.coeffs, 0.0)
-    return v[vf.support.sum_positions(a, b)]
+    return _potential_rows(potential, a, b)(0, len(a))
 
 
 def assemble(s: IndexSet, potential: Potential) -> Hamiltonian:
@@ -219,6 +254,23 @@ class CosSinCoordinates:
             [vectors[self.zero], (plus + minus) * _SQRT_HALF, (plus - minus) * (-1j * _SQRT_HALF)]
         )
 
+    def rows_of(self, sub: CosSinCoordinates) -> np.ndarray:
+        """Positions in these coordinates of the coordinates of `sub`, in its order.
+
+        `sub.basis` must be a symmetric subset of `basis` (else ValueError).
+        Representatives are chosen per frequency, so each of sub's is one
+        here: its cos and sin functions are coordinates z + k and z + p + k
+        for its rank k among the p representatives. On a ball inside a ball
+        (a canonical prefix) the rows are [0, z + p_sub) and z + p + [0, p_sub).
+        """
+        pos = self.basis.positions(sub.basis)
+        if np.any(pos < 0):
+            raise ValueError("sub-basis is not contained in the basis")
+        rank = np.empty(len(self.basis), dtype=np.int64)
+        rank[self.reps] = np.arange(len(self.reps))
+        k = len(self.zero) + rank[pos[sub.reps]]
+        return np.concatenate([np.zeros(len(sub.zero), dtype=np.int64), k, k + len(self.reps)])
+
     def to_coefficients(self, x: np.ndarray) -> np.ndarray:
         """U x: coefficient columns over `basis` of coordinate columns x."""
         z, p = len(self.zero), len(self.reps)
@@ -250,33 +302,43 @@ def assemble_real(s: IndexSet, potential: Potential) -> RealHamiltonian:
     Re(A - B), cos/sin Im(B - A) and sin/cos Im(A + B). Taking
     e_0 = (e_0 + e_-0)/2 as the first cos function gives its row and column
     the same formulas scaled by 1/sqrt(2). A and B are gathered from the
-    potential at G - G' and G + G' over the cos frequencies only; neither U
-    nor the complex H is formed.
+    potential at G - G' and G + G' over the cos frequencies only, a block of
+    rows at a time, each block written into its cos rows and the matching
+    sin rows; neither U nor the complex H nor a whole A or B is formed. The
+    symmetry check runs tile by tile, so the matrix is the only n x n array
+    held.
     """
     if s.dim != potential.dim:
         raise ValueError(f"dimension mismatch: {s.dim} vs {potential.dim}")
     if not validate_symmetric(s):
         raise ValueError("basis index set must be closed under negation")
     coords = CosSinCoordinates.of(s)
-    z, m = len(coords.zero), len(coords.zero) + len(coords.reps)
+    n, z, m = len(s), len(coords.zero), len(coords.zero) + len(coords.reps)
     # cos frequencies: 0 first when z = 1, then the representatives; the sin
     # block uses the representatives only
     cos_pos = np.concatenate([coords.zero, coords.reps])
     g = s.entries[cos_pos]
-    a = _potential_gather(potential, g, -g)  # G - G'
-    b = _potential_gather(potential, g, g)  # G + G'
-    r = np.empty((len(s), len(s)))
-    np.add(a.real, b.real, out=r[:m, :m])
-    np.subtract(a.real[z:, z:], b.real[z:, z:], out=r[m:, m:])
-    np.subtract(b.imag[:, z:], a.imag[:, z:], out=r[:m, m:])
-    np.add(a.imag[z:, :], b.imag[z:, :], out=r[m:, :m])
-    del a, b
-    r[np.diag_indices(len(s))] += s.norms_sq[np.concatenate([cos_pos, coords.reps])]
+    a_rows = _potential_rows(potential, g, -g)  # G - G'
+    b_rows = _potential_rows(potential, g, g)  # G + G'
+    step = max(1, _TILE * _TILE // max(m, 1))
+    r = np.empty((n, n))
+    for i in range(0, m, step):
+        j = min(i + step, m)
+        a, b = a_rows(i, j), b_rows(i, j)
+        np.add(a.real, b.real, out=r[i:j, :m])
+        np.subtract(b.imag[:, z:], a.imag[:, z:], out=r[i:j, m:])
+        k = max(i, z)  # the block's first representative row; its sin row is m + k - z
+        np.add(a.imag[k - i :], b.imag[k - i :], out=r[m + k - z : m + j - z, :m])
+        np.subtract(a.real[k - i :, z:], b.real[k - i :, z:], out=r[m + k - z : m + j - z, m:])
+    r[np.diag_indices(n)] += s.norms_sq[np.concatenate([cos_pos, coords.reps])]
     r[:z, :] *= _SQRT_HALF
     r[:, :z] *= _SQRT_HALF
-    scale = max(1.0, float(np.max(np.abs(r), initial=0.0)))
-    asym = r - r.T
-    defect = float(np.max(np.abs(asym, out=asym), initial=0.0))
+    scale = max(1.0, float(r.max(initial=0.0)), -float(r.min(initial=0.0)))
+    defect = 0.0
+    for i in range(0, n, _TILE):  # |r - r^T| is symmetric: tiles on and above the diagonal
+        for j in range(i, n, _TILE):
+            asym = r[i : i + _TILE, j : j + _TILE] - r[j : j + _TILE, i : i + _TILE].T
+            defect = max(defect, float(np.max(np.abs(asym, out=asym))))
     if defect > 1e-13 * scale:
         raise SolverError(f"assembled matrix is not symmetric (defect {defect:.3e})")
     return RealHamiltonian(coords=coords, matrix=r)
@@ -356,35 +418,45 @@ def solve_eigen_block(
     m = k0 + n_eigs + 1, with the kinetic preconditioner 1/(diag(H) + 1),
     starting from the p coordinate vectors of lowest diagonal entry. It
     stops when the first m pairs (more when the m-th Ritz value opens a
-    multiplet) have residual norms at most `BLOCK_RTOL * max(1, max diag H)`. `certify_count` then proves that no
-    eigenvalue was missed; when it cannot, or the iteration stalls, the
-    guard doubles, at most `BLOCK_GUARD_GROWS` times, before SolverError.
-    When the search block [X, W, P] of 3p vectors would span all n
-    coordinates, Rayleigh-Ritz on the whole space (a full `eigh`) is the
-    exact answer and is returned instead. The eigenvectors are real in
-    these coordinates, so the cluster's coefficient columns are real
-    functions without any rotation; window checks, the sign convention and
-    the boundary-gap warning are those of `solve_eigen`.
+    multiplet) have residual norms at most `BLOCK_RTOL * max(1, max diag
+    H)`. `certify_count` then proves that no eigenvalue was missed; when it
+    cannot, or the iteration stalls, the guard doubles, at most
+    `BLOCK_GUARD_GROWS` times, before SolverError. A block whose only fault
+    is that no Ritz gap qualifies (`RitzGapError`) seeds the larger one
+    with its Ritz vectors plus the coordinate vectors of the next-lowest
+    diagonal entries; after a failed count or a stalled iteration the
+    larger block starts cold. When the search block [X, W, P] of 3p vectors
+    would span all n coordinates, or n is at most `BLOCK_DENSE_MAX`,
+    Rayleigh-Ritz on the whole space (a full `eigh`) is the exact answer
+    and is returned instead, with no certificate to pay for. The
+    eigenvectors are real in these coordinates, so the cluster's
+    coefficient columns are real functions without any rotation; window
+    checks, the sign convention and the boundary-gap warning are those of
+    `solve_eigen`.
     """
     a = h.matrix
     n = a.shape[0]
     _check_window(n, k0, n_eigs)
     m = k0 + n_eigs + 1
     tol = BLOCK_RTOL * max(1.0, float(a.diagonal().max()))
-    guard, grows = BLOCK_GUARD, 0
+    guard, grows, start = BLOCK_GUARD, 0, None
     while True:
         p = m + guard
-        if 3 * p >= n:  # the search block [X, W, P] would span every coordinate
+        if 3 * p >= n or n <= BLOCK_DENSE_MAX:
             theta, window = _eigen_window(a, k0, n_eigs)
             p, steps, rho = n, 0, None
             res = np.linalg.norm(a @ window - window * theta[k0 : k0 + n_eigs], axis=0)
             break
         try:
-            theta, x, res, steps = _block_iterate(a, p, m, tol)
+            theta, x, res, steps = _block_iterate(a, p, m, tol, start)
             rho, cut = certify_count(a, theta, x, res, m)
-        except SolverError:
+        except SolverError as exc:
             if grows == BLOCK_GUARD_GROWS:
                 raise
+            # a converged block too short to show a Ritz gap is right as far
+            # as it goes and seeds the larger one; a block that missed an
+            # eigenvalue, or did not converge, restarts cold
+            start = x if isinstance(exc, RitzGapError) else None
             guard, grows = 2 * guard, grows + 1
             continue
         window, res = x[:, k0 : k0 + n_eigs].copy(), res[:cut]
@@ -397,12 +469,15 @@ def solve_eigen_block(
 
 
 def _block_iterate(
-    a: np.ndarray, p: int, m: int, tol: float
+    a: np.ndarray, p: int, m: int, tol: float, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """LOBPCG for the lowest p eigenpairs of the real symmetric `a`.
 
-    The search basis [X, W, P] is kept orthonormal: W (preconditioned
-    residuals of the unconverged columns) is orthonormalised off [X, P]
+    It starts from the p coordinate vectors of lowest diagonal entry, or
+    from the orthonormal columns `start` (q < p of them) and the coordinate
+    vectors of diagonal ranks q..p-1, by Rayleigh-Ritz. The search basis
+    [X, W, P] is kept orthonormal: W (preconditioned residuals of the
+    unconverged columns) is orthonormalised off [X, P]
     (`_orthonormal_complement`), and P is the part of the new Ritz vectors'
     update that is orthogonal to them, taken in the small coefficient space
     (Hetmaniuk & Lehoucq 2006), so one product `a @ W` per step suffices. Convergence is
@@ -415,11 +490,21 @@ def _block_iterate(
     n = a.shape[0]
     diag = a.diagonal()
     prec = 1.0 / (diag + 1.0)
-    start = np.argsort(diag, kind="stable")[:p]
-    theta, c = np.linalg.eigh(a[np.ix_(start, start)])
-    x = np.zeros((n, p))
-    x[start] = c
-    ax = a[:, start] @ c
+    order = np.argsort(diag, kind="stable")
+    if start is None:
+        lowest = order[:p]
+        theta, c = np.linalg.eigh(a[np.ix_(lowest, lowest)])
+        x = np.zeros((n, p))
+        x[lowest] = c
+        ax = a[:, lowest] @ c
+    else:
+        q = start.shape[1]
+        x = np.hstack([start, np.zeros((n, p - q))])
+        x[order[q:p], np.arange(q, p)] = 1.0
+        x, _ = np.linalg.qr(x)
+        ax = a @ x
+        theta, c = np.linalg.eigh(x.T @ ax)
+        x, ax = x @ c, ax @ c
     pb = apb = np.empty((n, 0))
     for step in range(1, BLOCK_MAX_STEPS + 1):
         r = ax - x * theta
@@ -516,7 +601,7 @@ def certify_count(
         if rho + delta < theta[cut]:
             break
     else:
-        raise SolverError(
+        raise RitzGapError(
             f"no Ritz gap to certify at or after position {m} among {len(theta)} Ritz values"
         )
     lower = np.tri(n, dtype=bool)

@@ -30,8 +30,8 @@ import numpy as np
 from .adapt import AdaptiveRun
 from .frequency import IndexSet, ball, union
 from .operator import (
-    BlockSolveStats, EigenCluster, Hamiltonian, Potential, RealHamiltonian, assemble,
-    assemble_real, group_slices, solve_eigen_block,
+    BlockSolveStats, CosSinCoordinates, EigenCluster, Hamiltonian, Potential, RealHamiltonian,
+    assemble, assemble_real, group_slices, solve_eigen_block,
 )
 from .spectral import SpectralField
 
@@ -76,15 +76,27 @@ class ReferenceSolution:
         """Energy-norm distance of each group of `cluster` from the reference group.
 
         Discrete counterparts are taken at the same index positions as the
-        reference groups. The iterate's columns are zero-padded to the
-        reference ball and gathered into its cos/sin coordinates by
-        `metric.coordinates`.
+        reference groups. The iterate's columns are taken into the cos/sin
+        coordinates of its own basis, which are rows of the reference's
+        (`coordinate_rows`); CoverageError when its basis is not inside the
+        reference ball.
         """
-        y = self.metric.coordinates(
-            embed_columns(cluster.vectors, cluster.basis, self.basis)
+        coords = CosSinCoordinates.of(cluster.basis)
+        return self.coordinate_distances(
+            coords.from_coefficients(cluster.vectors), self.coordinate_rows(coords)
         )
+
+    def coordinate_rows(self, coords: CosSinCoordinates) -> np.ndarray:
+        """Rows of the reference coordinates that hold the coordinates `coords`."""
+        try:
+            return self.metric.coords.rows_of(coords)
+        except ValueError as exc:
+            raise CoverageError("basis is not contained in the reference ball") from exc
+
+    def coordinate_distances(self, y: np.ndarray, rows: np.ndarray) -> list[float]:
+        """`group_distances` of coordinate columns y that live on reference rows `rows`."""
         return [
-            _block_distance(self.metric.block(y[:, sl]), ref)
+            _block_distance(self.metric.block(y[:, sl], rows), ref)
             for sl, ref in zip(self.groups, self.group_blocks)
         ]
 
@@ -149,36 +161,49 @@ class EnergyMetric:
     Inner products of blocks are k x k Gram matrices X^H H Y. For a
     `RealHamiltonian` R = U^H H U, coefficient columns x enter as their
     cos/sin coordinates U^H x, and R acts on their real and imaginary
-    parts in turn, so no complex copy of it is made.
+    parts in turn, so no complex copy of it is made. A block that vanishes
+    outside a few coordinate rows (an adaptive iterate in the reference
+    coordinates) is multiplied by those columns of the matrix only.
     """
 
     def __init__(self, h: Hamiltonian | RealHamiltonian) -> None:
         self.basis = h.basis
         self.matrix = h.matrix
-        self._coords = h.coords if isinstance(h, RealHamiltonian) else None
+        self.coords = h.coords if isinstance(h, RealHamiltonian) else None
 
     def coordinates(self, vectors: np.ndarray) -> np.ndarray:
         """Coordinate columns of coefficient columns over `basis`."""
-        return vectors if self._coords is None else self._coords.from_coefficients(vectors)
+        return vectors if self.coords is None else self.coords.from_coefficients(vectors)
 
-    def block(self, y: np.ndarray) -> EnergyBlock:
+    def block(self, y: np.ndarray, rows: np.ndarray | None = None) -> EnergyBlock:
         """a-orthonormal basis of the span of coordinate columns y.
 
-        y is orthonormalised through its Gram matrix G = y^H H y; a
-        condition number of G above 1e12 is rejected as rank deficient.
+        With `rows`, y holds only those coordinate rows (the others vanish)
+        and H y is formed from those columns of H; when they are every row,
+        from H itself, which is never copied. y is orthonormalised through
+        its Gram matrix G = y^H H y; a condition number of G above 1e12 is
+        rejected as rank deficient.
         """
-        if np.iscomplexobj(y) and not np.iscomplexobj(self.matrix):
-            hy = self.matrix @ y.real + 1j * (self.matrix @ y.imag)
+        n = self.matrix.shape[0]
+        if rows is not None and len(rows) == n:  # the whole basis: rows are 0..n-1
+            rows = None
+        h = self.matrix if rows is None else self.matrix[:, rows]
+        if np.iscomplexobj(y) and not np.iscomplexobj(h):
+            hy = h @ y.real + 1j * (h @ y.imag)
         else:
-            hy = self.matrix @ y
-        s, v = np.linalg.eigh(y.conj().T @ hy)
+            hy = h @ y
+        s, v = np.linalg.eigh(y.conj().T @ (hy if rows is None else hy[rows]))
         if s[0] <= 0.0 or s[-1] / s[0] > 1e12:
             cond = math.inf if s[0] <= 0.0 else s[-1] / s[0]
             raise RankDeficiencyError(
                 f"basis is numerically rank deficient (Gram condition {cond:.3e})"
             )
         t = v / np.sqrt(s)
-        return EnergyBlock(y @ t, hy @ t)
+        if rows is None:
+            return EnergyBlock(y @ t, hy @ t)
+        q = np.zeros((n, y.shape[1]), dtype=np.result_type(y, t))
+        q[rows] = y @ t
+        return EnergyBlock(q, hy @ t)
 
 
 def subspace_distance(

@@ -26,8 +26,14 @@ from conftest import trig_potential
 from test_cli import write_config
 
 #: reference radii per dimension: the first ball of each is small enough
-#: that the block's search space spans it whole for some windows
-RADII = {1: (4, 8, 32), 2: (2, 8), 3: (2, 3)}
+#: that the block's search space spans it whole for some windows, the 1D
+#: balls and 2D ball(8) (up to 197 frequencies) are solved whole by the
+#: size rule, and 2D ball(10) and 3D ball(5) (317 and 515 frequencies) lie
+#: above `BLOCK_DENSE_MAX`, so LOBPCG and the count certificate solve them.
+#: A 1D ball above it has max diag H >= 128^2, where the oracle's own
+#: rounding (up to about 6e-12) can exceed the 1e-12 the eigenvalues are
+#: held to.
+RADII = {1: (4, 8, 32), 2: (2, 8, 10), 3: (2, 5)}
 R_CUT = {1: 8, 2: 4, 3: 2}
 
 #: window groups are compared by subspace where Ritz values lie closer than
@@ -81,7 +87,8 @@ def test_block_solver_matches_eigh(case):
         gap = w[top] - w[top - 1]
         assert warned == (gap < operator.CLUSTER_GAP_RTOL * max(1.0, abs(w[top - 1])))
     block = k0 + n_eigs + 1 + operator.BLOCK_GUARD * 2**stats.guard_grows
-    assert stats.block_size == (n if 3 * block >= n else block)
+    dense = 3 * block >= n or n <= operator.BLOCK_DENSE_MAX
+    assert stats.block_size == (n if dense else block)
     assert (stats.rho is None) == (stats.block_size == n)
 
     # groups of close eigenvalues that lie wholly inside the window
@@ -99,7 +106,7 @@ def test_block_solver_matches_eigh(case):
     assert np.array_equal(x_again, x) and stats_again == stats
 
 
-def skipping_window(a, p, m, tol):
+def skipping_window(a, p, m, tol, start=None):
     """eigh's pairs 2..p+1: a converged block that misses lambda_1."""
     w, v = np.linalg.eigh(a)
     theta, x = w[1 : p + 1], v[:, 1 : p + 1]
@@ -108,8 +115,9 @@ def skipping_window(a, p, m, tol):
 
 @pytest.fixture(scope="module")
 def rd_hamiltonian():
-    # 317 frequencies: every guard the solver tries leaves the block smaller
-    # than a third of the ball, so no attempt is whole-space
+    # 317 frequencies, above BLOCK_DENSE_MAX: every guard the solver tries
+    # leaves the block smaller than a third of the ball, so no attempt is
+    # whole-space
     pot, _ = build_potential(
         {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
     )
@@ -164,7 +172,8 @@ def run_compare(tmp_path, m_ref):
 
 def test_compare_run_exits_3_when_the_certificate_fails(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(operator, "_block_iterate", skipping_window)
-    assert run_compare(tmp_path, 64) == 3  # 129 frequencies, no attempt solved whole
+    # 321 frequencies, above BLOCK_DENSE_MAX: no attempt solved whole
+    assert run_compare(tmp_path, 160) == 3
     assert "count certificate failed" in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.json").exists()
 
@@ -189,7 +198,7 @@ def test_reference_solve_calls_no_full_eigh(monkeypatch):
 
 
 def test_summary_records_reference_solver(tmp_path):
-    assert run_compare(tmp_path, 32) == 0
+    assert run_compare(tmp_path, 160) == 0  # 321 frequencies, above BLOCK_DENSE_MAX
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     solver = summary["reference_solver"]
     assert set(solver) == {"steps", "block_size", "guard_grows", "max_residual", "rho"}
@@ -198,3 +207,33 @@ def test_summary_records_reference_solver(tmp_path):
     lambda_above = lam + summary["cluster_gaps"]["above"] * max(1.0, abs(lam))
     assert lambda_above < solver["rho"] < lambda_above + 1e-9
     assert "reference_solver" not in (tmp_path / "out" / "iterations.csv").read_text()
+
+
+def test_dense_size_rule_boundary(rd_hamiltonian, monkeypatch):
+    # 317 frequencies and a block of 7: only the size rule makes it dense
+    n = rd_hamiltonian.matrix.shape[0]
+    monkeypatch.setattr(operator, "BLOCK_DENSE_MAX", n)
+    dense, _, stats = solve_eigen_block(rd_hamiltonian, 0, 2)
+    assert (stats.block_size, stats.steps, stats.rho) == (n, 0, None)
+    monkeypatch.setattr(operator, "BLOCK_DENSE_MAX", n - 1)
+    block, _, stats = solve_eigen_block(rd_hamiltonian, 0, 2)
+    assert stats.block_size == 7 and stats.steps > 0 and stats.rho is not None
+    np.testing.assert_allclose(block.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-12)
+    assert operator.BLOCK_DENSE_MAX < len(ball(16, 2))  # the compare2d reference stays certified
+
+
+def test_guard_growth_restarts_from_the_converged_block(monkeypatch):
+    # cubic symmetry: the first block of 16 ends inside a multiplet, so no
+    # Ritz gap qualifies and the guard grows once; the retry starts from the
+    # converged block plus fresh coordinate vectors
+    pot = trig_potential(3, 1.0, {(1, 0, 0): 0.3, (0, 1, 0): 0.3, (0, 0, 1): 0.3})
+    h = assemble_real(ball(5, 3), pot)
+    w = np.linalg.eigvalsh(h.matrix)
+    cluster, _, warm = solve_eigen_block(h, 2, 9)
+    assert warm.guard_grows == 1 and warm.rho is not None
+    np.testing.assert_allclose(cluster.eigenvalues, w[2:11], rtol=0.0, atol=1e-12)
+    monkeypatch.setattr(operator, "BLOCK_GUARD", 2 * operator.BLOCK_GUARD)
+    again, _, cold = solve_eigen_block(h, 2, 9)
+    assert cold.guard_grows == 0 and cold.block_size == warm.block_size
+    np.testing.assert_allclose(again.eigenvalues, w[2:11], rtol=0.0, atol=1e-12)
+    assert warm.steps < cold.steps

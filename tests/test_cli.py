@@ -515,12 +515,12 @@ def test_source_runs_do_not_import_scipy(tmp_path):
 
 @pytest.fixture
 def counted_solves(monkeypatch):
-    """Sizes of every complex assembly, real assembly and Cholesky factorisation."""
+    """Sizes of every complex assembly, real assembly, Cholesky factorisation and `eigh`."""
     import adaptpw.operator as operator
 
-    counts = {"complex": [], "real": [], "cholesky": []}
+    counts = {"complex": [], "real": [], "cholesky": [], "eigh": []}
     assemble, assemble_real = operator.assemble, operator.assemble_real
-    cholesky = np.linalg.cholesky
+    cholesky, eigh = np.linalg.cholesky, np.linalg.eigh
 
     def counting_assemble(s, potential):
         counts["complex"].append(len(s))
@@ -534,6 +534,10 @@ def counted_solves(monkeypatch):
         counts["cholesky"].append(a.shape[0])
         return cholesky(a)
 
+    def counting_eigh(a, *args, **kwargs):
+        counts["eigh"].append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
     for name, module in list(sys.modules.items()):
         if name == "adaptpw" or name.startswith("adaptpw."):
             for key, value in list(vars(module).items()):
@@ -542,13 +546,15 @@ def counted_solves(monkeypatch):
                 elif value is assemble_real:
                     monkeypatch.setattr(module, key, counting_assemble_real)
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return counts
 
 
 def test_compare_builds_reference_matrix_once(tmp_path, counted_solves):
     # the reference eigensolve, run distances and uniform sweep share one
     # assembled real reference matrix and one Cholesky factorisation of it,
-    # and no complex matrix of reference size is assembled
+    # and no complex matrix of reference size is assembled; the reference
+    # ball (321 frequencies, above BLOCK_DENSE_MAX) gets no full eigh
     raw = {
         "problem": {
             "dim": 1,
@@ -556,14 +562,15 @@ def test_compare_builds_reference_matrix_once(tmp_path, counted_solves):
             "potential": {"family": "trig", "c": 1.0, "terms": [{"k": [1], "a": 1.0}]},
         },
         "algorithm": {"M0": 1, "tol": 1e-5, "zeta": 0.2},
-        "verification": {"M_ref": 32},
+        "verification": {"M_ref": 160},
         "output": {"directory": str(tmp_path / "out")},
     }
     rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "compare"])
     assert rc == 0
-    n_ref = len(cli.ball(32, 1))
+    n_ref = len(cli.ball(160, 1))
     assert counted_solves["real"].count(n_ref) == 1
     assert counted_solves["cholesky"].count(n_ref) == 1
+    assert n_ref not in counted_solves["eigh"]
     assert counted_solves["complex"] and n_ref not in counted_solves["complex"]
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["comparison"]["uniform_dof"] < n_ref

@@ -30,7 +30,8 @@ from adaptpw import (
     validate_symmetric,
 )
 from adaptpw.cli import build_potential
-from adaptpw.frequency import KEY_LIMIT
+from adaptpw.frequency import KEY_LIMIT, sum_box
+from adaptpw.operator import _potential_gather
 
 # -- loop references ------------------------------------------------------------
 
@@ -216,6 +217,52 @@ def test_sum_positions_matches_reference(data):
     assert np.array_equal(s.sum_positions(a, b), expected)
 
 
+def assert_box_gather_is_key_gather(vf, a, b):
+    """`_potential_gather` against the lattice-key gather, bit for bit."""
+    v = np.append((2.0 * math.pi) ** (-vf.support.dim / 2.0) * vf.coeffs, 0.0)
+    expected = v[vf.support.sum_positions(a, b)]
+    got = _potential_gather(Potential(vf, 0.0, 0.0, 0.0, 0.0, 0.0), a, b)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_box_gather_matches_key_gather(data):
+    # summands spread over up to 60 per axis: dense sets give boxes of fewer
+    # cells than the m x n output (the table), sparse ones more (the key path)
+    dim = data.draw(dims)
+    v = data.draw(field_on(dim, radius=3, max_size=10))
+    pts = v.support.entries
+    if data.draw(st.booleans()):  # support entries far outside every box
+        far = np.zeros((dim, dim), dtype=np.int64)
+        far[np.diag_indices(dim)] = 600_000
+        pts = np.concatenate([pts, far, -far])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    support = IndexSet(dim, pts)
+    vf = SpectralField(support, rng.normal(size=len(support)) + 1j * rng.normal(size=len(support)))
+    radius = data.draw(st.sampled_from([2, 6, 60]))
+    a = data.draw(symmetric_points(dim, radius=radius, max_size=12))
+    b = data.draw(symmetric_points(dim, radius=radius, max_size=12))
+    assert_box_gather_is_key_gather(vf, a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_box_gather_on_both_sides_of_the_table_size_rule(dim):
+    far = 600_000
+    axis = (0,) * (dim - 1)
+    vf = SpectralField.from_pairs(
+        dim,
+        {(-far,) + axis: 0.5 - 0.25j, (0,) * dim: 2.0, (far,) + axis: 0.5 + 0.25j,
+         (1,) * dim: 0.3 + 0.1j, (-1,) * dim: 0.3 - 0.1j},
+    )
+    s = ball(3, dim).entries
+    spread = np.concatenate([s, 40 * s])  # a box of (160 + 7)^d cells
+    for a, b, table in ((s, -s, True), (s, s, True), (spread, -spread, False)):
+        assert (sum_box(a, b, len(a) * len(b)) is not None) == table
+        assert_box_gather_is_key_gather(vf, a, b)
+
+
 def test_sum_positions_rejects_summands_out_of_range():
     s = IndexSet(1, [[0]])
     half = KEY_LIMIT // 2
@@ -345,6 +392,17 @@ def test_assemble_and_multiply_peaks():
     u = SpectralField(s, rng.normal(size=n) + 1j * rng.normal(size=n))
     assert _traced_peak(assemble, s, potential) < 52 * n * n
     assert _traced_peak(multiply, potential.field, u) < 48 * pairs
+
+
+def test_assemble_real_peak():
+    # the matrix is the only n^2 array: A and B are gathered a block of rows
+    # at a time and the symmetry check runs over tiles
+    potential, _ = build_potential(
+        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
+    )
+    s = ball(16, 2)
+    n = len(s)
+    assert _traced_peak(assemble_real, s, potential) <= 11 * n * n
 
 
 def test_assemble_hermitian_check_keeps_one_temporary():
