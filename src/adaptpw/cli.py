@@ -275,9 +275,13 @@ def _physical_memory() -> int:
 #: 1257-3209 frequencies, 38.3-42.2 n^2 on 1D balls of 1201-4001 (sweep ball
 #: n - 2) and 30.8 n^2 on the 3D ball of 3071; the reference solve alone at
 #: 30.1-33.9 n^2 (matrix, the certificate's saved lower triangle, mask,
-#: Cholesky buffer and factor), so the certificates' Cholesky phases still
-#: set the peak. Smaller balls, where fixed buffers weigh more, read up to
-#: 46.6 n^2 (1D, 801 frequencies: 30 MB), far below any memory limit.
+#: Cholesky buffer and factor), so the certificates' Cholesky phases set
+#: the peak. Smaller balls, where fixed buffers weigh more, read up to
+#: 46.6 n^2 (1D, 801 frequencies: 30 MB), far below any memory limit. A
+#: certificate now factors a small Schur block first; that whole-matrix
+#: Cholesky phase is only its last step, reached when every smaller block
+#: fails, and it holds the same buffers less the mask, so its worst case
+#: keeps the figure.
 #: Source mode's complex `solve_source` holds its matrix, the Cholesky factor
 #: and the LU copy of the solve.
 EIGEN_REFERENCE_BYTES = 46

@@ -54,6 +54,10 @@ BLOCK_MAX_STEPS = 200
 #: block size: below it `eigh` is faster than LOBPCG and its certificate
 BLOCK_DENSE_MAX = 256
 
+#: smallest first Schur block of `certify_count`: the coordinates of lowest
+#: diagonal entry whose k x k block it factors densely
+CERT_BLOCK = 64
+
 #: side of the square tiles of `assemble_real`'s symmetry check; it gathers
 #: blocks of A and B of about _TILE**2 entries at a time
 _TILE = 128
@@ -396,9 +400,11 @@ class BlockSolveStats:
 
     `steps` block iterations with `block_size` vectors after `guard_grows`
     guard enlargements; `max_residual` is the largest residual norm of the
-    certified pairs and `rho` the certified bound. A Rayleigh-Ritz solve on
-    the whole space reports n vectors, 0 steps, the window's residuals and
-    no `rho`: it needs no certificate.
+    certified pairs, `rho` the certified bound and `cert_size` the size of
+    the block whose Cholesky factorisation certified it (n when the whole
+    matrix was factored). A Rayleigh-Ritz solve on the whole space reports n
+    vectors, 0 steps, the window's residuals, no `rho` and no `cert_size`:
+    it needs no certificate.
     """
 
     steps: int
@@ -406,6 +412,7 @@ class BlockSolveStats:
     guard_grows: int
     max_residual: float
     rho: float | None
+    cert_size: int | None
 
 
 def solve_eigen_block(
@@ -444,12 +451,12 @@ def solve_eigen_block(
         p = m + guard
         if 3 * p >= n or n <= BLOCK_DENSE_MAX:
             theta, window = _eigen_window(a, k0, n_eigs)
-            p, steps, rho = n, 0, None
+            p, steps, rho, cert = n, 0, None, None
             res = np.linalg.norm(a @ window - window * theta[k0 : k0 + n_eigs], axis=0)
             break
         try:
             theta, x, res, steps = _block_iterate(a, p, m, tol, start)
-            rho, cut = certify_count(a, theta, x, res, m)
+            rho, cut, cert = certify_count(a, theta, x, res, m)
         except SolverError as exc:
             if grows == BLOCK_GUARD_GROWS:
                 raise
@@ -464,7 +471,7 @@ def solve_eigen_block(
     for j in range(n_eigs):
         window[:, j] = _fix_sign(window[:, j])
     cluster = _checked_cluster(h.basis, k0, theta, h.coords.to_coefficients(window))
-    stats = BlockSolveStats(steps, p, grows, float(res.max()), rho)
+    stats = BlockSolveStats(steps, p, grows, float(res.max()), rho, cert)
     return cluster, window, stats
 
 
@@ -473,9 +480,12 @@ def _block_iterate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """LOBPCG for the lowest p eigenpairs of the real symmetric `a`.
 
-    It starts from the p coordinate vectors of lowest diagonal entry, or
-    from the orthonormal columns `start` (q < p of them) and the coordinate
-    vectors of diagonal ranks q..p-1, by Rayleigh-Ritz. The search basis
+    It starts from the p coordinate vectors of lowest diagonal entry, widened
+    to whole ties of the diagonal order, or from the orthonormal columns
+    `start` (q < p of them) and the coordinate vectors of diagonal ranks
+    q..p-1, by Rayleigh-Ritz. A cold block that cut a shell of equal
+    diagonal entries could miss a multiplet member that symmetry keeps out
+    of every residual, so the ties are taken whole. The search basis
     [X, W, P] is kept orthonormal: W (preconditioned residuals of the
     unconverged columns) is orthonormalised off [X, P]
     (`_orthonormal_complement`), and P is the part of the new Ritz vectors'
@@ -484,14 +494,15 @@ def _block_iterate(
     decided on a fresh product `a @ X` after re-orthonormalisation, since
     the recurrences for `a @ X` drift by rounding. `eigh` of the small
     projected matrices reads their lower triangles, which is all the
-    symmetry they need. Returns the p Ritz values, Ritz vectors, their
-    residual norms and the step count.
+    symmetry they need. Returns the Ritz values and vectors (p of them, or
+    more after the widening), their residual norms and the step count.
     """
     n = a.shape[0]
     diag = a.diagonal()
     prec = 1.0 / (diag + 1.0)
     order = np.argsort(diag, kind="stable")
     if start is None:
+        p = int(np.searchsorted(diag[order], diag[order[p - 1]], side="right"))
         lowest = order[:p]
         theta, c = np.linalg.eigh(a[np.ix_(lowest, lowest)])
         x = np.zeros((n, p))
@@ -499,6 +510,7 @@ def _block_iterate(
         ax = a[:, lowest] @ c
     else:
         q = start.shape[1]
+        p = max(p, q + 1)  # a widened cold block can outgrow the next guard
         x = np.hstack([start, np.zeros((n, p - q))])
         x[order[q:p], np.arange(q, p)] = 1.0
         x, _ = np.linalg.qr(x)
@@ -554,34 +566,56 @@ def _orthonormal_complement(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def certify_count(
     a: np.ndarray, theta: np.ndarray, x: np.ndarray, residuals: np.ndarray, m: int
-) -> tuple[float, int]:
-    """Prove that `a` has exactly `cut` eigenvalues below rho; return (rho, cut).
+) -> tuple[float, int, int]:
+    """Prove that `a` has exactly `cut` eigenvalues below rho; return (rho, cut, k).
 
     `theta` are ascending Ritz values of the orthonormal columns `x` and
     `residuals` their residual norms. The cut is the first relative Ritz
     gap above DEGENERACY_RTOL at or after position m (a multiplet cut by m
     moves it up) and rho = theta_cut + ||R_cut||_F, so every residual
     interval of the first `cut` pairs lies below rho; a gap too narrow for
-    rho + delta is skipped like a multiplet. With X the first `cut`
-    columns and c = 2 (rho - theta_1) + 1 > rho - theta_1, a successful
-    Cholesky factorisation of A = H + c X X^T - (rho + delta) I shows
-    lambda_(cut+1)(H) > rho: a rank-`cut` PSD update raises lambda_1 no
-    higher than lambda_(cut+1), since some unit vector in the span of the
-    lowest cut+1 eigenvectors is orthogonal to X. delta covers rounding.
-    The computed factor R of the formed matrix satisfies R^T R = A + E,
-    ||E||_2 <= gamma_(n+1) ||R||_F^2 <= gamma_(n+1) trace(A) /
-    (1 - n gamma_(n+1)) (Higham, Accuracy and Stability of Numerical
-    Algorithms, Thm 10.3, and || |R^T||R| ||_2 <= ||R||_F^2), and forming A
-    errs by at most gamma_(cut+3) (||H||_F + c ||X||_F^2 + sqrt(n) rho) in
-    the 2-norm. With unit roundoff u, delta = 2u ((n + 1) trace(A) +
-    (cut + 3) (||H||_F + c ||X||_F^2 + sqrt(n) |rho|)) covers both for any
-    n below 1/(4u). Courant-Fischer bounds lambda_i <= theta_i, and Kahan's
-    residual theorem then pairs them to within ||R_cut||_F.
+    rho + delta (below) is skipped like a multiplet. With X the first `cut`
+    columns and c = 2 (rho - theta_1) + 1 > rho - theta_1, a proof that
+    M = H + c X X^T - rho I is positive definite shows lambda_(cut+1)(H) >
+    rho: a rank-`cut` PSD update raises lambda_1 no higher than
+    lambda_(cut+1), since some unit vector in the span of the lowest cut+1
+    eigenvectors is orthogonal to X. Courant-Fischer bounds lambda_i <=
+    theta_i, and Kahan's residual theorem then pairs them to within
+    ||R_cut||_F.
 
-    `np.linalg.cholesky` reads only the lower triangle, so A is written
-    there and `a` is restored bit for bit afterwards: the certificate holds
-    one n x n factor beside `a`, not a second copy. Raises SolverError
-    when no gap qualifies or the factorisation breaks down.
+    The proof (`_certify_shift`) splits the coordinates into the k of
+    lowest diagonal entry, P, and the rest, D (Haynsworth's inertia
+    additivity): M is positive definite when M_DD and the Schur complement
+    M_PP - M_PD M_DD^-1 M_DP are. Diagonal dominance gives M_DD >= Gamma =
+    diag(h_ii - r_i - rho), r_i the off-diagonal row sums of |H| inside D
+    (c X_D X_D^T is PSD), so when Gamma > 0 the Schur complement is at
+    least T = M_PP - M_PD Gamma^-1 M_DP, and one k x k Cholesky of
+    T - delta_T I certifies the count. k starts at max(`CERT_BLOCK`,
+    4 cut), so that the lowest cut+1 eigenvectors live mostly on P and
+    bounding M_DD by Gamma loses only on their tails, and doubles after
+    each failure; the last step, k = n, factors M - delta I itself, in
+    place in the lower triangle of `a`, which is restored bit for bit, so
+    whatever that factorisation certifies is still certified.
+
+    Rounding, with unit roundoff u and n below 1/(4u): the computed factor
+    R of a k x k matrix B satisfies R^T R = B + E, ||E||_2 <= gamma_(k+1)
+    ||R||_F^2 <= gamma_(k+1) trace(B) / (1 - k gamma_(k+1)) (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3, and
+    || |R^T||R| ||_2 <= ||R||_F^2). For k = n, forming M errs by at most
+    gamma_(cut+3) (||H||_F + c ||X||_F^2 + sqrt(n) |rho|) in the 2-norm, so
+    delta = 2u ((n + 1) trace(M) + (cut + 3) (||H||_F + c ||X||_F^2 +
+    sqrt(n) |rho|)) covers both. For k < n, each Gamma entry is lowered by
+    4 (n + 2) u (|h_ii| + r_i + |rho|), which covers the row sums' and the
+    subtractions' rounding. With F = |H_PD| + c |X_P| |X_D|^T >= |M_PD|, s
+    = (||H_PD Gamma^-1/2||_F + c ||X_P||_F ||Gamma^-1/2 X_D||_F)^2 bounds
+    ||F Gamma^-1/2||_F^2, and forming T (the products and the division by
+    Gamma, whose terms are bounded by F entrywise, then the GEMM of n - k
+    terms) errs by at most 2u ((n + 2 cut + 6) s + (cut + 4) (||H_PP||_F +
+    c ||X_P||_F^2 + sqrt(k) |rho|)); delta_T adds 2u (k + 2) trace(T) for
+    the factorisation and the diagonal shift.
+
+    Raises RitzGapError when no gap qualifies and SolverError when no k
+    certifies.
     """
     n = a.shape[0]
     u = np.finfo(float).eps / 2.0
@@ -604,21 +638,91 @@ def certify_count(
         raise RitzGapError(
             f"no Ritz gap to certify at or after position {m} among {len(theta)} Ritz values"
         )
-    lower = np.tri(n, dtype=bool)
-    saved = a[lower]
-    shift = c * (xc @ xc.T)
-    shift[np.diag_indices(n)] -= rho + delta
-    np.add(a, shift, out=a, where=lower)
-    del shift
+    k = max(CERT_BLOCK, 4 * cut)
+    while k < n:
+        if _certify_shift(a, xc, c, rho, delta, k):
+            return rho, cut, k
+        k *= 2
+    if _certify_shift(a, xc, c, rho, delta, n):
+        return rho, cut, n
+    raise SolverError(
+        f"count certificate failed: more than {cut} eigenvalues below {rho:.15g}"
+    )
+
+
+def _certify_shift(
+    a: np.ndarray, xc: np.ndarray, c: float, rho: float, delta: float, k: int
+) -> bool:
+    """Whether M = a + c xc xc^T - rho I is proved positive definite with a k x k block.
+
+    For k < n the Schur split of `certify_count` on the k coordinates of
+    lowest diagonal entry; for k >= n a Cholesky factorisation of M - delta
+    I written row block by row block into the lower triangle of `a` (which
+    is all `np.linalg.cholesky` reads) and restored from those blocks
+    afterwards. The Schur branch holds k x n arrays; the whole-matrix one
+    holds the saved lower triangle and the factor, and no mask.
+    """
+    n = a.shape[0]
+    step = max(1, _TILE * _TILE // n)
+    if k >= n:
+        saved = []
+        for i in range(0, n, step):
+            j = min(i + step, n)
+            saved.append((i, a[i:j, :j].copy()))
+            shift = xc[i:j] @ xc[:j].T
+            shift *= c
+            shift[np.arange(j - i), np.arange(i, j)] -= rho + delta
+            a[i:j, :j] += shift
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return False
+        finally:
+            for i, block in saved:
+                a[i : i + len(block), : block.shape[1]] = block
+        return True
+    u = np.finfo(float).eps / 2.0
+    cut = xc.shape[1]
+    diag = a.diagonal()
+    order = np.argsort(diag, kind="stable")
+    p, d = order[:k], order[k:]
+    inside = np.ones(n)
+    inside[p] = 0.0
+    r = np.empty(n)  # off-diagonal row sums of |a| over the columns in D
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        block = np.abs(a[i:j])
+        block[np.arange(j - i), np.arange(i, j)] = 0.0
+        r[i:j] = block @ inside
+    hd, rd = diag[d], r[d]
+    gamma = hd - rd - rho - 4.0 * (n + 2) * u * (np.abs(hd) + rd + abs(rho))
+    if not gamma.min() > 0.0:
+        return False
+    xp, xd = xc[p], xc[d]
+    mp = xp @ xc.T
+    mp *= c
+    hp = a[p]
+    h_pd = math.sqrt(float(np.einsum("ij,ij,j->", hp[:, d], hp[:, d], 1.0 / gamma)))
+    x_d = math.sqrt(float(np.einsum("ij,ij,i->", xd, xd, 1.0 / gamma)))
+    xp_f2 = float(np.sum(xp * xp))
+    f_pp = float(np.linalg.norm(hp[:, p])) + c * xp_f2 + math.sqrt(k) * abs(rho)
+    mp += hp
+    del hp
+    t = mp[:, p]
+    t[np.diag_indices(k)] -= rho
+    m_pd = mp[:, d]
+    del mp
+    t -= (m_pd / gamma) @ m_pd.T
+    s = (h_pd + c * math.sqrt(xp_f2) * x_d) ** 2
+    delta_t = 2.0 * u * (
+        (n + 2 * cut + 6) * s + (cut + 4) * f_pp + (k + 2) * max(float(np.trace(t)), 0.0)
+    )
+    t[np.diag_indices(k)] -= delta_t
     try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"count certificate failed: more than {cut} eigenvalues below {rho:.15g}"
-        ) from exc
-    finally:
-        a[lower] = saved
-    return rho, cut
+        np.linalg.cholesky(t)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _cut(theta: np.ndarray, m: int) -> int:

@@ -552,9 +552,10 @@ def counted_solves(monkeypatch):
 
 def test_compare_builds_reference_matrix_once(tmp_path, counted_solves):
     # the reference eigensolve, run distances and uniform sweep share one
-    # assembled real reference matrix and one Cholesky factorisation of it,
-    # and no complex matrix of reference size is assembled; the reference
-    # ball (321 frequencies, above BLOCK_DENSE_MAX) gets no full eigh
+    # assembled real reference matrix, its count certificate factors one
+    # block smaller than the ball and nothing of the ball's size, and no
+    # complex matrix of reference size is assembled; the reference ball (321
+    # frequencies, above BLOCK_DENSE_MAX) gets no full eigh
     raw = {
         "problem": {
             "dim": 1,
@@ -569,7 +570,8 @@ def test_compare_builds_reference_matrix_once(tmp_path, counted_solves):
     assert rc == 0
     n_ref = len(cli.ball(160, 1))
     assert counted_solves["real"].count(n_ref) == 1
-    assert counted_solves["cholesky"].count(n_ref) == 1
+    assert n_ref not in counted_solves["cholesky"]
+    assert len(counted_solves["cholesky"]) == 1 and counted_solves["cholesky"][0] < n_ref
     assert n_ref not in counted_solves["eigh"]
     assert counted_solves["complex"] and n_ref not in counted_solves["complex"]
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
