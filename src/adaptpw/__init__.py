@@ -38,6 +38,7 @@ from .operator import (
     PositivityWarning,
     PotentialError,
     RealHamiltonian,
+    ReferenceOperator,
     SolverError,
     assemble,
     assemble_real,

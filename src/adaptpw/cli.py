@@ -42,6 +42,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -51,8 +52,8 @@ from .adapt import AdaptiveConfig, AdaptiveRun, run_eigen, run_source
 from .frequency import ball, ball_size, shell_counts
 from .marking import MarkingError
 from .operator import (
-    CosSinCoordinates, Potential, PotentialError, RealHamiltonian, SolverError,
-    solve_eigen_block, solve_source, verify_potential,
+    BLOCK_GUARD, BLOCK_GUARD_GROWS, Potential, PotentialError, ReferenceOperator, SolverError,
+    grid_points, physical_memory, solve_bytes, solve_eigen_block, solve_source, verify_potential,
 )
 from .spectral import SpectralField, evaluate_on_grid
 from .verify import (
@@ -262,55 +263,45 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
     )
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-#: peak bytes per n^2 of a reference solve on n frequencies, measured with
-#: ru_maxrss (numpy 2.4, OpenBLAS). The eigen reference keeps its real matrix
-#: for the distances while a compare run's uniform sweep copies each ball's
-#: submatrix out of it and solves it by the same certified block solver; the
-#: reference ball itself is not solved again. A sweep over radii M_ref - 1
-#: and M_ref after the reference solve peaks at 34.8-36.3 n^2 on 2D balls of
-#: 1257-3209 frequencies, 38.3-42.2 n^2 on 1D balls of 1201-4001 (sweep ball
-#: n - 2) and 30.8 n^2 on the 3D ball of 3071; the reference solve alone at
-#: 30.1-33.9 n^2 (matrix, the certificate's saved lower triangle, mask,
-#: Cholesky buffer and factor), so the certificates' Cholesky phases set
-#: the peak. Smaller balls, where fixed buffers weigh more, read up to
-#: 46.6 n^2 (1D, 801 frequencies: 30 MB), far below any memory limit. A
-#: certificate now factors a small Schur block first; that whole-matrix
-#: Cholesky phase is only its last step, reached when every smaller block
-#: fails, and it holds the same buffers less the mask, so its worst case
-#: keeps the figure.
-#: Source mode's complex `solve_source` holds its matrix, the Cholesky factor
-#: and the LU copy of the solve.
-EIGEN_REFERENCE_BYTES = 46
+#: peak bytes per n^2 of source mode's reference on n frequencies, measured
+#: with ru_maxrss (numpy 2.4, OpenBLAS): the complex `solve_source` holds its
+#: matrix, the Cholesky factor and the LU copy of the solve.
 SOURCE_REFERENCE_BYTES = 51
 
 
-def check_reference_memory(
-    m_ref: int, dim: int, bytes_per_n2: int = EIGEN_REFERENCE_BYTES
-) -> None:
+def check_reference_memory(m_ref: int, dim: int, bytes_of: Callable[[int], int]) -> None:
     """Reject a reference ball whose solve needs more than physical memory.
 
-    The solve on n frequencies peaks at `bytes_per_n2 * n^2` bytes. The
-    cube |G_i| <= M/sqrt(d) lies inside the ball, so its size is a lower
-    bound on n. The ball itself is counted (enumerating (2M+1)^(d-1)
-    partial norms) unless that bound alone needs over 64 times physical
-    memory; such a radius is rejected on the bound without a count that
-    could itself be large.
+    The solve on n frequencies peaks at `bytes_of(n)` bytes, which grows
+    with n. The cube |G_i| <= M/sqrt(d) lies inside the ball, so its size is
+    a lower bound on n. The ball itself is counted (enumerating
+    (2M+1)^(d-1) partial norms) unless that bound alone needs over 64 times
+    physical memory; such a radius is rejected on the bound without a count
+    that could itself be large.
     """
-    limit = _physical_memory()
+    limit = physical_memory()
     n = (2 * math.isqrt(m_ref * m_ref // dim) + 1) ** dim
-    if bytes_per_n2 * n * n <= 64 * limit:
+    if bytes_of(n) <= 64 * limit:
         n = ball_size(m_ref, dim)
-    if bytes_per_n2 * n * n > limit:
+    if bytes_of(n) > limit:
         raise ConfigError(
             "verification.M_ref",
             f"the reference ball of radius {m_ref} in {dim}D has at least {n} frequencies; "
-            f"its reference solve needs {bytes_per_n2 * n * n} bytes, more than the "
+            f"its reference solve needs {bytes_of(n)} bytes, more than the "
             f"{limit} bytes of physical memory",
         )
+
+
+def eigen_reference_bytes(config: ExperimentConfig, n: int) -> int:
+    """Modelled peak of the matrix-free eigen reference on n frequencies (`solve_bytes`).
+
+    Its block is the largest the guard grows to, and its grid the one for a
+    potential reaching 2 M_ref, the farthest that couples the ball. A
+    compare or uniform sweep solves smaller balls after the reference solve
+    has freed its block vectors, beside the reference's few columns.
+    """
+    block = config.k0 + config.n_eigs + 1 + BLOCK_GUARD * 2**BLOCK_GUARD_GROWS
+    return solve_bytes(n, grid_points(config.m_ref, 2 * config.m_ref), config.dim, block)
 
 
 def _check_ball_holds_cluster(field_path: str, radius: int, config: ExperimentConfig) -> None:
@@ -331,19 +322,23 @@ def preflight(config: ExperimentConfig, mode: str) -> None:
 
     Eigen, compare and uniform runs need the cluster to fit in the initial
     ball, and every run that builds a reference needs its solve to fit in
-    memory: the eigen reference together with a uniform sweep ball of nearly
-    reference size solved while the reference matrix is held, or source
-    mode's complex `solve_source`. An eigen reference must also hold the
-    cluster.
+    memory: the matrix-free eigen reference (`eigen_reference_bytes`: block
+    vectors, FFT grid and the first Schur block), or source mode's complex
+    `solve_source` (`SOURCE_REFERENCE_BYTES` n^2). An eigen reference must
+    also hold the cluster.
     """
     if mode not in RUN_MODES:
         raise ConfigError("mode", f"unknown mode {mode!r}")
     if mode != "source":
         _check_ball_holds_cluster("algorithm.M0", config.algorithm.M0, config)
     if mode == "source" and config.enable_subspace_distance:
-        check_reference_memory(config.m_ref, config.dim, SOURCE_REFERENCE_BYTES)
+        check_reference_memory(
+            config.m_ref, config.dim, lambda n: SOURCE_REFERENCE_BYTES * n * n
+        )
     elif config.enable_subspace_distance or mode == "uniform":
-        check_reference_memory(config.m_ref, config.dim)
+        check_reference_memory(
+            config.m_ref, config.dim, lambda n: eigen_reference_bytes(config, n)
+        )
         _check_ball_holds_cluster("verification.M_ref", config.m_ref, config)
 
 
@@ -423,8 +418,7 @@ def _random_decay_field(
     then shifted so the sampled minimum is at least 0.5.
     """
     support = ball(r_cut, dim)
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=len(support))
+    phases = np.array(_uniform_phases(seed, len(support)))
     mags = amplitude * (1.0 + support.norms_sq.astype(np.float64)) ** (-p / 2.0)
     # entry i < neg[i] draws the phase of its pair; G = 0 keeps its magnitude
     neg = support.negation_permutation()
@@ -450,6 +444,57 @@ def _random_decay_field(
     terms = amplitude * (1.0 + shells.astype(np.float64)) ** (-p / 2.0)
     tail = float(np.sum(np.repeat(terms, counts[shells])))
     return fld, shift, tail
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _uniform_phases(seed: int, count: int) -> list[float]:
+    """`numpy.random.default_rng(seed).uniform(0, 2*pi, count)`, bit for bit.
+
+    numpy's SeedSequence (a pool of four 32-bit words, no spawn key) hashes
+    the seed's 32-bit words into a 128-bit PCG64 state and increment; each
+    draw steps the LCG, outputs the XSL-RR rotation of the new state and
+    scales its top 53 bits by 2*pi * 2^-53. In pure Python, a run never
+    imports `numpy.random`, which loads `secrets` and OpenSSL (about 6 MB
+    of resident memory).
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashed(value: int, mult: int = 0x931E8875) -> int:
+        nonlocal const
+        value = (value ^ const) * (const * mult & _M32) & _M32
+        const = const * mult & _M32
+        return value ^ value >> 16
+
+    def mix(dst: int, value: int) -> None:
+        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * value) & _M32
+        pool[dst] = mixed ^ mixed >> 16
+
+    pool = [hashed(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mix(dst, hashed(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            mix(dst, hashed(word))
+    const = 0x8B51F9DD
+    state = [hashed(pool[i % 4], 0x58F38DED) for i in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _M128
+    s = ((inc + (seed_hi << 64 | seed_lo)) * mult + inc) & _M128
+    out = []
+    for _ in range(count):
+        s = (s * mult + inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        out.append(2.0 * math.pi * ((x >> 11) * (1.0 / 9007199254740992.0)))
+    return out
 
 
 def _parse_triples(triples: list, dim: int, field_path: str) -> SpectralField:
@@ -495,13 +540,14 @@ def uniform_sweep(
 ) -> list[SweepRow]:
     """Solves on balls of increasing radius, with errors vs the reference.
 
-    Every ball must lie inside the reference ball. Its cos/sin coordinates
-    are rows of the reference's (`ReferenceSolution.coordinate_rows`), and
-    its real matrix is the reference matrix on those rows and columns, bit
-    for bit what `assemble_real` builds, so no ball is assembled. Each is
-    solved by the certified `solve_eigen_block`, like the reference, and its
-    coordinate columns go into the distances as they are. The reference
-    ball itself is not solved again: its row is the reference cluster.
+    Every ball must lie inside the reference ball. Each is solved by the
+    certified `solve_eigen_block` on its own `ReferenceOperator`, the
+    reference operator restricted to the ball's coordinates, which are rows
+    of the reference's (`ReferenceSolution.coordinate_rows`): matrix-free,
+    or by `assemble_real` and a whole-space `eigh` up to `BLOCK_DENSE_MAX`
+    frequencies. Its coordinate columns go into the distances on those
+    rows. The reference ball itself is not solved again: its row is the
+    reference cluster.
     """
     if list(m_list) != sorted(m_list):
         raise ValueError("m_list must be ascending")
@@ -512,9 +558,8 @@ def uniform_sweep(
             cluster = ref.cluster
             distances = ref.group_distances(cluster)
         else:
-            coords = CosSinCoordinates.of(basis)
-            idx = ref.coordinate_rows(coords)
-            h = RealHamiltonian(coords, ref.metric.matrix[np.ix_(idx, idx)])
+            h = ReferenceOperator(basis, potential)
+            idx = ref.coordinate_rows(h.coords)
             cluster, window, _ = solve_eigen_block(h, k0, n_eigs)
             distances = ref.coordinate_distances(window, idx)
         lam = tuple(float(x) for x in cluster.eigenvalues)

@@ -1,11 +1,11 @@
-"""Galerkin assembly and dense solves for L = -Laplace + V on the torus.
+"""Galerkin assembly and solves for L = -Laplace + V on the torus.
 
 In the orthonormal planewave basis the stiffness matrix of the energy
 form is H[G, G'] = |G|^2 delta_{GG'} + (2*pi)^(-d/2) V_{G-G'} and the mass
 matrix is the identity, so the discrete eigenvalue problem is a standard
-dense Hermitian eigenproblem. Matrices are dense, and the adaptive loop
-and the source solves solve them directly (`eigh`, Cholesky): at desk
-scale correctness and reproducibility come first, and interior eigenvalue
+Hermitian eigenproblem. The adaptive loop and the source solves assemble
+H densely and solve it directly (`eigh`, Cholesky): at desk scale
+correctness and reproducibility come first, and interior eigenvalue
 clusters come for free. Verification needs only the lowest k0+n_eigs+1
 pairs of each ball it solves, the reference ball and every ball of the
 uniform sweep; above a measured size (`BLOCK_DENSE_MAX`) it uses a block
@@ -14,14 +14,17 @@ iteration whose result is certified (`solve_eigen_block`,
 
 The potential is real, so H[-G, -G'] = conj(H[G, G']), and on a basis
 closed under negation the matrix is real symmetric in cos/sin coordinates
-(`CosSinCoordinates`). `assemble_real` builds that matrix directly and
-`solve_eigen_block` solves it. Only the adaptive loop and the source
-solves use the complex `assemble`.
+(`CosSinCoordinates`). There verification keeps no matrix:
+`ReferenceOperator` multiplies by H with real FFTs and gathers the
+entries the certificate reads straight from the potential. `assemble_real`
+builds the real matrix, for small balls and as the test oracle. Only the
+adaptive loop and the source solves use the complex `assemble`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -57,6 +60,24 @@ BLOCK_DENSE_MAX = 256
 #: smallest first Schur block of `certify_count`: the coordinates of lowest
 #: diagonal entry whose k x k block it factors densely
 CERT_BLOCK = 64
+
+#: grid cells `ReferenceOperator.apply` transforms at a time (columns times
+#: cells per column), which bounds its FFT buffers to about 40 bytes a cell
+_FFT_CELLS = 1 << 20
+
+#: bytes per coordinate and block vector of a block solve: X and H X, the
+#: residuals, W and H W, the search basis [X, W, P] and its products, P and
+#: H P, the next X and H X
+BLOCK_BYTES = 8 * 16
+
+#: bytes per n^2 of an assembled matrix on n coordinates and its Cholesky
+#: factorisation (the count certificate's last step): the matrix, LAPACK's
+#: copy and the factor; ru_maxrss grew by 25.2 n^2 at n = 1961
+DENSE_CERT_BYTES = 32
+
+#: bytes per k n of a count certificate's Schur block of k on n coordinates:
+#: the gathered rows (M_PD is formed a block of columns at a time)
+SCHUR_BYTES = 16
 
 #: side of the square tiles of `assemble_real`'s symmetry check; it gathers
 #: blocks of A and B of about _TILE**2 entries at a time
@@ -179,29 +200,38 @@ class Hamiltonian:
     basis: IndexSet
     matrix: np.ndarray
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x
+
 
 def _potential_rows(
     potential: Potential, a: np.ndarray, b: np.ndarray
 ) -> Callable[[int, int], np.ndarray]:
-    """rows(i, j)[k, l] = (2*pi)^(-d/2) V_{a_(i+k) + b_l}: rows i..j-1 of the gather.
+    """rows(i, j)[k, l] = (2*pi)^(-d/2) V_{a_(i+k) + b_l}: rows i..j-1 of the gather."""
+    vf = potential.field
+    return _table_rows(vf.support, (2.0 * math.pi) ** (-potential.dim / 2.0) * vf.coeffs, a, b)
+
+
+def _table_rows(
+    support: IndexSet, values: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> Callable[[int, int], np.ndarray]:
+    """rows(i, j)[k, l] = the value at a_(i+k) + b_l of `values` over `support`, 0 off it.
 
     The values are read from a dense table over the `SumBox` of a and b, which
     holds the support entries inside the box and 0 elsewhere; the table index
     of a sum is an outer add of two int vectors. When the box has more cells
     than the gather has entries (far-apart frequencies), the sums are looked
     up by lattice key in the support instead (`IndexSet.sum_positions`), and
-    position -1 reads an appended 0. Both read the same products, so the
+    position -1 reads an appended 0. Both read the same values, so the
     result is the same bit for bit.
     """
-    vf = potential.field
-    v = (2.0 * math.pi) ** (-potential.dim / 2.0) * vf.coeffs
     box = sum_box(a, b, len(a) * len(b)) if len(a) and len(b) else None
     if box is None:
-        v = np.append(v, 0.0)
-        return lambda i, j: v[vf.support.sum_positions(a[i:j], b)]
-    table = np.zeros(box.cells, dtype=v.dtype)
-    index, inside = box.index(vf.support.entries)
-    table[index] = v[inside]
+        v = np.append(values, 0)
+        return lambda i, j: v[support.sum_positions(a[i:j], b)]
+    table = np.zeros(box.cells, dtype=values.dtype)
+    index, inside = box.index(support.entries)
+    table[index] = values[inside]
     return lambda i, j: table[box.a_index[i:j, None] + box.b_index]
 
 
@@ -297,46 +327,19 @@ class RealHamiltonian:
     def basis(self) -> IndexSet:
         return self.coords.basis
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x
+
 
 def assemble_real(s: IndexSet, potential: Potential) -> RealHamiltonian:
-    """Assemble H on `s` directly in its cos/sin coordinates.
+    """Assemble H on `s` directly in its cos/sin coordinates (`ReferenceOperator.rows`).
 
-    For representatives G, G' let A = H[G, G'] and B = H[G, -G'] =
-    (2*pi)^(-d/2) V_{G+G'}. The cos/cos block is Re(A + B), sin/sin
-    Re(A - B), cos/sin Im(B - A) and sin/cos Im(A + B). Taking
-    e_0 = (e_0 + e_-0)/2 as the first cos function gives its row and column
-    the same formulas scaled by 1/sqrt(2). A and B are gathered from the
-    potential at G - G' and G + G' over the cos frequencies only, a block of
-    rows at a time, each block written into its cos rows and the matching
-    sin rows; neither U nor the complex H nor a whole A or B is formed. The
-    symmetry check runs tile by tile, so the matrix is the only n x n array
-    held.
+    Neither U nor the complex H is formed, and the symmetry check runs
+    tile by tile, so the matrix is the only n x n array held.
     """
-    if s.dim != potential.dim:
-        raise ValueError(f"dimension mismatch: {s.dim} vs {potential.dim}")
-    if not validate_symmetric(s):
-        raise ValueError("basis index set must be closed under negation")
-    coords = CosSinCoordinates.of(s)
-    n, z, m = len(s), len(coords.zero), len(coords.zero) + len(coords.reps)
-    # cos frequencies: 0 first when z = 1, then the representatives; the sin
-    # block uses the representatives only
-    cos_pos = np.concatenate([coords.zero, coords.reps])
-    g = s.entries[cos_pos]
-    a_rows = _potential_rows(potential, g, -g)  # G - G'
-    b_rows = _potential_rows(potential, g, g)  # G + G'
-    step = max(1, _TILE * _TILE // max(m, 1))
-    r = np.empty((n, n))
-    for i in range(0, m, step):
-        j = min(i + step, m)
-        a, b = a_rows(i, j), b_rows(i, j)
-        np.add(a.real, b.real, out=r[i:j, :m])
-        np.subtract(b.imag[:, z:], a.imag[:, z:], out=r[i:j, m:])
-        k = max(i, z)  # the block's first representative row; its sin row is m + k - z
-        np.add(a.imag[k - i :], b.imag[k - i :], out=r[m + k - z : m + j - z, :m])
-        np.subtract(a.real[k - i :, z:], b.real[k - i :, z:], out=r[m + k - z : m + j - z, m:])
-    r[np.diag_indices(n)] += s.norms_sq[np.concatenate([cos_pos, coords.reps])]
-    r[:z, :] *= _SQRT_HALF
-    r[:, :z] *= _SQRT_HALF
+    op = ReferenceOperator(s, potential)
+    r = op.rows(np.arange(op.n))
+    n = op.n
     scale = max(1.0, float(r.max(initial=0.0)), -float(r.min(initial=0.0)))
     defect = 0.0
     for i in range(0, n, _TILE):  # |r - r^T| is symmetric: tiles on and above the diagonal
@@ -345,7 +348,223 @@ def assemble_real(s: IndexSet, potential: Potential) -> RealHamiltonian:
             defect = max(defect, float(np.max(np.abs(asym, out=asym))))
     if defect > 1e-13 * scale:
         raise SolverError(f"assembled matrix is not symmetric (defect {defect:.3e})")
-    return RealHamiltonian(coords=coords, matrix=r)
+    return RealHamiltonian(coords=op.coords, matrix=r)
+
+
+def grid_points(radius: int, reach: int) -> int:
+    """Smallest 2,3,5-smooth N >= 2 radius + reach + 1 (see `ReferenceOperator`)."""
+    n = 2 * radius + reach + 1
+    while True:
+        rest = n
+        for f in (2, 3, 5):
+            while rest % f == 0:
+                rest //= f
+        if rest == 1:
+            return n
+        n += 1
+
+
+def physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def solve_bytes(n: int, points: int, dim: int, block: int) -> int:
+    """Modelled peak bytes of a matrix-free `solve_eigen_block` on n coordinates.
+
+    `block` vectors of n coordinates (`BLOCK_BYTES` each), the FFT buffers
+    of one batch of columns on a grid of `points`^dim cells (40 bytes a
+    cell) beside V's values and their complex evaluation (24 bytes a cell),
+    and the certificate's first Schur block of k = max(`CERT_BLOCK`,
+    4 block) rows (`SCHUR_BYTES` k n). Larger Schur blocks and the dense
+    last step are checked by `certify_count` when it reaches them.
+    """
+    cells = points**dim
+    batch = min(block * cells, max(_FFT_CELLS, cells))
+    cert = min(max(CERT_BLOCK, 4 * block), n)
+    return BLOCK_BYTES * n * block + 40 * batch + 24 * cells + SCHUR_BYTES * cert * n
+
+
+class ReferenceOperator:
+    """H on a symmetric basis in cos/sin coordinates, with no stored matrix.
+
+    `apply` forms H X = |G|^2 X + (2*pi)^(-d/2) (V * X) with real FFTs: the
+    coordinate columns become coefficients on the half spectrum G_0 >= 0
+    (every cos/sin representative lies there) of a grid of N points per
+    axis, `irfftn` gives their grid values, which are multiplied by V's
+    (`evaluate_on_grid`, the same folding), and `rfftn` returns the
+    product's coefficients. Let a = max |G_k| over the basis and b = max
+    |K_k| over the part of supp V that couples it (|K_k| <= 2a; the rest
+    never enters H and is dropped). A product term u_G' V_K lands on a
+    basis frequency G mod N; |G_k| <= a and |(G' + K)_k| <= a + b, so for
+    N >= 2a + b + 1 it lands there only when G' + K = G: no aliasing, only
+    FFT round-off (a few ulp of max |V|). `grid_points` rounds N up to a
+    2,3,5-smooth size. Columns are transformed about `_FFT_CELLS` grid cells
+    at a time, and `products` counts them.
+
+    The certificate reads entries, not products: `diagonal` (closed form)
+    and `rows` gather them from the potential, bit for bit `assemble_real`'s
+    matrix; `row_sums` and `frobenius` bound row sums and norm from supp V.
+    `dense` assembles the whole matrix, when memory admits it (SolverError
+    otherwise), for whole-space solves and the certificate's last step.
+    """
+
+    def __init__(self, basis: IndexSet, potential: Potential) -> None:
+        if basis.dim != potential.dim:
+            raise ValueError(f"dimension mismatch: {basis.dim} vs {potential.dim}")
+        if not validate_symmetric(basis):
+            raise ValueError("basis index set must be closed under negation")
+        self.potential, self.coords, self.products = potential, CosSinCoordinates.of(basis), 0
+        reach = int(np.abs(basis.entries).max(initial=0))
+        support = np.abs(potential.field.support.entries)
+        self._couples = np.all(support <= 2 * reach, axis=1)
+        vreach = int(support[self._couples].max(initial=0))
+        self.points = grid_points(reach, vreach)
+        cos_pos = np.concatenate([self.coords.zero, self.coords.reps])
+        self._cos = basis.entries[cos_pos]  # cos frequencies: 0 (when present), then reps
+        self._kinetic = basis.norms_sq[np.concatenate([cos_pos, self.coords.reps])].astype(float)
+        self._diagonal = self._bounds = self._spectrum = None
+
+    @property
+    def basis(self) -> IndexSet:
+        return self.coords.basis
+
+    @property
+    def n(self) -> int:
+        return len(self.coords.basis)
+
+    @property
+    def grid(self) -> tuple[int, ...]:
+        return (self.points,) * self.basis.dim
+
+    def _v(self, entries: np.ndarray) -> np.ndarray:
+        """(2*pi)^(-d/2) V at each row of `entries` (0 off the support)."""
+        vf = self.potential.field
+        v = np.append((2.0 * math.pi) ** (-self.potential.dim / 2.0) * vf.coeffs, 0)
+        return v[vf.support.positions(entries)]
+
+    def diagonal(self) -> np.ndarray:
+        """diag H: v_0 +- Re v_2G + |G|^2 for the cos/sin of G, (v_0 + v_0) / 2 for e_0."""
+        if self._diagonal is None:
+            z, m, kin = len(self.coords.zero), len(self._cos), self._kinetic
+            v0 = self._v(np.zeros((1, self.basis.dim), dtype=np.int64)).real
+            v2 = self._v(2 * self._cos[z:]).real
+            zero = (v0 + v0 + 0.0) * _SQRT_HALF * _SQRT_HALF
+            self._diagonal = np.concatenate([zero[:z], v0 + v2 + kin[z:m], v0 - v2 + kin[m:]])
+        return self._diagonal
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """H x for real coordinate columns x, by one irfftn and one rfftn per column."""
+        if self._spectrum is None:
+            self._spectrum = self._spectral_setup()
+        shape, bins, neg_sel, values = self._spectrum
+        z, p = len(self.coords.zero), len(self.coords.reps)
+        axes = tuple(range(1, self.basis.dim + 1))
+        out = x * self._kinetic[:, None]
+        step = max(1, _FFT_CELLS // values.size)
+        for c0 in range(0, x.shape[1], step):
+            xc, cols = x[:, c0 : c0 + step], slice(c0, c0 + step)
+            cos, sin = xc[z : z + p] * _SQRT_HALF, xc[z + p :] * _SQRT_HALF
+            spec = np.zeros((xc.shape[1], math.prod(shape)), dtype=np.complex128)
+            spec[:, bins[:z]] = xc[:z].T
+            spec[:, bins[z : z + p]] = (cos + 1j * sin).T
+            spec[:, bins[z + p :]] = (cos[neg_sel] - 1j * sin[neg_sel]).T
+            f = np.fft.irfftn(spec.reshape((-1, *shape)), s=self.grid, axes=axes, norm="forward")
+            f *= values
+            w = np.fft.rfftn(f, axes=axes, norm="forward").reshape(xc.shape[1], -1)
+            rep = w[:, bins[z : z + p]].T
+            out[:z, cols] += w[:, bins[:z]].real.T
+            out[z : z + p, cols] += math.sqrt(2.0) * rep.real
+            out[z + p :, cols] += math.sqrt(2.0) * rep.imag
+        self.products += x.shape[1]
+        return out
+
+    def _spectral_setup(self) -> tuple:
+        """Half-spectrum shape; bins of 0, the reps and the negations with G_0 = 0; V's values.
+
+        Array axis j of the grid holds component d-1-j, so the halved last
+        axis is component 0, and V's values are transposed to match.
+        """
+        n, dim, coords, entries = self.points, self.basis.dim, self.coords, self.basis.entries
+        shape = (n,) * (dim - 1) + (n // 2 + 1,)
+        neg_sel = np.flatnonzero(entries[coords.reps, 0] == 0)
+        g = entries[np.concatenate([coords.zero, coords.reps, coords.negs[neg_sel]])]
+        bins = np.ravel_multi_index(tuple((g[:, ::-1] % n).T), shape)
+        vf = self.potential.field
+        coupled = SpectralField(
+            IndexSet(dim, vf.support.entries[self._couples]), vf.coeffs[self._couples], True
+        )
+        values = np.ascontiguousarray(evaluate_on_grid(coupled, n).transpose())
+        return shape, bins, neg_sel, values
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows `idx` of H, gathered from the potential a block of rows at a time.
+
+        For representatives G, G' let A = H[G, G'] and B = H[G, -G'] =
+        (2*pi)^(-d/2) V_{G+G'}. The cos/cos block is Re(A + B), sin/sin
+        Re(A - B), cos/sin Im(B - A) and sin/cos Im(A + B). Taking
+        e_0 = (e_0 + e_-0)/2 as the first cos function gives its row and
+        column the same formulas scaled by 1/sqrt(2). A and B are gathered
+        at G - G' and G + G' over the cos frequencies only.
+        """
+        idx = np.asarray(idx)
+        z, m, g = len(self.coords.zero), len(self._cos), self._cos
+        sin = idx >= m
+        freq = np.where(sin, idx - m + z, idx)  # cos frequency of each row
+        a_rows = _potential_rows(self.potential, g[freq], -g)  # G - G'
+        b_rows = _potential_rows(self.potential, g[freq], g)  # G + G'
+        out = np.empty((len(idx), self.n))
+        step = max(1, _TILE * _TILE // max(m, 1))
+        for i in range(0, len(idx), step):
+            a, b, s = a_rows(i, i + step), b_rows(i, i + step), sin[i : i + step, None]
+            out[i : i + step, :m] = np.where(s, a.imag + b.imag, a.real + b.real)
+            a, b = a[:, z:], b[:, z:]
+            out[i : i + step, m:] = np.where(s, a.real - b.real, b.imag - a.imag)
+        out[np.arange(len(idx)), idx] += self._kinetic[idx]
+        out[idx < z] *= _SQRT_HALF
+        out[:, :z] *= _SQRT_HALF
+        return out
+
+    def row_sums(self, d: np.ndarray) -> np.ndarray:
+        """Upper bounds on the sum over j != i of |h_ij|, all j, for each i in d.
+
+        With w_K = |Re v_K| + |Im v_K| and S(G) the sum of w_K over K != 0 in
+        supp V with G - K in the basis, the cos and sin rows of G sum to at
+        most S(G) + (sqrt(2) - 1) w_G + |Im v_0|: the entries of a column
+        pair G' come from A = v_(G-G') and B = v_(G+G') and are at most w_A +
+        w_B, the e_0 column holds sqrt(2) Re or Im v_G, and the diagonal
+        pair leaves Im(v_2G -+ v_0). The e_0 row sums to S(0) / sqrt(2). S
+        is one gather of the basis indicator at G - K, O(n |supp V|), and
+        rounds like a sum of at most n terms.
+        """
+        if self._bounds is None:
+            dim, m = self.basis.dim, len(self._cos)
+            zero = np.zeros((1, dim), dtype=np.int64)
+            k = self.potential.field.support.entries[self._couples]
+            v = self._v(k)
+            w = np.abs(v.real) + np.abs(v.imag)
+            ind = _table_rows(self.basis, np.ones(self.n), self._cos, -k)
+            off = np.where(np.any(k, axis=1), w, 0.0)  # K = 0 is the diagonal pair
+            total = np.empty(m)
+            step = max(1, _TILE * _TILE // max(len(k), 1))
+            for i in range(0, m, step):
+                total[i : i + step] = ind(i, i + step) @ off
+            w_g = np.abs(self._v(self._cos).real) + np.abs(self._v(self._cos).imag)
+            bound = total + (math.sqrt(2.0) - 1.0) * w_g + abs(self._v(zero).imag[0])
+            self._bounds = np.concatenate([bound, bound[len(self.coords.zero) :]])
+        return self._bounds[d]
+
+    def frobenius(self) -> float:
+        """sqrt(sum_i h_ii^2 + r_i^2) >= ||H||_F, with r_i the `row_sums` bounds."""
+        r = self.row_sums(np.arange(self.n))
+        return math.sqrt(float(np.sum(self.diagonal() ** 2) + np.sum(r * r)))
+
+    def dense(self) -> np.ndarray:
+        need = DENSE_CERT_BYTES * self.n * self.n
+        if need > physical_memory():
+            raise SolverError(
+                f"the matrix of {self.n} coordinates needs {need} bytes, more than physical memory"
+            )
+        return assemble_real(self.basis, self.potential).matrix
 
 
 @dataclass(frozen=True)
@@ -402,9 +621,11 @@ class BlockSolveStats:
     guard enlargements; `max_residual` is the largest residual norm of the
     certified pairs, `rho` the certified bound and `cert_size` the size of
     the block whose Cholesky factorisation certified it (n when the whole
-    matrix was factored). A Rayleigh-Ritz solve on the whole space reports n
-    vectors, 0 steps, the window's residuals, no `rho` and no `cert_size`:
-    it needs no certificate.
+    matrix was factored). `products` counts the matrix-vector products and
+    `grid` is the FFT grid (points per axis) they ran on, None for a stored
+    matrix or when no product was taken. A Rayleigh-Ritz solve on the whole
+    space reports n vectors, 0 steps, the window's residuals, no `rho`, no
+    `cert_size` and no products: it needs no certificate.
     """
 
     steps: int
@@ -413,17 +634,21 @@ class BlockSolveStats:
     max_residual: float
     rho: float | None
     cert_size: int | None
+    grid: tuple[int, ...] | None
+    products: int
 
 
 def solve_eigen_block(
-    h: RealHamiltonian, k0: int, n_eigs: int
+    h: ReferenceOperator, k0: int, n_eigs: int
 ) -> tuple[EigenCluster, np.ndarray, BlockSolveStats]:
-    """Eigenpairs (k0+1)..(k0+n_eigs) of a real matrix in cos/sin coordinates.
+    """Eigenpairs (k0+1)..(k0+n_eigs) of H on a ball in cos/sin coordinates.
 
-    Returns the cluster, its real coordinate columns and the solver's
-    counters. LOBPCG (Knyazev 2001) iterates the lowest p = m + guard pairs,
-    m = k0 + n_eigs + 1, with the kinetic preconditioner 1/(diag(H) + 1),
-    starting from the p coordinate vectors of lowest diagonal entry. It
+    The solver reads `h` through products, its diagonal and gathered rows,
+    and holds no n x n array. Returns the cluster, its real coordinate
+    columns and the solver's counters. LOBPCG (Knyazev 2001) iterates the
+    lowest p = m + guard pairs, m = k0 + n_eigs + 1, with the kinetic
+    preconditioner 1/(diag(H) + 1), starting from the p coordinate vectors
+    of lowest diagonal entry. It
     stops when the first m pairs (more when the m-th Ritz value opens a
     multiplet) have residual norms at most `BLOCK_RTOL * max(1, max diag
     H)`. `certify_count` then proves that no eigenvalue was missed; when it
@@ -434,29 +659,30 @@ def solve_eigen_block(
     diagonal entries; after a failed count or a stalled iteration the
     larger block starts cold. When the search block [X, W, P] of 3p vectors
     would span all n coordinates, or n is at most `BLOCK_DENSE_MAX`,
-    Rayleigh-Ritz on the whole space (a full `eigh`) is the exact answer
-    and is returned instead, with no certificate to pay for. The
-    eigenvectors are real in these coordinates, so the cluster's
+    Rayleigh-Ritz on the whole space (a full `eigh` of `h.dense()`) is the
+    exact answer and is returned instead, with no certificate to pay for.
+    The eigenvectors are real in these coordinates, so the cluster's
     coefficient columns are real functions without any rotation; window
     checks, the sign convention and the boundary-gap warning are those of
     `solve_eigen`.
     """
-    a = h.matrix
-    n = a.shape[0]
+    n = h.n
     _check_window(n, k0, n_eigs)
     m = k0 + n_eigs + 1
-    tol = BLOCK_RTOL * max(1.0, float(a.diagonal().max()))
+    tol = BLOCK_RTOL * max(1.0, float(h.diagonal().max()))
+    products = h.products
     guard, grows, start = BLOCK_GUARD, 0, None
     while True:
         p = m + guard
         if 3 * p >= n or n <= BLOCK_DENSE_MAX:
+            a = h.dense()
             theta, window = _eigen_window(a, k0, n_eigs)
             p, steps, rho, cert = n, 0, None, None
             res = np.linalg.norm(a @ window - window * theta[k0 : k0 + n_eigs], axis=0)
             break
         try:
-            theta, x, res, steps = _block_iterate(a, p, m, tol, start)
-            rho, cut, cert = certify_count(a, theta, x, res, m)
+            theta, x, res, steps = _block_iterate(h, p, m, tol, start)
+            rho, cut, cert = certify_count(h, theta, x, res, m)
         except SolverError as exc:
             if grows == BLOCK_GUARD_GROWS:
                 raise
@@ -471,50 +697,61 @@ def solve_eigen_block(
     for j in range(n_eigs):
         window[:, j] = _fix_sign(window[:, j])
     cluster = _checked_cluster(h.basis, k0, theta, h.coords.to_coefficients(window))
-    stats = BlockSolveStats(steps, p, grows, float(res.max()), rho, cert)
+    products = h.products - products
+    stats = BlockSolveStats(
+        steps, p, grows, float(res.max()), rho, cert, h.grid if products else None, products
+    )
     return cluster, window, stats
 
 
 def _block_iterate(
-    a: np.ndarray, p: int, m: int, tol: float, start: np.ndarray | None = None
+    h: ReferenceOperator,
+    p: int,
+    m: int,
+    tol: float,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """LOBPCG for the lowest p eigenpairs of the real symmetric `a`.
+    """LOBPCG for the lowest p eigenpairs of the real symmetric operator `h`.
 
-    It starts from the p coordinate vectors of lowest diagonal entry, widened
-    to whole ties of the diagonal order, or from the orthonormal columns
-    `start` (q < p of them) and the coordinate vectors of diagonal ranks
-    q..p-1, by Rayleigh-Ritz. A cold block that cut a shell of equal
+    It starts from the p coordinate vectors of lowest diagonal entry,
+    widened to whole ties of the diagonal order (their block of H is
+    gathered, not multiplied), or from the orthonormal columns `start`
+    (q < p of them) and the coordinate vectors of diagonal ranks q..p-1, by
+    Rayleigh-Ritz. A cold block that cut a shell of equal
     diagonal entries could miss a multiplet member that symmetry keeps out
     of every residual, so the ties are taken whole. The search basis
     [X, W, P] is kept orthonormal: W (preconditioned residuals of the
     unconverged columns) is orthonormalised off [X, P]
     (`_orthonormal_complement`), and P is the part of the new Ritz vectors'
     update that is orthogonal to them, taken in the small coefficient space
-    (Hetmaniuk & Lehoucq 2006), so one product `a @ W` per step suffices. Convergence is
-    decided on a fresh product `a @ X` after re-orthonormalisation, since
-    the recurrences for `a @ X` drift by rounding. `eigh` of the small
-    projected matrices reads their lower triangles, which is all the
-    symmetry they need. Returns the Ritz values and vectors (p of them, or
-    more after the widening), their residual norms and the step count.
+    (Hetmaniuk & Lehoucq 2006), so one product `h.apply(W)` per step
+    suffices. Convergence is decided on a fresh product `h.apply(X)` after
+    re-orthonormalisation, since the recurrences for H X drift by rounding.
+    `eigh` of the small projected matrices reads their lower triangles,
+    which is all the symmetry they need. Returns the Ritz values and vectors
+    (p of them, or more after the widening), their residual norms and the
+    step count.
     """
-    n = a.shape[0]
-    diag = a.diagonal()
+    n = h.n
+    diag = h.diagonal()
     prec = 1.0 / (diag + 1.0)
     order = np.argsort(diag, kind="stable")
     if start is None:
         p = int(np.searchsorted(diag[order], diag[order[p - 1]], side="right"))
         lowest = order[:p]
-        theta, c = np.linalg.eigh(a[np.ix_(lowest, lowest)])
+        rows = h.rows(lowest)
+        theta, c = np.linalg.eigh(rows[:, lowest])
         x = np.zeros((n, p))
         x[lowest] = c
-        ax = a[:, lowest] @ c
+        ax = rows.T @ c
+        del rows
     else:
         q = start.shape[1]
         p = max(p, q + 1)  # a widened cold block can outgrow the next guard
         x = np.hstack([start, np.zeros((n, p - q))])
         x[order[q:p], np.arange(q, p)] = 1.0
         x, _ = np.linalg.qr(x)
-        ax = a @ x
+        ax = h.apply(x)
         theta, c = np.linalg.eigh(x.T @ ax)
         x, ax = x @ c, ax @ c
     pb = apb = np.empty((n, 0))
@@ -523,7 +760,7 @@ def _block_iterate(
         res = np.linalg.norm(r, axis=0)
         if res[: _cut(theta, m)].max() <= tol:
             x, _ = np.linalg.qr(x)
-            ax = a @ x
+            ax = h.apply(x)
             theta, c = np.linalg.eigh(x.T @ ax)
             x, ax = x @ c, ax @ c
             r = ax - x * theta
@@ -532,7 +769,7 @@ def _block_iterate(
                 return theta, x, res, step
         w = _orthonormal_complement(r[:, res > tol] * prec[:, None], np.hstack([x, pb]))
         s = np.hstack([x, w, pb])
-        as_ = np.hstack([ax, a @ w, apb])
+        as_ = np.hstack([ax, h.apply(w), apb])
         vals, c = np.linalg.eigh(s.T @ as_)
         theta, c1, c2 = vals[:p], c[:, :p], c[:, p:]
         update = c1.copy()
@@ -565,9 +802,13 @@ def _orthonormal_complement(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def certify_count(
-    a: np.ndarray, theta: np.ndarray, x: np.ndarray, residuals: np.ndarray, m: int
+    h: ReferenceOperator,
+    theta: np.ndarray,
+    x: np.ndarray,
+    residuals: np.ndarray,
+    m: int,
 ) -> tuple[float, int, int]:
-    """Prove that `a` has exactly `cut` eigenvalues below rho; return (rho, cut, k).
+    """Prove that H has exactly `cut` eigenvalues below rho; return (rho, cut, k).
 
     `theta` are ascending Ritz values of the orthonormal columns `x` and
     `residuals` their residual norms. The cut is the first relative Ritz
@@ -587,40 +828,44 @@ def certify_count(
     lowest diagonal entry, P, and the rest, D (Haynsworth's inertia
     additivity): M is positive definite when M_DD and the Schur complement
     M_PP - M_PD M_DD^-1 M_DP are. Diagonal dominance gives M_DD >= Gamma =
-    diag(h_ii - r_i - rho), r_i the off-diagonal row sums of |H| inside D
-    (c X_D X_D^T is PSD), so when Gamma > 0 the Schur complement is at
-    least T = M_PP - M_PD Gamma^-1 M_DP, and one k x k Cholesky of
-    T - delta_T I certifies the count. k starts at max(`CERT_BLOCK`,
-    4 cut), so that the lowest cut+1 eigenvectors live mostly on P and
-    bounding M_DD by Gamma loses only on their tails, and doubles after
-    each failure; the last step, k = n, factors M - delta I itself, in
-    place in the lower triangle of `a`, which is restored bit for bit, so
-    whatever that factorisation certifies is still certified.
+    diag(h_ii - r_i - rho), r_i bounds on the off-diagonal row sums of |H|
+    (`h.row_sums`, over all columns and so over D; c X_D X_D^T is PSD), so
+    when Gamma > 0 the Schur complement is at least T =
+    M_PP - M_PD Gamma^-1 M_DP, and one k x k Cholesky of T - delta_T I
+    certifies the count. Only the k rows of P are gathered (`h.rows`), so
+    a block costs O(k n) memory. k starts at max(`CERT_BLOCK`, 4 cut), so
+    that the lowest cut+1 eigenvectors live mostly on P and bounding M_DD
+    by Gamma loses only on their tails, and doubles after each failure; the
+    last step, k = n, factors M - delta I itself, formed in the lower
+    triangle of the assembled matrix (`h.dense()`). A block whose arrays
+    would not fit in physical memory (`SCHUR_BYTES` k n bytes,
+    `DENSE_CERT_BYTES` n^2 for the last step) is not tried: SolverError.
 
     Rounding, with unit roundoff u and n below 1/(4u): the computed factor
     R of a k x k matrix B satisfies R^T R = B + E, ||E||_2 <= gamma_(k+1)
     ||R||_F^2 <= gamma_(k+1) trace(B) / (1 - k gamma_(k+1)) (Higham,
     Accuracy and Stability of Numerical Algorithms, Thm 10.3, and
     || |R^T||R| ||_2 <= ||R||_F^2). For k = n, forming M errs by at most
-    gamma_(cut+3) (||H||_F + c ||X||_F^2 + sqrt(n) |rho|) in the 2-norm, so
+    gamma_(cut+3) (||H||_F + c ||X||_F^2 + sqrt(n) |rho|) in the 2-norm
+    (||H||_F or its bound `h.frobenius()`), so
     delta = 2u ((n + 1) trace(M) + (cut + 3) (||H||_F + c ||X||_F^2 +
     sqrt(n) |rho|)) covers both. For k < n, each Gamma entry is lowered by
-    4 (n + 2) u (|h_ii| + r_i + |rho|), which covers the row sums' and the
-    subtractions' rounding. With F = |H_PD| + c |X_P| |X_D|^T >= |M_PD|, s
-    = (||H_PD Gamma^-1/2||_F + c ||X_P||_F ||Gamma^-1/2 X_D||_F)^2 bounds
-    ||F Gamma^-1/2||_F^2, and forming T (the products and the division by
-    Gamma, whose terms are bounded by F entrywise, then the GEMM of n - k
-    terms) errs by at most 2u ((n + 2 cut + 6) s + (cut + 4) (||H_PP||_F +
+    4 (n + 2) u (|h_ii| + r_i + |rho|), which covers the rounding of the
+    row-sum bounds and of the subtractions. With F = |H_PD| + c |X_P|
+    |X_D|^T >= |M_PD|, s = (||H_PD Gamma^-1/2||_F + c ||X_P||_F
+    ||Gamma^-1/2 X_D||_F)^2 bounds ||F Gamma^-1/2||_F^2, and forming T (the
+    products and the division by Gamma, whose terms are bounded by F
+    entrywise, then the GEMM of n - k terms, in any order) errs by at most 2u ((n + 2 cut + 6) s + (cut + 4) (||H_PP||_F +
     c ||X_P||_F^2 + sqrt(k) |rho|)); delta_T adds 2u (k + 2) trace(T) for
     the factorisation and the diagonal shift.
 
     Raises RitzGapError when no gap qualifies and SolverError when no k
     certifies.
     """
-    n = a.shape[0]
+    n = h.n
     u = np.finfo(float).eps / 2.0
-    frob_a = float(np.linalg.norm(a))
-    trace_a = float(np.trace(a))
+    frob_a = h.frobenius()
+    trace_a = float(np.sum(h.diagonal()))
     for group in group_slices(theta, DEGENERACY_RTOL)[:-1]:
         cut = group.stop
         if cut < m:
@@ -640,10 +885,15 @@ def certify_count(
         )
     k = max(CERT_BLOCK, 4 * cut)
     while k < n:
-        if _certify_shift(a, xc, c, rho, delta, k):
+        if SCHUR_BYTES * k * n > physical_memory():
+            raise SolverError(
+                f"count certificate not proved by smaller blocks; its block of {k} "
+                f"needs {SCHUR_BYTES * k * n} bytes, more than physical memory"
+            )
+        if _certify_shift(h, xc, c, rho, delta, k):
             return rho, cut, k
         k *= 2
-    if _certify_shift(a, xc, c, rho, delta, n):
+    if _certify_shift(h, xc, c, rho, delta, n):  # h.dense() refuses beyond physical memory
         return rho, cut, n
     raise SolverError(
         f"count certificate failed: more than {cut} eigenvalues below {rho:.15g}"
@@ -651,24 +901,28 @@ def certify_count(
 
 
 def _certify_shift(
-    a: np.ndarray, xc: np.ndarray, c: float, rho: float, delta: float, k: int
+    h: ReferenceOperator,
+    xc: np.ndarray,
+    c: float,
+    rho: float,
+    delta: float,
+    k: int,
 ) -> bool:
-    """Whether M = a + c xc xc^T - rho I is proved positive definite with a k x k block.
+    """Whether M = H + c xc xc^T - rho I is proved positive definite with a k x k block.
 
     For k < n the Schur split of `certify_count` on the k coordinates of
-    lowest diagonal entry; for k >= n a Cholesky factorisation of M - delta
-    I written row block by row block into the lower triangle of `a` (which
-    is all `np.linalg.cholesky` reads) and restored from those blocks
-    afterwards. The Schur branch holds k x n arrays; the whole-matrix one
-    holds the saved lower triangle and the factor, and no mask.
+    lowest diagonal entry, from their gathered rows (k x n) and the row-sum
+    bounds of the rest, with M_PD formed a block of columns at a time; for
+    k >= n a Cholesky factorisation of M - delta I, written row block by row
+    block into the lower triangle of the assembled matrix (which is all
+    `np.linalg.cholesky` reads).
     """
-    n = a.shape[0]
-    step = max(1, _TILE * _TILE // n)
+    n = h.n
     if k >= n:
-        saved = []
+        a = h.dense()
+        step = max(1, _TILE * _TILE // n)
         for i in range(0, n, step):
             j = min(i + step, n)
-            saved.append((i, a[i:j, :j].copy()))
             shift = xc[i:j] @ xc[:j].T
             shift *= c
             shift[np.arange(j - i), np.arange(i, j)] -= rho + delta
@@ -677,43 +931,34 @@ def _certify_shift(
             np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             return False
-        finally:
-            for i, block in saved:
-                a[i : i + len(block), : block.shape[1]] = block
         return True
     u = np.finfo(float).eps / 2.0
     cut = xc.shape[1]
-    diag = a.diagonal()
+    diag = h.diagonal()
     order = np.argsort(diag, kind="stable")
     p, d = order[:k], order[k:]
-    inside = np.ones(n)
-    inside[p] = 0.0
-    r = np.empty(n)  # off-diagonal row sums of |a| over the columns in D
-    for i in range(0, n, step):
-        j = min(i + step, n)
-        block = np.abs(a[i:j])
-        block[np.arange(j - i), np.arange(i, j)] = 0.0
-        r[i:j] = block @ inside
-    hd, rd = diag[d], r[d]
+    hd, rd = diag[d], h.row_sums(d)
     gamma = hd - rd - rho - 4.0 * (n + 2) * u * (np.abs(hd) + rd + abs(rho))
     if not gamma.min() > 0.0:
         return False
     xp, xd = xc[p], xc[d]
-    mp = xp @ xc.T
-    mp *= c
-    hp = a[p]
-    h_pd = math.sqrt(float(np.einsum("ij,ij,j->", hp[:, d], hp[:, d], 1.0 / gamma)))
-    x_d = math.sqrt(float(np.einsum("ij,ij,i->", xd, xd, 1.0 / gamma)))
+    hp = h.rows(p)
     xp_f2 = float(np.sum(xp * xp))
     f_pp = float(np.linalg.norm(hp[:, p])) + c * xp_f2 + math.sqrt(k) * abs(rho)
-    mp += hp
-    del hp
-    t = mp[:, p]
+    x_d = math.sqrt(float(np.einsum("ij,ij,i->", xd, xd, 1.0 / gamma)))
+    t = xp @ xp.T
+    t *= c
+    t += hp[:, p]
     t[np.diag_indices(k)] -= rho
-    m_pd = mp[:, d]
-    del mp
-    t -= (m_pd / gamma) @ m_pd.T
-    s = (h_pd + c * math.sqrt(xp_f2) * x_d) ** 2
+    h_pd = 0.0
+    step = max(1, _TILE * _TILE // k)
+    for i in range(0, n - k, step):
+        di = d[i : i + step]
+        m_pd = hp[:, di]
+        h_pd += float(np.einsum("ij,ij,j->", m_pd, m_pd, 1.0 / gamma[i : i + step]))
+        m_pd += c * (xp @ xd[i : i + step].T)
+        t -= (m_pd / gamma[i : i + step]) @ m_pd.T
+    s = (math.sqrt(h_pd) + c * math.sqrt(xp_f2) * x_d) ** 2
     delta_t = 2.0 * u * (
         (n + 2 * cut + 6) * s + (cut + 4) * f_pp + (k + 2) * max(float(np.trace(t)), 0.0)
     )

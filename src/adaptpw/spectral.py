@@ -5,18 +5,28 @@ u = sum_G u_G e_G with e_G(x) = (2*pi)^(-d/2) exp(i G.x), so the L^2 norm
 of u equals the Euclidean norm of its coefficient vector and the H^s
 norms are plain weighted Euclidean norms with weights (1+|G|^2)^s.
 
-Products V*u are realized as exact finite convolutions, never via FFT:
-adaptive supports are small and irregular, and exactness removes aliasing
-from the list of error sources that estimator certification has to cover.
-`multiply` takes the Minkowski sum of the supports and the position of
-every product in it from one lattice-key sum per pair and accumulates the
-products with one `np.bincount` per real and imaginary part. The single
-(2*pi)^(-d/2) convolution factor lives there too.
+In the adaptive loop, products V*u are realized as exact finite
+convolutions, never via FFT: adaptive supports are small and irregular,
+and exactness removes aliasing from the list of error sources that
+estimator certification has to cover. `multiply` takes the Minkowski sum
+of the supports and the position of every product in it from one
+lattice-key sum per pair and accumulates the products with one
+`np.bincount` per real and imaginary part. The single (2*pi)^(-d/2)
+convolution factor lives there too.
 
-Grid evaluation is the one FFT: `evaluate_on_grid` folds each coefficient
-onto its grid bin G mod n and applies one inverse FFT. Folding is exact at
-the grid points for every n, so the samples equal the direct sum up to
-round-off (a few ulp of (2*pi)^(-d/2) * sum |u_G|).
+Grid evaluation is the FFT here: `evaluate_on_grid` folds each
+coefficient onto its grid bin G mod n and applies one inverse FFT. Folding
+is exact at the grid points for every n, so the samples equal the direct
+sum up to round-off (a few ulp of (2*pi)^(-d/2) * sum |u_G|).
+
+The verification reference multiplies by V on such a grid
+(`operator.ReferenceOperator`): a ball of largest component a and a
+potential of largest component b (those beyond 2a never couple the ball)
+need N >= 2a + b + 1 points per axis. A product term of a ball frequency
+and a support frequency lies within a + b of 0 per component, a ball
+frequency within a, so two of them agree mod N only when they are equal:
+on the ball the circular convolution is the exact one, with FFT round-off
+and no aliasing.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Reference oracles, energy-norm subspace distances, and rate fitting.
 
-The "exact" solution is a dense reference solve on a ball whose radius
-should be at least twice the largest frequency reached by the adaptive
-run it certifies; spectral accuracy makes that a reliable oracle at desk
-scale. Errors are measured as subspace distances in the energy norm,
-computed per eigenvalue group and combined by root-sum-square; group
-boundaries inside the cluster are detected from reference eigenvalue
-gaps.
+The "exact" solution is a certified reference solve on a ball whose
+radius should be at least twice the largest frequency reached by the
+adaptive run it certifies; spectral accuracy makes that a reliable oracle
+at desk scale. The solve is matrix-free (`ReferenceOperator`), so its
+memory grows with the ball, not with its square. Errors are measured as
+subspace distances in the energy norm, computed per eigenvalue group and
+combined by root-sum-square; group boundaries inside the cluster are
+detected from reference eigenvalue gaps.
 
 Numerical note: for a-orthonormal bases X, Y the directed distance is
 sqrt(1 - sigma_min(X^H A Y)^2), but evaluating that expression directly
@@ -16,7 +17,7 @@ identical projection-residual form ||(I - P_Y) X||_a, which resolves
 distances down to ~1e-14; a sampling/optimization oracle for the
 defining sup-inf is kept in the test suite as a permanent cross-check.
 Every inner product is a k x k Gram matrix X^H A Y formed by products
-with the Galerkin matrix, so no n x n factor of it is needed.
+with the Galerkin operator, so no n x n array is needed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .adapt import AdaptiveRun
 from .frequency import IndexSet, ball, union
 from .operator import (
     BlockSolveStats, CosSinCoordinates, EigenCluster, Hamiltonian, Potential, RealHamiltonian,
-    assemble, assemble_real, group_slices, solve_eigen_block,
+    ReferenceOperator, assemble, group_slices, solve_eigen_block,
 )
 from .spectral import SpectralField
 
@@ -56,7 +57,7 @@ class RankDeficiencyError(ValueError):
 class ReferenceSolution:
     """Certified solve on a large ball standing in for the exact solution.
 
-    `metric` is the energy inner product of the same Galerkin matrix,
+    `metric` is the energy inner product of the same operator,
     `group_blocks[i]` the a-orthonormal block of the reference vectors of
     `groups[i]` in it, and `solver` the block eigensolver's counters.
     """
@@ -79,11 +80,12 @@ class ReferenceSolution:
         reference groups. The iterate's columns are taken into the cos/sin
         coordinates of its own basis, which are rows of the reference's
         (`coordinate_rows`); CoverageError when its basis is not inside the
-        reference ball.
+        reference ball. The columns are real functions, so their coordinates
+        are real up to round-off, which is dropped.
         """
         coords = CosSinCoordinates.of(cluster.basis)
         return self.coordinate_distances(
-            coords.from_coefficients(cluster.vectors), self.coordinate_rows(coords)
+            coords.from_coefficients(cluster.vectors).real, self.coordinate_rows(coords)
         )
 
     def coordinate_rows(self, coords: CosSinCoordinates) -> np.ndarray:
@@ -107,11 +109,13 @@ def reference_solve(
     """Reference eigensolve on ball(m_ref); warns when the cluster gap is tiny.
 
     The ball is closed under negation, so the solve runs on the real
-    symmetric matrix in cos/sin coordinates (`assemble_real`), by the
-    certified block eigensolver `solve_eigen_block`: no full `eigh` and no
-    complex n x n array. The same matrix is the energy inner product of
-    every distance (`EnergyMetric`). The cluster's vectors are mapped back
-    to coefficient columns over the ball.
+    symmetric operator in cos/sin coordinates, matrix-free
+    (`ReferenceOperator`: FFT products, rows gathered from the potential),
+    by the certified block eigensolver `solve_eigen_block`: no n x n array,
+    unless the ball is small enough for a whole-space `eigh`. The same
+    operator is the energy inner product of every distance
+    (`EnergyMetric`). The cluster's vectors are mapped back to coefficient
+    columns over the ball.
     """
     basis = ball(m_ref, potential.dim)
     if k0 + n_eigs > len(basis):
@@ -119,7 +123,7 @@ def reference_solve(
             f"reference ball of radius {m_ref} has {len(basis)} frequencies, "
             f"too few for k0={k0}, n_eigs={n_eigs}"
         )
-    h = assemble_real(basis, potential)
+    h = ReferenceOperator(basis, potential)
     cluster, x, stats = solve_eigen_block(h, k0, n_eigs)
     metric = EnergyMetric(h)
     groups = group_slices(cluster.eigenvalues, GROUP_GAP_RTOL)
@@ -156,20 +160,20 @@ class EnergyBlock:
 
 
 class EnergyMetric:
-    """Energy inner product on a fixed basis, by products with its Galerkin matrix.
+    """Energy inner product on a fixed basis, by products with its Galerkin operator.
 
-    Inner products of blocks are k x k Gram matrices X^H H Y. For a
-    `RealHamiltonian` R = U^H H U, coefficient columns x enter as their
-    cos/sin coordinates U^H x, and R acts on their real and imaginary
-    parts in turn, so no complex copy of it is made. A block that vanishes
-    outside a few coordinate rows (an adaptive iterate in the reference
-    coordinates) is multiplied by those columns of the matrix only.
+    Inner products of blocks are k x k Gram matrices X^H H Y, and H Y comes
+    from `h.apply`: a stored complex or real matrix, or a matrix-free
+    `ReferenceOperator`. For a real operator R = U^H H U in cos/sin
+    coordinates, coefficient columns x enter as their cos/sin coordinates
+    U^H x, and R acts on their real and imaginary parts side by side, so no
+    complex copy of it is made.
     """
 
-    def __init__(self, h: Hamiltonian | RealHamiltonian) -> None:
+    def __init__(self, h: Hamiltonian | RealHamiltonian | ReferenceOperator) -> None:
         self.basis = h.basis
-        self.matrix = h.matrix
-        self.coords = h.coords if isinstance(h, RealHamiltonian) else None
+        self.operator = h
+        self.coords = None if isinstance(h, Hamiltonian) else h.coords
 
     def coordinates(self, vectors: np.ndarray) -> np.ndarray:
         """Coordinate columns of coefficient columns over `basis`."""
@@ -179,31 +183,28 @@ class EnergyMetric:
         """a-orthonormal basis of the span of coordinate columns y.
 
         With `rows`, y holds only those coordinate rows (the others vanish)
-        and H y is formed from those columns of H; when they are every row,
-        from H itself, which is never copied. y is orthonormalised through
-        its Gram matrix G = y^H H y; a condition number of G above 1e12 is
-        rejected as rank deficient.
+        and is zero-padded to the whole basis first. y is orthonormalised
+        through its Gram matrix G = y^H H y; a condition number of G above
+        1e12 is rejected as rank deficient.
         """
-        n = self.matrix.shape[0]
-        if rows is not None and len(rows) == n:  # the whole basis: rows are 0..n-1
-            rows = None
-        h = self.matrix if rows is None else self.matrix[:, rows]
-        if np.iscomplexobj(y) and not np.iscomplexobj(h):
-            hy = h @ y.real + 1j * (h @ y.imag)
+        if rows is not None:
+            full = np.zeros((len(self.basis), y.shape[1]), dtype=y.dtype)
+            full[rows] = y
+            y = full
+        if np.iscomplexobj(y) and self.coords is not None:
+            k = y.shape[1]
+            both = self.operator.apply(np.hstack([y.real, y.imag]))
+            hy = both[:, :k] + 1j * both[:, k:]
         else:
-            hy = h @ y
-        s, v = np.linalg.eigh(y.conj().T @ (hy if rows is None else hy[rows]))
+            hy = self.operator.apply(y)
+        s, v = np.linalg.eigh(y.conj().T @ hy)
         if s[0] <= 0.0 or s[-1] / s[0] > 1e12:
             cond = math.inf if s[0] <= 0.0 else s[-1] / s[0]
             raise RankDeficiencyError(
                 f"basis is numerically rank deficient (Gram condition {cond:.3e})"
             )
         t = v / np.sqrt(s)
-        if rows is None:
-            return EnergyBlock(y @ t, hy @ t)
-        q = np.zeros((n, y.shape[1]), dtype=np.result_type(y, t))
-        q[rows] = y @ t
-        return EnergyBlock(q, hy @ t)
+        return EnergyBlock(y @ t, hy @ t)
 
 
 def subspace_distance(

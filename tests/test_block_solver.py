@@ -1,4 +1,8 @@
-"""The certified block eigensolver of the verification reference, against `eigh`."""
+"""The certified block eigensolver of the verification reference, against `eigh`.
+
+The solver runs on the matrix-free `ReferenceOperator`; the dense matrix
+(`assemble_real`) and a whole-matrix Cholesky stay here as its oracles.
+"""
 
 import json
 import tracemalloc
@@ -13,6 +17,7 @@ import adaptpw.operator as operator
 from adaptpw import (
     ClusterBoundaryWarning,
     EnergyMetric,
+    ReferenceOperator,
     SolverError,
     assemble_real,
     ball,
@@ -47,7 +52,30 @@ def oracle_atol(h):
     oracle's own rounding (up to about 6e-12) exceeds 1e-12; every other
     ball keeps 1e-12.
     """
-    return max(1e-12, 5e-16 * float(h.matrix.diagonal().max()))
+    return max(1e-12, 5e-16 * float(h.diagonal().max()))
+
+
+class MatrixOperator:
+    """The certificate's view of a stored symmetric matrix, with exact row sums over D."""
+
+    def __init__(self, a):
+        self.a, self.n = a, a.shape[0]
+
+    def diagonal(self):
+        return self.a.diagonal()
+
+    def rows(self, idx):
+        return self.a[idx]
+
+    def row_sums(self, d):
+        inside = np.zeros(self.n)
+        inside[d] = 1.0
+        b = np.abs(self.a)
+        np.fill_diagonal(b, 0.0)
+        return (b @ inside)[d]
+
+    def dense(self):
+        return self.a.copy()
 
 
 def potential_for(family, dim, seed):
@@ -81,9 +109,10 @@ def solve_recording(solve, *args):
 @given(block_case())
 def test_block_solver_matches_eigh(case):
     pot, m_ref, k0, n_eigs = case
-    h = assemble_real(ball(m_ref, pot.dim), pot)
-    n = h.matrix.shape[0]
-    w, v = np.linalg.eigh(h.matrix)  # the oracle
+    h = ReferenceOperator(ball(m_ref, pot.dim), pot)
+    real = assemble_real(h.basis, pot)
+    n = h.n
+    w, v = np.linalg.eigh(real.matrix)  # the oracle
     (cluster, x, stats), warned = solve_recording(solve_eigen_block, h, k0, n_eigs)
 
     top, atol = k0 + n_eigs, oracle_atol(h)
@@ -99,9 +128,10 @@ def test_block_solver_matches_eigh(case):
     dense = 3 * block >= n or n <= operator.BLOCK_DENSE_MAX
     assert stats.block_size == (n if dense else block)
     assert (stats.rho is None) == (stats.block_size == n) == (stats.cert_size is None)
+    assert (stats.products == 0) == (stats.grid is None) == (stats.block_size == n)
 
     # groups of close eigenvalues that lie wholly inside the window
-    metric = EnergyMetric(h)
+    metric = EnergyMetric(real)
     oracle = h.coords.to_coefficients(v[:, k0:top])
     for sl in group_slices(w, COMPARE_GROUP_RTOL):
         if k0 <= sl.start and sl.stop <= top:
@@ -115,8 +145,9 @@ def test_block_solver_matches_eigh(case):
     assert np.array_equal(x_again, x) and stats_again == stats
 
 
-def skipping_window(a, p, m, tol, start=None):
+def skipping_window(h, p, m, tol, start=None):
     """eigh's pairs 2..p+1: a converged block that misses lambda_1."""
+    a = h.dense()
     w, v = np.linalg.eigh(a)
     theta, x = w[1 : p + 1], v[:, 1 : p + 1]
     return theta, x, np.linalg.norm(a @ x - x * theta, axis=0), 0
@@ -130,34 +161,31 @@ def rd_hamiltonian():
     pot, _ = build_potential(
         {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
     )
-    return assemble_real(ball(10, 2), pot)
+    return ReferenceOperator(ball(10, 2), pot)
 
 
 def test_certificate_rejects_window_that_skips_lambda_1(rd_hamiltonian):
-    a = rd_hamiltonian.matrix
-    before = a.copy()
+    a = rd_hamiltonian.dense()
     m = 3
     w, v = np.linalg.eigh(a)
-    theta, x, res, _ = skipping_window(a, m + 1, m, 0.0)  # eigh's vectors 2..m+2
+    theta, x, res, _ = skipping_window(rd_hamiltonian, m + 1, m, 0.0)  # eigh's vectors 2..m+2
     assert theta[m] - theta[m - 1] > 1e-3  # a gap at position m to certify
     with pytest.raises(SolverError, match="count certificate failed"):
-        certify_count(a, theta, x, res, m)
-    assert np.array_equal(a, before)  # the lower triangle is restored bit for bit
+        certify_count(rd_hamiltonian, theta, x, res, m)
 
     x = v[:, : m + 1]
     rho, cut, k = certify_count(
-        a, w[: m + 1], x, np.linalg.norm(a @ x - x * w[: m + 1], axis=0), m
+        rd_hamiltonian, w[: m + 1], x, np.linalg.norm(a @ x - x * w[: m + 1], axis=0), m
     )
     assert cut == m and w[m - 1] < rho < w[m] and k == operator.CERT_BLOCK
-    assert np.array_equal(a, before)
 
 
 def test_certificate_moves_cut_past_multiplet():
     # constant potential in 1D: eigenvalues 1, 2, 2, 5, 5; a cut after the
     # second pair would split the multiplet at 2
-    h = assemble_real(ball(8, 1), trig_potential(1, 1.0, {}))
-    w, v = np.linalg.eigh(h.matrix)
-    rho, cut, _ = certify_count(h.matrix, w[:5], v[:, :5], np.zeros(5), 2)
+    h = ReferenceOperator(ball(8, 1), trig_potential(1, 1.0, {}))
+    w, v = np.linalg.eigh(h.dense())
+    rho, cut, _ = certify_count(h, w[:5], v[:, :5], np.zeros(5), 2)
     assert cut == 3 and rho == pytest.approx(2.0, abs=1e-12)
 
 
@@ -189,6 +217,17 @@ def test_compare_run_exits_3_when_the_certificate_fails(tmp_path, monkeypatch, c
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_compare_run_exits_3_when_the_certificate_outgrows_memory(tmp_path, monkeypatch, capsys):
+    # every Schur block fails on a window that skips lambda_1; the blocks
+    # beyond the first need more memory than there is, so the run stops
+    # with exit 3 before it tries them
+    monkeypatch.setattr(operator, "_block_iterate", skipping_window)
+    first = operator.SCHUR_BYTES * operator.CERT_BLOCK * len(ball(160, 1))
+    monkeypatch.setattr(operator, "physical_memory", lambda: first)
+    assert run_compare(tmp_path, 160) == 3
+    assert "more than physical memory" in capsys.readouterr().err
+
+
 def test_reference_solve_calls_no_full_eigh(monkeypatch):
     sizes = []
     eigh = np.linalg.eigh
@@ -213,10 +252,15 @@ def test_summary_records_reference_solver(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     solver = summary["reference_solver"]
     assert set(solver) == {
-        "steps", "block_size", "guard_grows", "max_residual", "rho", "cert_size"
+        "steps", "block_size", "guard_grows", "max_residual", "rho", "cert_size", "grid",
+        "products",
     }
     assert solver["steps"] > 0 and solver["block_size"] == 1 + 1 + operator.BLOCK_GUARD
     assert solver["cert_size"] == operator.CERT_BLOCK
+    # 2 M_ref + r + 1 = 322 points, rounded up to 2^2 3^4; a product per
+    # block column at the start and per W column each step
+    assert solver["grid"] == [324]
+    assert solver["products"] >= solver["steps"]
     lam = summary["reference_eigenvalues"][-1]
     lambda_above = lam + summary["cluster_gaps"]["above"] * max(1.0, abs(lam))
     assert lambda_above < solver["rho"] < lambda_above + 1e-9
@@ -225,13 +269,15 @@ def test_summary_records_reference_solver(tmp_path):
 
 def test_dense_size_rule_boundary(rd_hamiltonian, monkeypatch):
     # 317 frequencies and a block of 7: only the size rule makes it dense
-    n = rd_hamiltonian.matrix.shape[0]
+    n = rd_hamiltonian.n
     monkeypatch.setattr(operator, "BLOCK_DENSE_MAX", n)
     dense, _, stats = solve_eigen_block(rd_hamiltonian, 0, 2)
     assert (stats.block_size, stats.steps, stats.rho, stats.cert_size) == (n, 0, None, None)
+    assert (stats.grid, stats.products) == (None, 0)
     monkeypatch.setattr(operator, "BLOCK_DENSE_MAX", n - 1)
     block, _, stats = solve_eigen_block(rd_hamiltonian, 0, 2)
     assert stats.block_size == 7 and stats.steps > 0 and stats.rho is not None
+    assert stats.grid == rd_hamiltonian.grid and stats.products > 0
     np.testing.assert_allclose(block.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-12)
     assert operator.BLOCK_DENSE_MAX < len(ball(16, 2))  # the compare2d reference stays certified
 
@@ -244,8 +290,8 @@ def test_guard_growth_restarts_from_the_converged_block(monkeypatch):
     # grows once, and the retry starts from the converged block plus fresh
     # coordinate vectors
     pot = trig_potential(3, 1.0, {(1, 0, 0): 1e-5, (0, 1, 0): 1e-5, (0, 0, 1): 1e-5})
-    h = assemble_real(ball(5, 3), pot)
-    w = np.linalg.eigvalsh(h.matrix)
+    h = ReferenceOperator(ball(5, 3), pot)
+    w = np.linalg.eigvalsh(h.dense())
     cluster, _, warm = solve_eigen_block(h, 2, 9)
     assert warm.guard_grows == 1 and warm.rho is not None
     np.testing.assert_allclose(cluster.eigenvalues, w[2:11], rtol=0.0, atol=1e-12)
@@ -264,12 +310,12 @@ def test_cold_start_takes_whole_ties(radius):
     # 1.9058 loses a member and the count certificate fails; the widened
     # block holds the whole shell and certifies at once
     pot = trig_potential(3, 1.0, {(1, 0, 0): 0.3, (0, 1, 0): 0.3, (0, 0, 1): 0.3})
-    h = assemble_real(ball(radius, 3), pot)
-    assert h.matrix.shape[0] > operator.BLOCK_DENSE_MAX
+    h = ReferenceOperator(ball(radius, 3), pot)
+    assert h.n > operator.BLOCK_DENSE_MAX
     cluster, _, stats = solve_eigen_block(h, 0, 1)
     assert stats.guard_grows == 0 and stats.block_size == 1 + 1 + operator.BLOCK_GUARD
-    assert stats.cert_size < h.matrix.shape[0]
-    w = np.linalg.eigvalsh(h.matrix)
+    assert stats.cert_size < h.n
+    w = np.linalg.eigvalsh(h.dense())
     np.testing.assert_allclose(cluster.eigenvalues, w[:1], rtol=0.0, atol=1e-12)
 
 
@@ -308,17 +354,17 @@ def test_certificate_choice_matches_whole_matrix_cholesky(case):
     # every certificate a solve asks for chooses the oracle's (rho, cut) and
     # fails where it fails, bar a Schur block proving what its Cholesky missed
     pot, m_ref, k0, n_eigs = case
-    h = assemble_real(ball(m_ref, pot.dim), pot)
-    n = h.matrix.shape[0]
+    h = ReferenceOperator(ball(m_ref, pot.dim), pot)
+    a, n = h.dense(), h.n
     certified = []  # the block size of every successful certificate
 
-    def compared(a, theta, x, residuals, m):
+    def compared(op, theta, x, residuals, m):
         try:
             expected = whole_matrix_certify_count(a, theta, x, residuals, m)
         except SolverError as exc:
             expected = exc
         try:
-            rho, cut, k = certify_count(a, theta, x, residuals, m)
+            rho, cut, k = certify_count(op, theta, x, residuals, m)
         except SolverError as exc:
             assert type(exc) is type(expected)
             raise
@@ -373,16 +419,16 @@ def false_claim(draw):
 @given(false_claim())
 def test_false_claims_are_never_certified(claim):
     pot, m_ref, cut, spread = claim
-    a = assemble_real(ball(m_ref, pot.dim), pot).matrix
-    n = a.shape[0]
+    h = ReferenceOperator(ball(m_ref, pot.dim), pot)
+    a, n = h.dense(), h.n
     w, v = np.linalg.eigh(a)
-    before = a.copy()
     sizes = [k for k in 2 ** np.arange(12) if k < n] + [n]
     for x, rho in false_claim_cases(a, w, v, cut, spread):
         c = 2.0 * (rho - float(w[0])) + 1.0
         for k in sizes:  # a rounding term of 0 for the whole matrix only helps a false claim
-            assert not operator._certify_shift(a, x, c, rho, 0.0, k), (k, rho)
-    assert np.array_equal(a, before)
+            assert not operator._certify_shift(h, x, c, rho, 0.0, k), (k, rho)
+            # the exact row sums over D, the stronger dense form of the same proof
+            assert not operator._certify_shift(MatrixOperator(a), x, c, rho, 0.0, k), (k, rho)
 
 
 def test_certificate_memory_stays_below_the_matrix():
@@ -391,12 +437,12 @@ def test_certificate_memory_stays_below_the_matrix():
     pot, _ = build_potential(
         {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
     )
-    a = assemble_real(ball(16, 2), pot).matrix
-    n = a.shape[0]
-    theta, x, res, _ = operator._block_iterate(a, 7, 3, operator.BLOCK_RTOL * a.diagonal().max())
+    h = ReferenceOperator(ball(16, 2), pot)
+    n = h.n
+    theta, x, res, _ = operator._block_iterate(h, 7, 3, operator.BLOCK_RTOL * h.diagonal().max())
     tracemalloc.start()
     try:
-        _, _, k = certify_count(a, theta, x, res, 3)
+        _, _, k = certify_count(h, theta, x, res, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -416,7 +462,8 @@ def test_schur_block_shift_covers_rounding():
         a = np.diag(np.full(20, 100.0))
         a[:12, :12] = lap + np.eye(12)
         for k in range(1, 20):
-            assert not operator._certify_shift(a, np.zeros((20, 0)), 1.0, 1.0, 0.0, k), (seed, k)
+            claim = (MatrixOperator(a), np.zeros((20, 0)), 1.0, 1.0, 0.0, k)
+            assert not operator._certify_shift(*claim), (seed, k)
 
 
 def test_schur_block_keeps_the_window_coupling():
@@ -436,4 +483,4 @@ def test_schur_block_keeps_the_window_coupling():
     assert np.linalg.norm(v[2:, 0]) > 0.7
     rho = 0.5 * (w[0] + w[1])
     c = 2.0 * (rho - w[0]) + 1.0
-    assert operator._certify_shift(a, v[:, :1], c, rho, 0.0, 2)
+    assert operator._certify_shift(MatrixOperator(a), v[:, :1], c, rho, 0.0, 2)

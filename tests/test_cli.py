@@ -1,12 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptpw.adapt as adapt
 import adaptpw.cli as cli
@@ -441,31 +445,44 @@ def test_output_dir_override(tmp_path, monkeypatch):
 
 
 def test_reference_ball_preflight_rejects_before_work(tmp_path, monkeypatch, capsys):
-    # a 3D run with the default M_ref=32 and verification on needs a
-    # 137065-dof reference: EIGEN_REFERENCE_BYTES * 137065^2 bytes at its peak
+    # the matrix-free reference holds block vectors, an FFT grid and a Schur
+    # block, O(n) bytes: on 8 GiB the 3D default M_ref=32 (137065
+    # frequencies) passes, and M_ref=80 (2143641 frequencies) does not
     raw = minimal_config(output={"directory": str(tmp_path / "out")})
     raw["problem"]["dim"] = 3
 
     def build_potential(*args):
         raise AssertionError("potential built before the reference pre-flight")
 
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(cli, "physical_memory", lambda: 8 * 2**30)
     monkeypatch.setattr(cli, "build_potential", build_potential)
+    default = cli.validate_config(raw)
+    assert default.m_ref == 32
+    cli.preflight(default, "compare")
+    assert cli.eigen_reference_bytes(default, 137065) < 2**30
+
+    raw["verification"] = {"M_ref": 80}
     tracemalloc.start()
     rc = main(["run", str(write_config(tmp_path, raw)), "--quiet"])
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert rc == 2
     err = capsys.readouterr().err
-    assert "verification.M_ref" in err and str(cli.EIGEN_REFERENCE_BYTES * 137065**2) in err
+    need = cli.eigen_reference_bytes(cli.validate_config(raw), 2143641)
+    assert "verification.M_ref" in err and str(need) in err and need > 8 * 2**30
     assert not (tmp_path / "out").exists()
     assert peak < 2**20
 
 
 def test_reference_ball_preflight_follows_verification(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_physical_memory", lambda: cli.EIGEN_REFERENCE_BYTES * 401**2 - 1)
-    cli.check_reference_memory(199, 1)  # 399 frequencies fit, 401 do not
+    # the reference of M_ref=200 (401 frequencies) is one byte too large,
+    # that of M_ref=199 (399) fits, and without verification nothing is checked
     raw = minimal_config(verification={"M_ref": 200})
+    config = cli.validate_config(raw)
+    monkeypatch.setattr(cli, "physical_memory", lambda: cli.eigen_reference_bytes(config, 401) - 1)
+    cli.preflight(cli.validate_config(minimal_config(verification={"M_ref": 199})), "uniform")
+    with pytest.raises(cli.ConfigError, match="401 frequencies"):
+        cli.preflight(config, "uniform")
     assert main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "uniform"]) == 2
     raw["verification"]["enable_subspace_distance"] = False
     raw["output"] = {"directory": str(tmp_path / "out")}
@@ -484,6 +501,41 @@ def test_eigen_runs_do_not_import_scipy():
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
     )
     assert out.stdout.split() == ["False", "False"]
+    for mode in ("eigen-feasible", "compare"):
+        assert random_decay_run_modules(mode) == ["0", "False", "False", "False"]
+
+
+def random_decay_run_modules(mode, problem=None):
+    """Exit code of a 2D random-decay run in a fresh interpreter, and whether it
+    imported scipy, numpy.random and secrets.
+
+    The potential's phases come from a pure-Python PCG64, so no run loads
+    numpy.random, nor the secrets and OpenSSL it brings (about 6 MB).
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = {
+            "problem": {
+                "dim": 2,
+                "n_eigs": 1,
+                "potential": {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 4},
+                **(problem or {}),
+            },
+            "algorithm": {"tol": 1e-2},
+            "verification": {"M_ref": 12},
+            "output": {"directory": str(Path(tmp) / "out")},
+            "seed": 7,
+        }
+        code = (
+            "import sys, adaptpw.cli; "
+            f"rc = adaptpw.cli.main(['run', {str(write_config(Path(tmp), raw))!r}, "
+            f"'--quiet', '--mode', {mode!r}]); "
+            "print(rc, *(m in sys.modules for m in ('scipy', 'numpy.random', 'secrets')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+    return out.stdout.split()
 
 
 def test_source_runs_do_not_import_scipy(tmp_path):
@@ -511,6 +563,23 @@ def test_source_runs_do_not_import_scipy(tmp_path):
     assert out.stdout.split() == ["0", "False"]
     rows = (tmp_path / "out" / "iterations.csv").read_text().splitlines()
     assert len(rows) > 2 and "nan" not in rows[-1]
+    rhs = [[{"index": [0, 0], "re": 1.0}, {"index": [1, 2], "re": 0.5},
+            {"index": [-1, -2], "re": 0.5}]]
+    assert random_decay_run_modules("source", {"rhs": rhs}) == ["0", "False", "False", "False"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**200)), st.integers(0, 300))
+def test_random_decay_phases_match_numpy_generator(seed, count):
+    expected = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=count)
+    assert np.array_equal(np.array(cli._uniform_phases(seed, count)), expected)
+
+
+def test_random_decay_phases_reject_negative_seeds():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError):
+        cli._uniform_phases(-1, 3)
 
 
 @pytest.fixture
@@ -550,12 +619,12 @@ def counted_solves(monkeypatch):
     return counts
 
 
-def test_compare_builds_reference_matrix_once(tmp_path, counted_solves):
+def test_compare_assembles_no_reference_matrix(tmp_path, counted_solves):
     # the reference eigensolve, run distances and uniform sweep share one
-    # assembled real reference matrix, its count certificate factors one
-    # block smaller than the ball and nothing of the ball's size, and no
-    # complex matrix of reference size is assembled; the reference ball (321
-    # frequencies, above BLOCK_DENSE_MAX) gets no full eigh
+    # matrix-free reference operator: the reference ball (321 frequencies,
+    # above BLOCK_DENSE_MAX) is never assembled, real or complex, gets no
+    # full eigh, and its count certificate factors one block smaller than
+    # the ball
     raw = {
         "problem": {
             "dim": 1,
@@ -569,7 +638,7 @@ def test_compare_builds_reference_matrix_once(tmp_path, counted_solves):
     rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "compare"])
     assert rc == 0
     n_ref = len(cli.ball(160, 1))
-    assert counted_solves["real"].count(n_ref) == 1
+    assert n_ref not in counted_solves["real"]
     assert n_ref not in counted_solves["cholesky"]
     assert len(counted_solves["cholesky"]) == 1 and counted_solves["cholesky"][0] < n_ref
     assert n_ref not in counted_solves["eigh"]
