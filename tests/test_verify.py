@@ -173,10 +173,9 @@ def test_distance_matches_cholesky_frame_oracle(dim, m_ref, r_cut):
 
 
 def test_reference_path_allocates_no_complex_square_array():
-    # the real n x n matrix is alive on the whole reference path (8 n^2
-    # bytes), and the count certificate briefly adds its factor, the saved
-    # lower triangle and a mask (13 n^2); a complex n x n array (16 n^2
-    # bytes) beside the matrix would lift the traced peak to at least 24 n^2
+    # the matrix-free reference path holds no n x n array at all: one real
+    # matrix alone (8 n^2 bytes) would reach the bound, a complex one (16
+    # n^2) exceed it
     pot, _ = build_potential(
         {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
     )
@@ -192,7 +191,7 @@ def test_reference_path_allocates_no_complex_square_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * n * n
+    assert peak < 8 * n * n
 
 
 # -- subspace distance --------------------------------------------------------
