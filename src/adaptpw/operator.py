@@ -352,16 +352,24 @@ def assemble_real(s: IndexSet, potential: Potential) -> RealHamiltonian:
 
 
 def grid_points(radius: int, reach: int) -> int:
-    """Smallest 2,3,5-smooth N >= 2 radius + reach + 1 (see `ReferenceOperator`)."""
+    """Smallest 2,3,5-smooth N >= 2 radius + reach + 1 (see `ReferenceOperator`).
+
+    Each 2^i 3^j below the power of two that bounds it is completed by the
+    least power of 5 reaching the target, O(log^3) work for any radius.
+    """
     n = 2 * radius + reach + 1
-    while True:
-        rest = n
-        for f in (2, 3, 5):
-            while rest % f == 0:
-                rest //= f
-        if rest == 1:
-            return n
-        n += 1
+    best = 1 << (n - 1).bit_length()
+    p2 = 1
+    while p2 < best:
+        p23 = p2
+        while p23 < best:
+            p235 = p23
+            while p235 < n:
+                p235 *= 5
+            best = min(best, p235)
+            p23 *= 3
+        p2 *= 2
+    return best
 
 
 def physical_memory() -> int:

@@ -474,6 +474,15 @@ def test_reference_ball_preflight_rejects_before_work(tmp_path, monkeypatch, cap
     assert peak < 2**20
 
 
+def test_reference_ball_preflight_rejects_huge_radius_at_once():
+    # neither the ball nor the grid size is searched point by point
+    for dim in (1, 2, 3):
+        raw = minimal_config(verification={"M_ref": 10**12})
+        raw["problem"]["dim"] = dim
+        with pytest.raises(cli.ConfigError, match="verification.M_ref"):
+            cli.preflight(cli.validate_config(raw), "compare")
+
+
 def test_reference_ball_preflight_follows_verification(tmp_path, monkeypatch):
     # the reference of M_ref=200 (401 frequencies) is one byte too large,
     # that of M_ref=199 (399) fits, and without verification nothing is checked

@@ -101,6 +101,17 @@ def smooth(k):
     return k == 1
 
 
+def test_grid_points_is_the_smallest_smooth_size():
+    for n in range(1, 3000):
+        radius, reach = divmod(n - 1, 2)
+        assert operator.grid_points(radius, reach) == next(
+            k for k in range(n, 2 * n + 2) if smooth(k)
+        )
+    # a search by powers, not by counting up: the 5-smooth numbers near 4e12
+    # lie millions apart
+    assert operator.grid_points(10**12, 2 * 10**12) == 4016775629952
+
+
 def compare2d_reference():
     pot, _ = build_potential(
         {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
