@@ -4,7 +4,7 @@ Computes eigenvalue clusters of -Laplace + V on the d-torus with
 a posteriori error control: residual-based estimators, bulk marking over
 frequency pairs, a certified feasible estimator with truncated
 potentials, and verification utilities measuring convergence rate and
-complexity against dense reference solves.
+complexity against reference solves.
 """
 
 from .adapt import (
@@ -37,11 +37,9 @@ from .operator import (
     Potential,
     PositivityWarning,
     PotentialError,
-    RealHamiltonian,
     ReferenceOperator,
     SolverError,
     assemble,
-    assemble_real,
     certify_count,
     solve_eigen,
     solve_eigen_block,

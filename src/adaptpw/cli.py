@@ -321,14 +321,20 @@ def preflight(config: ExperimentConfig, mode: str) -> None:
     """Reject, before any work, a run that its frequency balls cannot carry.
 
     Eigen, compare and uniform runs need the cluster to fit in the initial
-    ball, and every run that builds a reference needs its solve to fit in
-    memory: the matrix-free eigen reference (`eigen_reference_bytes`: block
-    vectors, FFT grid and the first Schur block), or source mode's complex
-    `solve_source` (`SOURCE_REFERENCE_BYTES` n^2). An eigen reference must
-    also hold the cluster.
+    ball, a compare run needs verification, and every run that builds a
+    reference needs its solve to fit in memory: the matrix-free eigen
+    reference (`eigen_reference_bytes`: block vectors, FFT grid and the
+    first Schur block), or source mode's complex `solve_source`
+    (`SOURCE_REFERENCE_BYTES` n^2). An eigen reference must also hold the
+    cluster.
     """
     if mode not in RUN_MODES:
         raise ConfigError("mode", f"unknown mode {mode!r}")
+    if mode == "compare" and not config.enable_subspace_distance:
+        raise ConfigError(
+            "verification.enable_subspace_distance",
+            "compare mode matches errors against the reference, so it must be true",
+        )
     if mode != "source":
         _check_ball_holds_cluster("algorithm.M0", config.algorithm.M0, config)
     if mode == "source" and config.enable_subspace_distance:
@@ -544,7 +550,7 @@ def uniform_sweep(
     certified `solve_eigen_block` on its own `ReferenceOperator`, the
     reference operator restricted to the ball's coordinates, which are rows
     of the reference's (`ReferenceSolution.coordinate_rows`): matrix-free,
-    or by `assemble_real` and a whole-space `eigh` up to `BLOCK_DENSE_MAX`
+    or by its `dense` matrix and a whole-space `eigh` up to `BLOCK_DENSE_MAX`
     frequencies. Its coordinate columns go into the distances on those
     rows. The reference ball itself is not solved again: its row is the
     reference cluster.
@@ -772,8 +778,6 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
                 f"{mode}: {run.termination_reason} after {len(run.records)} iterations, "
                 f"dof {len(run.final_index_set)}"
             )
-        elif distances is None:
-            raise SolverError("compare mode requires verification to be enabled")
         else:
             m_hi = int(math.ceil(run.final_index_set.max_radius())) + 1
             rows = _uniform_step(outdir, summary, config, potential, ref, m_hi)

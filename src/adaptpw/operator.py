@@ -14,11 +14,12 @@ iteration whose result is certified (`solve_eigen_block`,
 
 The potential is real, so H[-G, -G'] = conj(H[G, G']), and on a basis
 closed under negation the matrix is real symmetric in cos/sin coordinates
-(`CosSinCoordinates`). There verification keeps no matrix:
-`ReferenceOperator` multiplies by H with real FFTs and gathers the
-entries the certificate reads straight from the potential. `assemble_real`
-builds the real matrix, for small balls and as the test oracle. Only the
-adaptive loop and the source solves use the complex `assemble`.
+(`CosSinCoordinates`). `ReferenceOperator` is that real operator and the
+only one verification uses: it multiplies by H with real FFTs, gathers the
+entries the certificate reads straight from the potential, and forms the
+whole matrix (`dense`) only for small balls and the certificate's last
+step. Only the adaptive loop and the source solves use the complex
+`assemble`.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ DENSE_CERT_BYTES = 32
 #: the gathered rows (M_PD is formed a block of columns at a time)
 SCHUR_BYTES = 16
 
-#: side of the square tiles of `assemble_real`'s symmetry check; it gathers
-#: blocks of A and B of about _TILE**2 entries at a time
+#: side of the square tiles of `ReferenceOperator.dense`'s symmetry check; its
+#: rows gather blocks of A and B of about _TILE**2 entries at a time
 _TILE = 128
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -200,9 +201,6 @@ class Hamiltonian:
     basis: IndexSet
     matrix: np.ndarray
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
 
 def _potential_rows(
     potential: Potential, a: np.ndarray, b: np.ndarray
@@ -316,41 +314,6 @@ class CosSinCoordinates:
         return u
 
 
-@dataclass(frozen=True)
-class RealHamiltonian:
-    """Real symmetric Galerkin matrix U^H H U in cos/sin coordinates."""
-
-    coords: CosSinCoordinates
-    matrix: np.ndarray
-
-    @property
-    def basis(self) -> IndexSet:
-        return self.coords.basis
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
-
-def assemble_real(s: IndexSet, potential: Potential) -> RealHamiltonian:
-    """Assemble H on `s` directly in its cos/sin coordinates (`ReferenceOperator.rows`).
-
-    Neither U nor the complex H is formed, and the symmetry check runs
-    tile by tile, so the matrix is the only n x n array held.
-    """
-    op = ReferenceOperator(s, potential)
-    r = op.rows(np.arange(op.n))
-    n = op.n
-    scale = max(1.0, float(r.max(initial=0.0)), -float(r.min(initial=0.0)))
-    defect = 0.0
-    for i in range(0, n, _TILE):  # |r - r^T| is symmetric: tiles on and above the diagonal
-        for j in range(i, n, _TILE):
-            asym = r[i : i + _TILE, j : j + _TILE] - r[j : j + _TILE, i : i + _TILE].T
-            defect = max(defect, float(np.max(np.abs(asym, out=asym))))
-    if defect > 1e-13 * scale:
-        raise SolverError(f"assembled matrix is not symmetric (defect {defect:.3e})")
-    return RealHamiltonian(coords=op.coords, matrix=r)
-
-
 def grid_points(radius: int, reach: int) -> int:
     """Smallest 2,3,5-smooth N >= 2 radius + reach + 1 (see `ReferenceOperator`).
 
@@ -409,9 +372,9 @@ class ReferenceOperator:
     2,3,5-smooth size. Columns are transformed about `_FFT_CELLS` grid cells
     at a time, and `products` counts them.
 
-    The certificate reads entries, not products: `diagonal` (closed form)
-    and `rows` gather them from the potential, bit for bit `assemble_real`'s
-    matrix; `row_sums` and `frobenius` bound row sums and norm from supp V.
+    The certificate reads entries, not products: `rows` gathers them from
+    the potential, and `diagonal` is their closed form, bit for bit;
+    `row_sums` and `frobenius` bound row sums and norm from supp V.
     `dense` assembles the whole matrix, when memory admits it (SolverError
     otherwise), for whole-space solves and the certificate's last step.
     """
@@ -567,12 +530,27 @@ class ReferenceOperator:
         return math.sqrt(float(np.sum(self.diagonal() ** 2) + np.sum(r * r)))
 
     def dense(self) -> np.ndarray:
-        need = DENSE_CERT_BYTES * self.n * self.n
+        """The whole matrix, `rows` of every coordinate; SolverError beyond physical memory.
+
+        Neither U nor the complex H is formed, and the symmetry check runs
+        tile by tile, so the matrix is the only n x n array held.
+        """
+        n = self.n
+        need = DENSE_CERT_BYTES * n * n
         if need > physical_memory():
             raise SolverError(
-                f"the matrix of {self.n} coordinates needs {need} bytes, more than physical memory"
+                f"the matrix of {n} coordinates needs {need} bytes, more than physical memory"
             )
-        return assemble_real(self.basis, self.potential).matrix
+        r = self.rows(np.arange(n))
+        scale = max(1.0, float(r.max(initial=0.0)), -float(r.min(initial=0.0)))
+        defect = 0.0
+        for i in range(0, n, _TILE):  # |r - r^T| is symmetric: tiles on and above the diagonal
+            for j in range(i, n, _TILE):
+                asym = r[i : i + _TILE, j : j + _TILE] - r[j : j + _TILE, i : i + _TILE].T
+                defect = max(defect, float(np.max(np.abs(asym, out=asym))))
+        if defect > 1e-13 * scale:
+            raise SolverError(f"assembled matrix is not symmetric (defect {defect:.3e})")
+        return r
 
 
 @dataclass(frozen=True)

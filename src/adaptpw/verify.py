@@ -31,8 +31,8 @@ import numpy as np
 from .adapt import AdaptiveRun
 from .frequency import IndexSet, ball, union
 from .operator import (
-    BlockSolveStats, CosSinCoordinates, EigenCluster, Hamiltonian, Potential, RealHamiltonian,
-    ReferenceOperator, assemble, group_slices, solve_eigen_block,
+    BlockSolveStats, CosSinCoordinates, EigenCluster, Potential, ReferenceOperator, group_slices,
+    solve_eigen_block,
 )
 from .spectral import SpectralField
 
@@ -160,24 +160,28 @@ class EnergyBlock:
 
 
 class EnergyMetric:
-    """Energy inner product on a fixed basis, by products with its Galerkin operator.
+    """Energy inner product on a symmetric basis, by products with its real Galerkin operator.
 
-    Inner products of blocks are k x k Gram matrices X^H H Y, and H Y comes
-    from `h.apply`: a stored complex or real matrix, or a matrix-free
-    `ReferenceOperator`. For a real operator R = U^H H U in cos/sin
-    coordinates, coefficient columns x enter as their cos/sin coordinates
-    U^H x, and R acts on their real and imaginary parts side by side, so no
-    complex copy of it is made.
+    Inner products of blocks are k x k Gram matrices X^H R Y, with R =
+    U^H H U the matrix-free `ReferenceOperator` in cos/sin coordinates.
+    Coefficient columns x enter as their coordinates U^H x, and `products`
+    applies R to the real and imaginary parts of complex columns side by
+    side, so no complex copy of R is made.
     """
 
-    def __init__(self, h: Hamiltonian | RealHamiltonian | ReferenceOperator) -> None:
-        self.basis = h.basis
-        self.operator = h
-        self.coords = None if isinstance(h, Hamiltonian) else h.coords
+    def __init__(self, h: ReferenceOperator) -> None:
+        self.basis, self.operator, self.coords = h.basis, h, h.coords
 
     def coordinates(self, vectors: np.ndarray) -> np.ndarray:
         """Coordinate columns of coefficient columns over `basis`."""
-        return vectors if self.coords is None else self.coords.from_coefficients(vectors)
+        return self.coords.from_coefficients(vectors)
+
+    def products(self, y: np.ndarray) -> np.ndarray:
+        """R y for real or complex coordinate columns y."""
+        if not np.iscomplexobj(y):
+            return self.operator.apply(y)
+        both = self.operator.apply(np.hstack([y.real, y.imag]))
+        return both[:, : y.shape[1]] + 1j * both[:, y.shape[1] :]
 
     def block(self, y: np.ndarray, rows: np.ndarray | None = None) -> EnergyBlock:
         """a-orthonormal basis of the span of coordinate columns y.
@@ -191,12 +195,7 @@ class EnergyMetric:
             full = np.zeros((len(self.basis), y.shape[1]), dtype=y.dtype)
             full[rows] = y
             y = full
-        if np.iscomplexobj(y) and self.coords is not None:
-            k = y.shape[1]
-            both = self.operator.apply(np.hstack([y.real, y.imag]))
-            hy = both[:, :k] + 1j * both[:, k:]
-        else:
-            hy = self.operator.apply(y)
+        hy = self.products(y)
         s, v = np.linalg.eigh(y.conj().T @ hy)
         if s[0] <= 0.0 or s[-1] / s[0] > 1e12:
             cond = math.inf if s[0] <= 0.0 else s[-1] / s[0]
@@ -358,26 +357,25 @@ def source_errors(
 ) -> list[float]:
     """Energy-norm distance of each source iterate from a reference solve.
 
-    Iterates are nested, so one Galerkin matrix H on the union of the
-    reference supports and the final index set covers every error
-    e = u_ref - u_n; the distance is sqrt(sum over right-hand sides of
-    Re(e^H H e)).
+    Iterates are nested, so the real operator R on the union of the
+    reference supports and the final index set (`ReferenceOperator`)
+    covers every error e = u_ref - u_n. The cos/sin coordinates y of all
+    errors, one column per iterate and right-hand side, take one
+    matrix-free product; the distance is sqrt(sum over right-hand sides of
+    y^H R y).
     """
     basis = run.final_index_set
     for u in reference:
         basis = union(basis, u.support)
-    h = assemble(basis, potential).matrix
-    ref = _coefficient_columns(reference, basis)
-    out = []
-    for sols in run.solutions:
-        e = ref - _coefficient_columns(sols, basis)
-        per_rhs = np.sum(np.conj(e) * (h @ e), axis=0).real
-        out.append(math.sqrt(float(np.sum(np.maximum(per_rhs, 0.0)))))
-    return out
-
-
-def _coefficient_columns(fields: list[SpectralField], basis: IndexSet) -> np.ndarray:
-    """One coefficient column per field over `basis`, which must hold every support."""
-    return np.concatenate(
-        [embed_columns(f.coeffs[:, None], f.support, basis) for f in fields], axis=1
-    )
+    metric = EnergyMetric(ReferenceOperator(basis, potential))
+    e = [
+        u.coefficients_on(basis) - w.coefficients_on(basis)
+        for sols in run.solutions
+        for u, w in zip(reference, sols)
+    ]
+    y = metric.coordinates(np.stack(e, axis=1))
+    per_rhs = np.sum(np.conj(y) * metric.products(y), axis=0).real
+    return [
+        math.sqrt(float(np.sum(np.maximum(p, 0.0))))
+        for p in per_rhs.reshape(len(run.solutions), len(reference))
+    ]

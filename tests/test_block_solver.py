@@ -1,7 +1,8 @@
 """The certified block eigensolver of the verification reference, against `eigh`.
 
-The solver runs on the matrix-free `ReferenceOperator`; the dense matrix
-(`assemble_real`) and a whole-matrix Cholesky stay here as its oracles.
+The solver runs on the matrix-free `ReferenceOperator`; its dense matrix
+(`ReferenceOperator.dense`) and a whole-matrix Cholesky stay here as its
+oracles.
 """
 
 import json
@@ -19,7 +20,6 @@ from adaptpw import (
     EnergyMetric,
     ReferenceOperator,
     SolverError,
-    assemble_real,
     ball,
     certify_count,
     reference_solve,
@@ -110,9 +110,8 @@ def solve_recording(solve, *args):
 def test_block_solver_matches_eigh(case):
     pot, m_ref, k0, n_eigs = case
     h = ReferenceOperator(ball(m_ref, pot.dim), pot)
-    real = assemble_real(h.basis, pot)
     n = h.n
-    w, v = np.linalg.eigh(real.matrix)  # the oracle
+    w, v = np.linalg.eigh(h.dense())  # the oracle
     (cluster, x, stats), warned = solve_recording(solve_eigen_block, h, k0, n_eigs)
 
     top, atol = k0 + n_eigs, oracle_atol(h)
@@ -131,7 +130,7 @@ def test_block_solver_matches_eigh(case):
     assert (stats.products == 0) == (stats.grid is None) == (stats.block_size == n)
 
     # groups of close eigenvalues that lie wholly inside the window
-    metric = EnergyMetric(real)
+    metric = EnergyMetric(h)
     oracle = h.coords.to_coefficients(v[:, k0:top])
     for sl in group_slices(w, COMPARE_GROUP_RTOL):
         if k0 <= sl.start and sl.stop <= top:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import adaptpw.adapt as adapt
 import adaptpw.cli as cli
-from adaptpw import EigenCluster, assemble_real, reference_solve
+from adaptpw import EigenCluster, ReferenceOperator, reference_solve
 from adaptpw.cli import (
     ConfigError,
     build_potential,
@@ -205,15 +205,23 @@ def test_exit_code_2_on_bad_config(tmp_path):
     assert rc == 2
 
 
-def test_exit_code_3_on_numerical_failure(tmp_path):
-    # compare mode needs the reference machinery; disabling it is a runtime
-    # failure of the numerical pipeline, not a config-shape error
+def test_compare_without_verification_rejected_up_front(tmp_path, monkeypatch, capsys):
+    # compare mode matches errors against the reference, so disabling
+    # verification is a config error, found before the output directory or
+    # the potential exists
     raw = minimal_config(
         verification={"enable_subspace_distance": False},
         output={"directory": str(tmp_path / "out")},
     )
+
+    def build_potential(*args):
+        raise AssertionError("potential built before the pre-flight")
+
+    monkeypatch.setattr(cli, "build_potential", build_potential)
     rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "compare"])
-    assert rc == 3
+    assert rc == 2
+    assert "config error: verification.enable_subspace_distance:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_run_outside_reference_names_m_ref(tmp_path, capsys):
@@ -593,20 +601,20 @@ def test_random_decay_phases_reject_negative_seeds():
 
 @pytest.fixture
 def counted_solves(monkeypatch):
-    """Sizes of every complex assembly, real assembly, Cholesky factorisation and `eigh`."""
+    """Sizes of every complex assembly, real `dense` matrix, Cholesky factorisation and `eigh`."""
     import adaptpw.operator as operator
 
     counts = {"complex": [], "real": [], "cholesky": [], "eigh": []}
-    assemble, assemble_real = operator.assemble, operator.assemble_real
+    assemble, dense = operator.assemble, operator.ReferenceOperator.dense
     cholesky, eigh = np.linalg.cholesky, np.linalg.eigh
 
     def counting_assemble(s, potential):
         counts["complex"].append(len(s))
         return assemble(s, potential)
 
-    def counting_assemble_real(s, potential):
-        counts["real"].append(len(s))
-        return assemble_real(s, potential)
+    def counting_dense(self):
+        counts["real"].append(self.n)
+        return dense(self)
 
     def counting_cholesky(a):
         counts["cholesky"].append(a.shape[0])
@@ -621,8 +629,7 @@ def counted_solves(monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is assemble:
                     monkeypatch.setattr(module, key, counting_assemble)
-                elif value is assemble_real:
-                    monkeypatch.setattr(module, key, counting_assemble_real)
+    monkeypatch.setattr(operator.ReferenceOperator, "dense", counting_dense)
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return counts
@@ -681,6 +688,27 @@ def test_compare_sweep_reaching_reference_ball_solves_it_real(tmp_path, counted_
     assert float(rows[-1].split(",")[2]) == 0.0
 
 
+def test_source_reference_is_assembled_once(tmp_path, counted_solves):
+    # the reference solve assembles the complex matrix of the reference
+    # ball; the errors against it take matrix-free products on the real
+    # operator, so no second complex matrix of that size appears
+    raw = {
+        "problem": {
+            "dim": 1,
+            "n_eigs": 1,
+            "potential": {"family": "trig", "c": 1.0, "terms": [{"k": [1], "a": 1.0}]},
+            "rhs": [[{"index": [0], "re": 1.0}], [{"index": [1], "re": 1.0}]],
+        },
+        "algorithm": {"mode": "source", "theta_tilde": 0.6, "zeta": 0.0, "tol": 1e-8},
+        "verification": {"M_ref": 32},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    assert main(["run", str(write_config(tmp_path, raw)), "--quiet"]) == 0
+    n_ref = len(cli.ball(32, 1))
+    assert counted_solves["complex"].count(n_ref) == 1
+    assert counted_solves["real"] == []
+
+
 # -- uniform sweep ----------------------------------------------------------------
 
 
@@ -702,8 +730,8 @@ def test_uniform_sweep_monotone(cosine_potential):
 
 def _dense_sweep_row(potential, k0, n_eigs, m, ref):
     """Oracle: eigenvalues and reference distance of ball(m) by a full real `eigh`."""
-    h = assemble_real(cli.ball(m, potential.dim), potential)
-    w, v = np.linalg.eigh(h.matrix)
+    h = ReferenceOperator(cli.ball(m, potential.dim), potential)
+    w, v = np.linalg.eigh(h.dense())
     window = slice(k0, k0 + n_eigs)
     cluster = EigenCluster(
         h.basis, k0, w[window], h.coords.to_coefficients(v[:, window]), 0.0, None

@@ -1,4 +1,4 @@
-"""The matrix-free reference operator against the assembled real matrix."""
+"""The matrix-free reference operator against its assembled real matrix."""
 
 import tracemalloc
 
@@ -14,7 +14,6 @@ from adaptpw import (
     ReferenceOperator,
     SolverError,
     SpectralField,
-    assemble_real,
     ball,
     certify_count,
     reference_solve,
@@ -50,7 +49,7 @@ def operator_case(draw):
 def test_operator_matches_assembled_matrix(case, columns):
     basis, potential = case
     h = ReferenceOperator(basis, potential)
-    a = assemble_real(basis, potential).matrix
+    a = h.dense()
     n = h.n
     assert np.array_equal(h.diagonal(), a.diagonal())
     idx = np.random.default_rng(n).permutation(n)[: max(1, n // 3)]
@@ -81,7 +80,7 @@ def test_grid_of_2m_plus_r_points_aliases_and_one_more_does_not(
         {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": r_cut}, dim, seed=3
     )
     basis = ball(radius, dim)
-    a = assemble_real(basis, pot).matrix
+    a = ReferenceOperator(basis, pot).dense()
     eye = np.eye(len(basis))
     edge = 2 * radius + r_cut + 1
     assert ReferenceOperator(basis, pot).points == next(
@@ -148,4 +147,14 @@ def test_certificate_refuses_blocks_beyond_physical_memory(monkeypatch):
     dense = operator.DENSE_CERT_BYTES * h.n**2
     monkeypatch.setattr(operator, "physical_memory", lambda: dense - 1)
     with pytest.raises(SolverError, match="more than physical memory"):
+        h.dense()
+
+
+def test_dense_refuses_an_asymmetric_matrix():
+    # V_1 != conj(V_-1): built past `verify_potential`, this potential gives
+    # rows that are not symmetric, and every `dense` call checks them
+    support = IndexSet(1, np.array([[0], [1], [-1]]))
+    field = SpectralField(support, np.array([1.0, 0.5, 0.1], dtype=complex), real_flag=True)
+    h = ReferenceOperator(ball(3, 1), Potential(field, 0.0, 0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(SolverError, match="not symmetric"):
         h.dense()

@@ -9,10 +9,10 @@ from adaptpw import (
     AdaptiveConfig,
     ClusterBoundaryWarning,
     EnergyMetric,
+    ReferenceOperator,
     SpectralField,
     a_norm,
     assemble,
-    assemble_real,
     ball,
     eigenvalue_gap_check,
     fit_rates,
@@ -84,9 +84,8 @@ def test_reference_warns_on_cut_multiplet(constant_potential):
 def complex_reference_oracle(potential, k0, n_eigs, m_ref, clusters):
     """Reference eigenvalues and per-group distances from the complex Hermitian solve."""
     basis = ball(m_ref, potential.dim)
-    h = assemble(basis, potential)
-    ref = solve_eigen(h, k0, n_eigs)
-    metric = EnergyMetric(h)
+    ref = solve_eigen(assemble(basis, potential), k0, n_eigs)
+    metric = EnergyMetric(ReferenceOperator(basis, potential))
     groups = group_slices(ref.eigenvalues, GROUP_GAP_RTOL)
     distances = [
         [
@@ -131,7 +130,7 @@ def test_reference_matches_complex_oracle(dim, n_eigs, m_ref, spec, largest_grou
 
 def frame_distance_oracle(h, x, y):
     """subspace_distance through the Cholesky frame L^T of the real energy form."""
-    frame = np.linalg.cholesky(h.matrix).T
+    frame = np.linalg.cholesky(h.dense()).T
 
     def orthonormal_frame(v):
         c = h.coords.from_coefficients(v)
@@ -159,7 +158,7 @@ def test_distance_matches_cholesky_frame_oracle(dim, m_ref, r_cut):
         warnings.simplefilter("ignore")
         run = run_eigen(cfg, pot)
         ref = reference_solve(pot, 0, 2, m_ref)
-    h = assemble_real(ref.basis, pot)
+    h = ReferenceOperator(ref.basis, pot)
     y = ref.cluster.vectors
     for cluster in run.clusters:
         x = embed_columns(cluster.vectors, cluster.basis, ref.basis)
@@ -199,7 +198,7 @@ def test_reference_path_allocates_no_complex_square_array():
 
 def test_distance_identical_subspaces(constant_potential):
     basis = ball(2, 1)
-    metric = EnergyMetric(assemble(basis, constant_potential))
+    metric = EnergyMetric(ReferenceOperator(basis, constant_potential))
     rng = np.random.default_rng(1)
     x = rng.normal(size=(len(basis), 2))
     assert subspace_distance(x, x.copy(), metric) <= 1e-13
@@ -207,7 +206,7 @@ def test_distance_identical_subspaces(constant_potential):
 
 def test_distance_orthogonal_subspaces(constant_potential):
     basis = ball(1, 1)
-    metric = EnergyMetric(assemble(basis, constant_potential))
+    metric = EnergyMetric(ReferenceOperator(basis, constant_potential))
     x = np.zeros((3, 1)); x[0, 0] = 1.0  # e_0
     y = np.zeros((3, 1)); y[2, 0] = 1.0  # e_1 (a-orthogonal for constant V)
     assert subspace_distance(x, y, metric) == pytest.approx(1.0, abs=1e-12)
@@ -217,7 +216,7 @@ def test_distance_matches_sampling_oracle():
     v = trig_potential(1, 1.0, {(1,): 0.6})
     basis = ball(3, 1)  # 7-dim space
     h = assemble(basis, v)
-    metric = EnergyMetric(h)
+    metric = EnergyMetric(ReferenceOperator(basis, v))
     rng = np.random.default_rng(23)
     x = rng.normal(size=(7, 2))
     y = rng.normal(size=(7, 2))
@@ -247,7 +246,7 @@ def test_distance_matches_sampling_oracle():
 
 def test_distance_basis_change_invariance(cosine_potential):
     basis = ball(4, 1)
-    metric = EnergyMetric(assemble(basis, cosine_potential))
+    metric = EnergyMetric(ReferenceOperator(basis, cosine_potential))
     rng = np.random.default_rng(3)
     x = rng.normal(size=(len(basis), 3))
     y = rng.normal(size=(len(basis), 3))
@@ -263,7 +262,7 @@ def test_distance_basis_change_invariance(cosine_potential):
 
 def test_distance_rank_deficiency(constant_potential):
     basis = ball(2, 1)
-    metric = EnergyMetric(assemble(basis, constant_potential))
+    metric = EnergyMetric(ReferenceOperator(basis, constant_potential))
     x = np.zeros((5, 2))
     x[0, 0] = 1.0
     x[0, 1] = 1.0 + 1e-14  # numerically dependent columns
@@ -382,6 +381,10 @@ def source_errors_oracle(run, reference, potential):
         # reference ball smaller than the run's sets: the union basis matters
         (1, {(1,): 1.0}, [{(0,): 1.0}, {(2,): 1.0, (-2,): 1.0}], 3),
         (2, {(1, 0): 0.5, (1, 1): 0.3}, [{(0, 0): 1.0}, {(1, -2): 0.5j, (-1, 2): -0.5j}], 2),
+        # non-Hermitian right-hand sides: complex cos/sin coordinates, whose
+        # real and imaginary parts the operator multiplies side by side
+        (1, {(1,): 1.0}, [{(1,): 1.0}], 64),
+        (2, {(1, 0): 0.5, (1, 1): 0.3}, [{(1, 0): 1.0, (-1, 0): 1.0}, {(1, 1): 0.5j, (0, 1): 1.0}], 8),
     ],
 )
 def test_source_errors_match_convolution_oracle(dim, terms, rhs, m_ref):
