@@ -58,7 +58,6 @@ from .spectral import (
 from .verify import (
     CoverageWarning,
     DistanceReport,
-    EnergyMetric,
     RateFit,
     ReferenceSolution,
     eigenvalue_gap_check,

@@ -547,13 +547,12 @@ def uniform_sweep(
     """Solves on balls of increasing radius, with errors vs the reference.
 
     Every ball must lie inside the reference ball. Each is solved by the
-    certified `solve_eigen_block` on its own `ReferenceOperator`, the
-    reference operator restricted to the ball's coordinates, which are rows
-    of the reference's (`ReferenceSolution.coordinate_rows`): matrix-free,
-    or by its `dense` matrix and a whole-space `eigh` up to `BLOCK_DENSE_MAX`
-    frequencies. Its coordinate columns go into the distances on those
-    rows. The reference ball itself is not solved again: its row is the
-    reference cluster.
+    certified `solve_eigen_block` on its own `ReferenceOperator`:
+    matrix-free, or by its `dense` matrix and a whole-space `eigh` up to
+    `BLOCK_DENSE_MAX` frequencies. Its cluster enters the distances as an
+    adaptive iterate does (`ReferenceSolution.group_distances`). The
+    reference ball itself is not solved again: its row is the reference
+    cluster.
     """
     if list(m_list) != sorted(m_list):
         raise ValueError("m_list must be ascending")
@@ -562,12 +561,9 @@ def uniform_sweep(
         basis = ball(m, potential.dim)
         if len(basis) == len(ref.basis):  # nested balls of equal size are equal
             cluster = ref.cluster
-            distances = ref.group_distances(cluster)
         else:
-            h = ReferenceOperator(basis, potential)
-            idx = ref.coordinate_rows(h.coords)
-            cluster, window, _ = solve_eigen_block(h, k0, n_eigs)
-            distances = ref.coordinate_distances(window, idx)
+            cluster, _, _ = solve_eigen_block(ReferenceOperator(basis, potential), k0, n_eigs)
+        distances = ref.group_distances(cluster)
         lam = tuple(float(x) for x in cluster.eigenvalues)
         rows.append(
             SweepRow(

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequency import IndexSet, ball, lattice_keys, union
+from .frequency import IndexSet, lattice_keys, union
 from .operator import Potential
-from .spectral import SpectralField, multiply, project
+from .spectral import SpectralField, multiply
 
 # Relative slack of the certified skip in choose_truncation, far above the
 # round-off (near 1e-12 relative) of the two sums it compares.

@@ -233,18 +233,13 @@ def _table_rows(
     return lambda i, j: table[box.a_index[i:j, None] + box.b_index]
 
 
-def _potential_gather(potential: Potential, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i, j] = (2*pi)^(-d/2) V_{a_i + b_j} for frequency rows a, b; 0 outside supp V."""
-    return _potential_rows(potential, a, b)(0, len(a))
-
-
 def assemble(s: IndexSet, potential: Potential) -> Hamiltonian:
     """Assemble H[G, G'] = |G|^2 delta + (2*pi)^(-d/2) V_{G-G'} on `s`."""
     if s.dim != potential.dim:
         raise ValueError(f"dimension mismatch: {s.dim} vs {potential.dim}")
     if not validate_symmetric(s):
         raise ValueError("basis index set must be closed under negation")
-    h = _potential_gather(potential, s.entries, -s.entries)
+    h = _potential_rows(potential, s.entries, -s.entries)(0, len(s))
     h[np.diag_indices(len(s))] += s.norms_sq
     d = np.conj(h.T)  # h^H - h in place: one complex temporary beside h
     d -= h
@@ -285,23 +280,6 @@ class CosSinCoordinates:
         return np.concatenate(
             [vectors[self.zero], (plus + minus) * _SQRT_HALF, (plus - minus) * (-1j * _SQRT_HALF)]
         )
-
-    def rows_of(self, sub: CosSinCoordinates) -> np.ndarray:
-        """Positions in these coordinates of the coordinates of `sub`, in its order.
-
-        `sub.basis` must be a symmetric subset of `basis` (else ValueError).
-        Representatives are chosen per frequency, so each of sub's is one
-        here: its cos and sin functions are coordinates z + k and z + p + k
-        for its rank k among the p representatives. On a ball inside a ball
-        (a canonical prefix) the rows are [0, z + p_sub) and z + p + [0, p_sub).
-        """
-        pos = self.basis.positions(sub.basis)
-        if np.any(pos < 0):
-            raise ValueError("sub-basis is not contained in the basis")
-        rank = np.empty(len(self.basis), dtype=np.int64)
-        rank[self.reps] = np.arange(len(self.reps))
-        k = len(self.zero) + rank[pos[sub.reps]]
-        return np.concatenate([np.zeros(len(sub.zero), dtype=np.int64), k, k + len(self.reps)])
 
     def to_coefficients(self, x: np.ndarray) -> np.ndarray:
         """U x: coefficient columns over `basis` of coordinate columns x."""
@@ -424,7 +402,14 @@ class ReferenceOperator:
         return self._diagonal
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """H x for real coordinate columns x, by one irfftn and one rfftn per column."""
+        """H x for coordinate columns x, by one irfftn and one rfftn per real column.
+
+        Complex columns are multiplied as their real and imaginary parts side
+        by side, so each counts as two products.
+        """
+        if np.iscomplexobj(x):
+            both = self.apply(np.hstack([x.real, x.imag]))
+            return both[:, : x.shape[1]] + 1j * both[:, x.shape[1] :]
         if self._spectrum is None:
             self._spectrum = self._spectral_setup()
         shape, bins, neg_sel, values = self._spectrum

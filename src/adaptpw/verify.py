@@ -7,7 +7,11 @@ at desk scale. The solve is matrix-free (`ReferenceOperator`), so its
 memory grows with the ball, not with its square. Errors are measured as
 subspace distances in the energy norm, computed per eigenvalue group and
 combined by root-sum-square; group boundaries inside the cluster are
-detected from reference eigenvalue gaps.
+detected from reference eigenvalue gaps. Every cluster, adaptive iterate
+or uniform-sweep ball, enters the reference frame the same way: its
+coefficient columns are zero-padded into the reference ball
+(`embed_columns`, which is the coverage check) and taken into the
+reference operator's cos/sin coordinates.
 
 Numerical note: for a-orthonormal bases X, Y the directed distance is
 sqrt(1 - sigma_min(X^H A Y)^2), but evaluating that expression directly
@@ -17,7 +21,7 @@ identical projection-residual form ||(I - P_Y) X||_a, which resolves
 distances down to ~1e-14; a sampling/optimization oracle for the
 defining sup-inf is kept in the test suite as a permanent cross-check.
 Every inner product is a k x k Gram matrix X^H A Y formed by products
-with the Galerkin operator, so no n x n array is needed.
+with the reference operator, so no n x n array is needed.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ import numpy as np
 from .adapt import AdaptiveRun
 from .frequency import IndexSet, ball, union
 from .operator import (
-    BlockSolveStats, CosSinCoordinates, EigenCluster, Potential, ReferenceOperator, group_slices,
-    solve_eigen_block,
+    BlockSolveStats, EigenCluster, Potential, ReferenceOperator, group_slices, solve_eigen_block,
 )
 from .spectral import SpectralField
 
@@ -57,17 +60,21 @@ class RankDeficiencyError(ValueError):
 class ReferenceSolution:
     """Certified solve on a large ball standing in for the exact solution.
 
-    `metric` is the energy inner product of the same operator,
-    `group_blocks[i]` the a-orthonormal block of the reference vectors of
-    `groups[i]` in it, and `solver` the block eigensolver's counters.
+    `operator` is the `ReferenceOperator` it was solved with, whose products
+    are the energy inner product of every distance, `group_blocks[i]` the
+    a-orthonormal block of the reference vectors of `groups[i]`
+    (`energy_block`), and `solver` the block eigensolver's counters.
     """
 
-    basis: IndexSet
     cluster: EigenCluster
-    metric: EnergyMetric
+    operator: ReferenceOperator
     groups: list[slice]
     group_blocks: list[EnergyBlock]
     solver: BlockSolveStats
+
+    @property
+    def basis(self) -> IndexSet:
+        return self.operator.basis
 
     @property
     def radius(self) -> float:
@@ -77,28 +84,17 @@ class ReferenceSolution:
         """Energy-norm distance of each group of `cluster` from the reference group.
 
         Discrete counterparts are taken at the same index positions as the
-        reference groups. The iterate's columns are taken into the cos/sin
-        coordinates of its own basis, which are rows of the reference's
-        (`coordinate_rows`); CoverageError when its basis is not inside the
-        reference ball. The columns are real functions, so their coordinates
+        reference groups. The cluster's coefficient columns are zero-padded
+        into the reference ball (`embed_columns`, CoverageError when its
+        basis is not inside) and taken into the reference's cos/sin
+        coordinates. The columns are real functions, so their coordinates
         are real up to round-off, which is dropped.
         """
-        coords = CosSinCoordinates.of(cluster.basis)
-        return self.coordinate_distances(
-            coords.from_coefficients(cluster.vectors).real, self.coordinate_rows(coords)
-        )
-
-    def coordinate_rows(self, coords: CosSinCoordinates) -> np.ndarray:
-        """Rows of the reference coordinates that hold the coordinates `coords`."""
-        try:
-            return self.metric.coords.rows_of(coords)
-        except ValueError as exc:
-            raise CoverageError("basis is not contained in the reference ball") from exc
-
-    def coordinate_distances(self, y: np.ndarray, rows: np.ndarray) -> list[float]:
-        """`group_distances` of coordinate columns y that live on reference rows `rows`."""
+        h = self.operator
+        y = h.coords.from_coefficients(embed_columns(cluster.vectors, cluster.basis, h.basis)).real
+        # a C-contiguous copy per group: the layout sets the BLAS order of the Gram product
         return [
-            _block_distance(self.metric.block(y[:, sl], rows), ref)
+            _block_distance(energy_block(h, y[:, sl].copy()), ref)
             for sl, ref in zip(self.groups, self.group_blocks)
         ]
 
@@ -114,25 +110,17 @@ def reference_solve(
     by the certified block eigensolver `solve_eigen_block`: no n x n array,
     unless the ball is small enough for a whole-space `eigh`. The same
     operator is the energy inner product of every distance
-    (`EnergyMetric`). The cluster's vectors are mapped back to coefficient
+    (`energy_block`). The cluster's vectors are mapped back to coefficient
     columns over the ball.
     """
-    basis = ball(m_ref, potential.dim)
-    if k0 + n_eigs > len(basis):
-        raise ValueError(
-            f"reference ball of radius {m_ref} has {len(basis)} frequencies, "
-            f"too few for k0={k0}, n_eigs={n_eigs}"
-        )
-    h = ReferenceOperator(basis, potential)
+    h = ReferenceOperator(ball(m_ref, potential.dim), potential)
     cluster, x, stats = solve_eigen_block(h, k0, n_eigs)
-    metric = EnergyMetric(h)
     groups = group_slices(cluster.eigenvalues, GROUP_GAP_RTOL)
     return ReferenceSolution(
-        basis=basis,
         cluster=cluster,
-        metric=metric,
+        operator=h,
         groups=groups,
-        group_blocks=[metric.block(x[:, sl]) for sl in groups],
+        group_blocks=[energy_block(h, x[:, sl]) for sl in groups],
         solver=stats,
     )
 
@@ -153,70 +141,41 @@ def eigenvalue_gap_check(ref: ReferenceSolution) -> tuple[bool, float, float]:
 
 @dataclass(frozen=True)
 class EnergyBlock:
-    """a-orthonormal columns `q` (coordinates of `EnergyMetric`) and `hq` = H q."""
+    """a-orthonormal coordinate columns `q` of a `ReferenceOperator` H and `hq` = H q."""
 
     q: np.ndarray
     hq: np.ndarray
 
 
-class EnergyMetric:
-    """Energy inner product on a symmetric basis, by products with its real Galerkin operator.
+def energy_block(h: ReferenceOperator, y: np.ndarray) -> EnergyBlock:
+    """a-orthonormal basis of the span of coordinate columns y of `h`.
 
-    Inner products of blocks are k x k Gram matrices X^H R Y, with R =
-    U^H H U the matrix-free `ReferenceOperator` in cos/sin coordinates.
-    Coefficient columns x enter as their coordinates U^H x, and `products`
-    applies R to the real and imaginary parts of complex columns side by
-    side, so no complex copy of R is made.
+    Inner products are k x k Gram matrices y^H H y by products with `h`,
+    which takes complex columns as their real and imaginary parts. y is
+    orthonormalised through its Gram matrix G; a condition number of G
+    above 1e12 is rejected as rank deficient.
     """
-
-    def __init__(self, h: ReferenceOperator) -> None:
-        self.basis, self.operator, self.coords = h.basis, h, h.coords
-
-    def coordinates(self, vectors: np.ndarray) -> np.ndarray:
-        """Coordinate columns of coefficient columns over `basis`."""
-        return self.coords.from_coefficients(vectors)
-
-    def products(self, y: np.ndarray) -> np.ndarray:
-        """R y for real or complex coordinate columns y."""
-        if not np.iscomplexobj(y):
-            return self.operator.apply(y)
-        both = self.operator.apply(np.hstack([y.real, y.imag]))
-        return both[:, : y.shape[1]] + 1j * both[:, y.shape[1] :]
-
-    def block(self, y: np.ndarray, rows: np.ndarray | None = None) -> EnergyBlock:
-        """a-orthonormal basis of the span of coordinate columns y.
-
-        With `rows`, y holds only those coordinate rows (the others vanish)
-        and is zero-padded to the whole basis first. y is orthonormalised
-        through its Gram matrix G = y^H H y; a condition number of G above
-        1e12 is rejected as rank deficient.
-        """
-        if rows is not None:
-            full = np.zeros((len(self.basis), y.shape[1]), dtype=y.dtype)
-            full[rows] = y
-            y = full
-        hy = self.products(y)
-        s, v = np.linalg.eigh(y.conj().T @ hy)
-        if s[0] <= 0.0 or s[-1] / s[0] > 1e12:
-            cond = math.inf if s[0] <= 0.0 else s[-1] / s[0]
-            raise RankDeficiencyError(
-                f"basis is numerically rank deficient (Gram condition {cond:.3e})"
-            )
-        t = v / np.sqrt(s)
-        return EnergyBlock(y @ t, hy @ t)
+    hy = h.apply(y)
+    s, v = np.linalg.eigh(y.conj().T @ hy)
+    if s[0] <= 0.0 or s[-1] / s[0] > 1e12:
+        cond = math.inf if s[0] <= 0.0 else s[-1] / s[0]
+        raise RankDeficiencyError(
+            f"basis is numerically rank deficient (Gram condition {cond:.3e})"
+        )
+    t = v / np.sqrt(s)
+    return EnergyBlock(y @ t, hy @ t)
 
 
-def subspace_distance(
-    x: np.ndarray, y: np.ndarray, metric: EnergyMetric
-) -> float:
+def subspace_distance(x: np.ndarray, y: np.ndarray, h: ReferenceOperator) -> float:
     """Symmetric energy-norm gap between spans of the columns of x and y.
 
-    Columns are coefficient vectors over `metric.basis`. Equal dimensions
-    give equal directed distances; the maximum of both directions is
-    returned either way.
+    Columns are coefficient vectors over `h.basis`. Equal dimensions give
+    equal directed distances; the maximum of both directions is returned
+    either way.
     """
+    coords = h.coords
     return _block_distance(
-        metric.block(metric.coordinates(x)), metric.block(metric.coordinates(y))
+        energy_block(h, coords.from_coefficients(x)), energy_block(h, coords.from_coefficients(y))
     )
 
 
@@ -268,7 +227,7 @@ def run_distances(run: AdaptiveRun, ref: ReferenceSolution) -> DistanceReport:
     Groups are detected from reference eigenvalue gaps; discrete
     counterparts are taken at the same index positions, and group
     distances combine by root-sum-square. Distances use the reference's
-    own energy frame (`ref.metric`).
+    own energy frame (`ref.operator`).
     """
     if not run.clusters:
         raise ValueError("run holds no eigenclusters (source mode?)")
@@ -367,14 +326,14 @@ def source_errors(
     basis = run.final_index_set
     for u in reference:
         basis = union(basis, u.support)
-    metric = EnergyMetric(ReferenceOperator(basis, potential))
+    h = ReferenceOperator(basis, potential)
     e = [
         u.coefficients_on(basis) - w.coefficients_on(basis)
         for sols in run.solutions
         for u, w in zip(reference, sols)
     ]
-    y = metric.coordinates(np.stack(e, axis=1))
-    per_rhs = np.sum(np.conj(y) * metric.products(y), axis=0).real
+    y = h.coords.from_coefficients(np.stack(e, axis=1))
+    per_rhs = np.sum(np.conj(y) * h.apply(y), axis=0).real
     return [
         math.sqrt(float(np.sum(np.maximum(p, 0.0))))
         for p in per_rhs.reshape(len(run.solutions), len(reference))

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import adaptpw.operator as operator
 from adaptpw import (
     ClusterBoundaryWarning,
-    EnergyMetric,
     ReferenceOperator,
     SolverError,
     ball,
@@ -130,12 +129,11 @@ def test_block_solver_matches_eigh(case):
     assert (stats.products == 0) == (stats.grid is None) == (stats.block_size == n)
 
     # groups of close eigenvalues that lie wholly inside the window
-    metric = EnergyMetric(h)
     oracle = h.coords.to_coefficients(v[:, k0:top])
     for sl in group_slices(w, COMPARE_GROUP_RTOL):
         if k0 <= sl.start and sl.stop <= top:
             window = slice(sl.start - k0, sl.stop - k0)
-            d = subspace_distance(cluster.vectors[:, window], oracle[:, window], metric)
+            d = subspace_distance(cluster.vectors[:, window], oracle[:, window], h)
             assert d <= 1e-10
 
     (again, x_again, stats_again), _ = solve_recording(solve_eigen_block, h, k0, n_eigs)

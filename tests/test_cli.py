@@ -245,6 +245,33 @@ def test_compare_run_outside_reference_names_m_ref(tmp_path, capsys):
     assert "verification to be enabled" not in err
 
 
+def test_run_outside_reference_skips_verification_unless_compare(tmp_path, capsys):
+    # an eigen run that leaves the reference ball still writes its outputs,
+    # with the skip recorded and no distances; compare mode refuses
+    raw = {
+        "problem": {
+            "dim": 1,
+            "n_eigs": 1,
+            "potential": {"family": "trig", "c": 1.0, "terms": [{"k": [1], "a": 1.0}]},
+        },
+        "algorithm": {"M0": 1, "tol": 0.0, "max_iter": 6, "zeta": 0.2},
+        "verification": {"M_ref": 4},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = write_config(tmp_path, raw)
+    assert main(["run", str(path), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert "radius 7.0" in summary["verification_skipped"]
+    assert "reference radius 4.0" in summary["verification_skipped"]
+    lines = (tmp_path / "out" / "iterations.csv").read_text().splitlines()
+    col = lines[0].split(",").index("ref_distance")
+    assert len(lines) == 8 and all(line.split(",")[col] == "nan" for line in lines[1:])
+
+    rc = main(["run", str(path), "--quiet", "--mode", "compare", "--out", str(tmp_path / "c")])
+    assert rc == 2
+    assert "config error: verification.M_ref:" in capsys.readouterr().err
+
+
 def _set_path(raw, path, value):
     *parents, last = path
     node = raw

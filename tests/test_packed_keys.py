@@ -31,7 +31,7 @@ from adaptpw import (
 )
 from adaptpw.cli import build_potential
 from adaptpw.frequency import KEY_LIMIT, sum_box
-from adaptpw.operator import _potential_gather
+from adaptpw.operator import _potential_rows
 
 # -- loop references ------------------------------------------------------------
 
@@ -218,10 +218,10 @@ def test_sum_positions_matches_reference(data):
 
 
 def assert_box_gather_is_key_gather(vf, a, b):
-    """`_potential_gather` against the lattice-key gather, bit for bit."""
+    """`_potential_rows` of all of a against the lattice-key gather, bit for bit."""
     v = np.append((2.0 * math.pi) ** (-vf.support.dim / 2.0) * vf.coeffs, 0.0)
     expected = v[vf.support.sum_positions(a, b)]
-    got = _potential_gather(Potential(vf, 0.0, 0.0, 0.0, 0.0, 0.0), a, b)
+    got = _potential_rows(Potential(vf, 0.0, 0.0, 0.0, 0.0, 0.0), a, b)(0, len(a))
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
 

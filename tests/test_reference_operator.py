@@ -62,6 +62,12 @@ def test_operator_matches_assembled_matrix(case, columns):
     l1 = float(np.sum(np.abs(potential.field.coeffs)))
     atol = 1e-14 * (1.0 + l1) * np.abs(x).max() * n
     np.testing.assert_allclose(hx, a @ x, rtol=0.0, atol=atol)
+    # complex columns: real and imaginary parts side by side, two products each
+    x2 = np.random.default_rng(columns + 1).normal(size=(n, columns))
+    z = x + 1j * x2
+    atol = 1e-14 * (1.0 + l1) * np.abs(z).max() * n
+    np.testing.assert_allclose(h.apply(z), a @ z, rtol=0.0, atol=atol)
+    assert h.products == 3 * columns
 
     # row-sum and norm bounds hold up to the certificate's rounding allowance
     u = np.finfo(float).eps / 2.0

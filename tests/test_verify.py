@@ -8,7 +8,6 @@ import pytest
 from adaptpw import (
     AdaptiveConfig,
     ClusterBoundaryWarning,
-    EnergyMetric,
     ReferenceOperator,
     SpectralField,
     a_norm,
@@ -21,6 +20,7 @@ from adaptpw import (
     run_eigen,
     run_source,
     solve_eigen,
+    solve_eigen_block,
     solve_source,
     subspace_distance,
 )
@@ -85,12 +85,12 @@ def complex_reference_oracle(potential, k0, n_eigs, m_ref, clusters):
     """Reference eigenvalues and per-group distances from the complex Hermitian solve."""
     basis = ball(m_ref, potential.dim)
     ref = solve_eigen(assemble(basis, potential), k0, n_eigs)
-    metric = EnergyMetric(ReferenceOperator(basis, potential))
+    h = ReferenceOperator(basis, potential)
     groups = group_slices(ref.eigenvalues, GROUP_GAP_RTOL)
     distances = [
         [
             subspace_distance(
-                embed_columns(c.vectors, c.basis, basis)[:, sl], ref.vectors[:, sl], metric
+                embed_columns(c.vectors, c.basis, basis)[:, sl], ref.vectors[:, sl], h
             )
             for sl in groups
         ]
@@ -149,7 +149,10 @@ def frame_distance_oracle(h, x, y):
     "dim, m_ref, r_cut", [(2, 12, 8), (3, 5, 2)]
 )
 def test_distance_matches_cholesky_frame_oracle(dim, m_ref, r_cut):
-    # the random-decay cases of test_reference_matches_complex_oracle
+    # the random-decay cases of test_reference_matches_complex_oracle, with
+    # uniform-sweep balls on both sides of BLOCK_DENSE_MAX: whole-space eigh,
+    # then LOBPCG
+    sweep = {2: (9, 10), 3: (3, 4)}[dim]
     pot, _ = build_potential(
         {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": r_cut}, dim, seed=7
     )
@@ -158,17 +161,19 @@ def test_distance_matches_cholesky_frame_oracle(dim, m_ref, r_cut):
         warnings.simplefilter("ignore")
         run = run_eigen(cfg, pot)
         ref = reference_solve(pot, 0, 2, m_ref)
+        balls = [solve_eigen_block(ReferenceOperator(ball(m, dim), pot), 0, 2) for m in sweep]
+    assert [stats.block_size == len(c.basis) for c, _, stats in balls] == [True, False]
     h = ReferenceOperator(ref.basis, pot)
     y = ref.cluster.vectors
-    for cluster in run.clusters:
+    for cluster in run.clusters + [c for c, _, _ in balls]:
         x = embed_columns(cluster.vectors, cluster.basis, ref.basis)
         expected = [frame_distance_oracle(h, x[:, sl], y[:, sl]) for sl in ref.groups]
         assert min(expected) >= 1e-8
-        got = [subspace_distance(x[:, sl], y[:, sl], ref.metric) for sl in ref.groups]
+        got = [subspace_distance(x[:, sl], y[:, sl], ref.operator) for sl in ref.groups]
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
         np.testing.assert_allclose(ref.group_distances(cluster), expected, rtol=1e-10, atol=0.0)
         both = frame_distance_oracle(h, x, y)
-        assert subspace_distance(x, y, ref.metric) == pytest.approx(both, rel=1e-10, abs=0.0)
+        assert subspace_distance(x, y, ref.operator) == pytest.approx(both, rel=1e-10, abs=0.0)
 
 
 def test_reference_path_allocates_no_complex_square_array():
@@ -198,29 +203,28 @@ def test_reference_path_allocates_no_complex_square_array():
 
 def test_distance_identical_subspaces(constant_potential):
     basis = ball(2, 1)
-    metric = EnergyMetric(ReferenceOperator(basis, constant_potential))
+    h = ReferenceOperator(basis, constant_potential)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(len(basis), 2))
-    assert subspace_distance(x, x.copy(), metric) <= 1e-13
+    assert subspace_distance(x, x.copy(), h) <= 1e-13
 
 
 def test_distance_orthogonal_subspaces(constant_potential):
     basis = ball(1, 1)
-    metric = EnergyMetric(ReferenceOperator(basis, constant_potential))
+    h = ReferenceOperator(basis, constant_potential)
     x = np.zeros((3, 1)); x[0, 0] = 1.0  # e_0
     y = np.zeros((3, 1)); y[2, 0] = 1.0  # e_1 (a-orthogonal for constant V)
-    assert subspace_distance(x, y, metric) == pytest.approx(1.0, abs=1e-12)
+    assert subspace_distance(x, y, h) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distance_matches_sampling_oracle():
     v = trig_potential(1, 1.0, {(1,): 0.6})
     basis = ball(3, 1)  # 7-dim space
     h = assemble(basis, v)
-    metric = EnergyMetric(ReferenceOperator(basis, v))
     rng = np.random.default_rng(23)
     x = rng.normal(size=(7, 2))
     y = rng.normal(size=(7, 2))
-    d = subspace_distance(x, y, metric)
+    d = subspace_distance(x, y, ReferenceOperator(basis, v))
 
     # oracle: scan the a-unit circle of span(x), project each sample onto
     # span(y); coarse scan plus one local refinement reaches ~1e-8
@@ -246,29 +250,29 @@ def test_distance_matches_sampling_oracle():
 
 def test_distance_basis_change_invariance(cosine_potential):
     basis = ball(4, 1)
-    metric = EnergyMetric(ReferenceOperator(basis, cosine_potential))
+    h = ReferenceOperator(basis, cosine_potential)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(len(basis), 3))
     y = rng.normal(size=(len(basis), 3))
-    d0 = subspace_distance(x, y, metric)
+    d0 = subspace_distance(x, y, h)
     for _ in range(5):
         ax = rng.normal(size=(3, 3))
         ay = rng.normal(size=(3, 3))
-        d = subspace_distance(x @ ax, y @ ay, metric)
+        d = subspace_distance(x @ ax, y @ ay, h)
         assert d == pytest.approx(d0, abs=1e-10)
     assert 0.0 <= d0 <= 1.0
-    assert subspace_distance(y, x, metric) == pytest.approx(d0, abs=1e-10)
+    assert subspace_distance(y, x, h) == pytest.approx(d0, abs=1e-10)
 
 
 def test_distance_rank_deficiency(constant_potential):
     basis = ball(2, 1)
-    metric = EnergyMetric(ReferenceOperator(basis, constant_potential))
+    h = ReferenceOperator(basis, constant_potential)
     x = np.zeros((5, 2))
     x[0, 0] = 1.0
     x[0, 1] = 1.0 + 1e-14  # numerically dependent columns
     y = np.eye(5)[:, :2]
     with pytest.raises(RankDeficiencyError):
-        subspace_distance(x, y, metric)
+        subspace_distance(x, y, h)
 
 
 def test_group_slices():
@@ -358,6 +362,8 @@ def test_run_distances_coverage_error(cosine_potential):
     small_ref = reference_solve(cosine_potential, 0, 1, 4)
     with pytest.raises(CoverageError):
         run_distances(run, small_ref)
+    with pytest.raises(CoverageError):
+        small_ref.group_distances(run.final_cluster)
 
 
 # -- source errors -------------------------------------------------------------
