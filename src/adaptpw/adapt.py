@@ -15,7 +15,7 @@ import math
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .estimator import (
     EstimatorValue,
@@ -39,18 +39,7 @@ class AdmissibilityWarning(UserWarning):
     """Marking parameters lie outside the range backed by complexity theory."""
 
 
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Parameters of one adaptive run.
-
-    theta_tilde is the bulk-marking fraction, zeta the certified
-    truncation slack of the feasible estimator (ignored in mode
-    "eigen-exact"), M0 the initial ball radius of the eigenvalue loop,
-    and (k0, n_eigs) the eigenvalue cluster window. max_iter bounds the
-    number of refinement steps and max_dof the index-set size, so tol=0
-    experiment runs still terminate.
-    """
-
+class _AdaptiveFields(NamedTuple):
     dim: int
     theta_tilde: float = 0.5
     zeta: float = 0.1
@@ -62,7 +51,22 @@ class AdaptiveConfig:
     max_dof: int = 20000
     mode: str = "eigen-feasible"
 
-    def __post_init__(self):
+
+class AdaptiveConfig(_AdaptiveFields):
+    """Parameters of one adaptive run, checked on construction.
+
+    theta_tilde is the bulk-marking fraction, zeta the certified
+    truncation slack of the feasible estimator (ignored in mode
+    "eigen-exact"), M0 the initial ball radius of the eigenvalue loop,
+    and (k0, n_eigs) the eigenvalue cluster window. max_iter bounds the
+    number of refinement steps and max_dof the index-set size, so tol=0
+    experiment runs still terminate.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.dim <= 3:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if not 0.0 < self.theta_tilde < 1.0:
@@ -72,7 +76,7 @@ class AdaptiveConfig:
                 f"zeta must be in [0, theta_tilde), got zeta={self.zeta}, "
                 f"theta_tilde={self.theta_tilde}"
             )
-        if self.tol < 0.0:
+        if not self.tol >= 0.0:  # NaN fails every comparison
             raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.M0 < 1:
             raise ValueError(f"M0 must be >= 1, got {self.M0}")
@@ -86,10 +90,14 @@ class AdaptiveConfig:
             raise ValueError(f"max_dof must be >= 1, got {self.max_dof}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        return self
+
+    def _replace(self, **changes) -> AdaptiveConfig:
+        # the namedtuple `_replace` builds through tuple.__new__, skipping the checks
+        return AdaptiveConfig(**{**self._asdict(), **changes})
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """Per-iteration audit snapshot of an adaptive run.
 
     For eigenvalue runs `values` holds the cluster eigenvalues; for
@@ -114,19 +122,19 @@ class IterationRecord:
     wall_time: float
 
 
-@dataclass
 class AdaptiveRun:
     """Full history of an adaptive run (immutable-value entries)."""
 
-    config: AdaptiveConfig
-    records: list[IterationRecord] = field(default_factory=list)
-    index_sets: list[IndexSet] = field(default_factory=list)
-    clusters: list[EigenCluster] = field(default_factory=list)
-    solutions: list[list[SpectralField]] = field(default_factory=list)
-    marks: list[MarkResult] = field(default_factory=list)
-    estimates: list[EstimatorValue] = field(default_factory=list)
-    termination_reason: str = ""
-    admissible: bool = False
+    def __init__(self, config: AdaptiveConfig) -> None:
+        self.config = config
+        self.records: list[IterationRecord] = []
+        self.index_sets: list[IndexSet] = []
+        self.clusters: list[EigenCluster] = []
+        self.solutions: list[list[SpectralField]] = []
+        self.marks: list[MarkResult] = []
+        self.estimates: list[EstimatorValue] = []
+        self.termination_reason = ""
+        self.admissible = False
 
     @property
     def final_cluster(self) -> EigenCluster:

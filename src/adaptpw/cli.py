@@ -43,8 +43,8 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +90,7 @@ class ConfigError(ValueError):
         self.field = field_path
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     dim: int
     k0: int
     n_eigs: int
@@ -106,11 +105,11 @@ class ExperimentConfig:
     raw: dict
 
 
-@dataclass
 class RunSummary:
     """Machine-readable run outcome mirrored into summary.json."""
 
-    data: dict = field(default_factory=dict)
+    def __init__(self, data: dict) -> None:
+        self.data = data
 
     def write(self, path: Path) -> None:
         _atomic_write(path, json.dumps(self.data, indent=2, sort_keys=True) + "\n")
@@ -244,7 +243,11 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
 
     if seed is None:
         seed = raw.get("seed")
-    if pot["family"] == "random-decay" and seed is None:
+    if seed is not None:
+        seed = _number(int, seed, "seed")
+        if seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {seed}")
+    elif pot["family"] == "random-decay":
         raise ConfigError("seed", "random-decay potentials require an explicit seed")
 
     return ExperimentConfig(
@@ -258,7 +261,7 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
         enable_subspace_distance=enable_dist,
         output_dir=outdir,
         formats=tuple(formats),
-        seed=None if seed is None else _number(int, seed, "seed"),
+        seed=seed,
         raw=raw,
     )
 
@@ -385,6 +388,8 @@ def build_potential(spec: dict, dim: int, seed: int | None = None) -> tuple[Pote
         r_cut = _number(
             int, _require(spec, "r_cut", "problem.potential"), "problem.potential.r_cut"
         )
+        if r_cut < 0:
+            raise ConfigError("problem.potential.r_cut", f"must be >= 0, got {r_cut}")
         fld, shift, tail = _random_decay_field(dim, amplitude, p, r_cut, seed)
         meta.update(
             seed=seed,
@@ -528,8 +533,7 @@ def build_rhs(rhs_spec: list, dim: int) -> list[SpectralField]:
 # -- uniform sweep ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     m: int
     dof: int
     eigenvalues: tuple[float, ...]
@@ -686,7 +690,7 @@ def _write_run(
         termination_reason=run.termination_reason,
         iterations=len(run.records),
         final_dof=len(run.final_index_set),
-        rate_fits=None if fit is None else asdict(fit),
+        rate_fits=None if fit is None else fit._asdict(),
     )
 
 
@@ -725,7 +729,7 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
 
     if mode == "source":
         rhs = build_rhs(config.rhs_spec or [], config.dim)
-        run = run_source(replace(config.algorithm, mode="source"), potential, rhs)
+        run = run_source(config.algorithm._replace(mode="source"), potential, rhs)
         errors = None
         if config.enable_subspace_distance:
             ref_sols = solve_source(ball(config.m_ref, config.dim), potential, rhs)
@@ -742,17 +746,17 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
         rows = _uniform_step(outdir, summary, config, potential, ref, m_hi)
         summary.data["termination_reason"] = "max_dof"  # sweep budget exhausted
         summary.data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
-        summary.data["reference_solver"] = asdict(ref.solver)
+        summary.data["reference_solver"] = ref.solver._asdict()
         say(f"uniform sweep: {len(rows)} radii")
     else:
-        algo = replace(config.algorithm, mode="eigen-feasible" if mode == "compare" else mode)
+        algo = config.algorithm._replace(mode="eigen-feasible" if mode == "compare" else mode)
         run = run_eigen(algo, potential)
         distances = ref = None
         if config.enable_subspace_distance:
             ref = reference_solve(potential, config.k0, config.n_eigs, config.m_ref)
             gap_ok, gap_below, gap_above = eigenvalue_gap_check(ref)
             summary.data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
-            summary.data["reference_solver"] = asdict(ref.solver)
+            summary.data["reference_solver"] = ref.solver._asdict()
             summary.data["cluster_gaps"] = {"ok": gap_ok, "below": gap_below, "above": gap_above}
             try:
                 report = run_distances(run, ref)
@@ -840,7 +844,7 @@ def main(argv: list[str] | None = None) -> int:
         config = ingest_config(args.config, args.seed)
         outdir = args.out or os.environ.get(ENV_OUTPUT_DIR) or config.output_dir
         if outdir != config.output_dir:
-            config = replace(config, output_dir=outdir)
+            config = config._replace(output_dir=outdir)
         run_experiment(config, mode=args.mode, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

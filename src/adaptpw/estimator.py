@@ -24,7 +24,7 @@ B_M * (1 - zeta) > zeta * eta_cluster(r), and such a radius is skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from .spectral import SpectralField, multiply
 _SKIP_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(NamedTuple):
     """A residual field with its per-frequency estimator contributions.
 
     `per_frequency[i]` is |r_G|^2 / (1+|G|^2) for the i-th support entry.
@@ -176,8 +175,7 @@ def choose_truncation(
         radius *= 2
 
 
-@dataclass(frozen=True)
-class EstimatorValue:
+class EstimatorValue(NamedTuple):
     """Aggregated estimator of a cluster with its marking breakdown.
 
     Row i of `pair_reps` is a +-pair representative (lexicographic max of

@@ -24,7 +24,7 @@ per summand, and a lookup is a table read with no key and no search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,8 +239,7 @@ def shell_counts(radius: int, dim: int) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
-class SumBox:
+class SumBox(NamedTuple):
     """Row-major flat index over the smallest box holding every sum a_i + b_j.
 
     The cell of a_i + b_j is `a_index[i] + b_index[j]`. Indices are intp,

@@ -11,7 +11,7 @@ largest available contributions, which is impossible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ class MarkingError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class MarkResult:
+class MarkResult(NamedTuple):
     """Outcome of one marking step.
 
     `marked` is symmetric and disjoint from the current index set (the

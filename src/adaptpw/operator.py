@@ -28,7 +28,7 @@ import math
 import os
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +107,7 @@ class ClusterBoundaryWarning(UserWarning):
     """The gap separating the eigenvalue cluster from the rest is tiny."""
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple):
     """A real, finite-support potential with verified pointwise bounds.
 
     nu_lower/nu_upper bound V on the verification grid (minus/plus a
@@ -153,13 +152,15 @@ def verify_potential(field: SpectralField) -> Potential:
     polynomial is evaluated exactly at grid points (folded inverse FFT),
     and the reported bounds carry a 1e-12 relative round-off margin. The
     FFT's own round-off stays below 1e-13 * max(1, (2*pi)^(-d/2) sum |V_K|)
-    (measured: 2e-15 in 3D), far inside that margin. A potential whose
-    grid minimum is negative (beyond the margin) is rejected; a grid
-    minimum of exactly zero is allowed but flagged, since the energy-norm
-    constants then degenerate.
+    (measured: 2e-15 in 3D), far inside that margin. A potential with a
+    non-finite coefficient, or whose grid minimum is negative (beyond the
+    margin), is rejected; a grid minimum of exactly zero is allowed but
+    flagged, since the energy-norm constants then degenerate.
     """
     if not field.real_flag:
         raise PotentialError("potential must be flagged as a real field")
+    if not np.all(np.isfinite(field.coeffs)):
+        raise PotentialError("potential coefficients must be finite")
     if not validate_symmetric(field.support):
         raise PotentialError("potential support must be closed under negation")
     scale0 = max(1.0, float(np.max(np.abs(field.coeffs))) if len(field.support) else 0.0)
@@ -194,8 +195,7 @@ def verify_potential(field: SpectralField) -> Potential:
     )
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
+class Hamiltonian(NamedTuple):
     """Dense Hermitian Galerkin matrix of the energy form on a basis."""
 
     basis: IndexSet
@@ -250,8 +250,7 @@ def assemble(s: IndexSet, potential: Potential) -> Hamiltonian:
     return Hamiltonian(basis=s, matrix=h)
 
 
-@dataclass(frozen=True)
-class CosSinCoordinates:
+class CosSinCoordinates(NamedTuple):
     """Real cos/sin coordinates of coefficient vectors on a symmetric basis.
 
     The coordinate functions are e_0 (when 0 is in the basis), then
@@ -538,8 +537,7 @@ class ReferenceOperator:
         return r
 
 
-@dataclass(frozen=True)
-class EigenCluster:
+class EigenCluster(NamedTuple):
     """N consecutive discrete eigenpairs at offset k0, L^2-orthonormal.
 
     `eigenvalues[l]` is the (k0+l+1)-th discrete eigenvalue. `vectors`
@@ -584,8 +582,7 @@ def solve_eigen(h: Hamiltonian, k0: int, n_eigs: int) -> EigenCluster:
     return _checked_cluster(h.basis, k0, w, vectors)
 
 
-@dataclass(frozen=True)
-class BlockSolveStats:
+class BlockSolveStats(NamedTuple):
     """Counters of one `solve_eigen_block` call.
 
     `steps` block iterations with `block_size` vectors after `guard_grows`

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class RankDeficiencyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ReferenceSolution:
+class ReferenceSolution(NamedTuple):
     """Certified solve on a large ball standing in for the exact solution.
 
     `operator` is the `ReferenceOperator` it was solved with, whose products
@@ -139,8 +138,7 @@ def eigenvalue_gap_check(ref: ReferenceSolution) -> tuple[bool, float, float]:
     return ok, gap_below, gap_above
 
 
-@dataclass(frozen=True)
-class EnergyBlock:
+class EnergyBlock(NamedTuple):
     """a-orthonormal coordinate columns `q` of a `ReferenceOperator` H and `hq` = H q."""
 
     q: np.ndarray
@@ -213,8 +211,7 @@ def embed_columns(vectors: np.ndarray, basis: IndexSet, target: IndexSet) -> np.
     return out
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     """Per-iteration cluster distances against a reference solution."""
 
     totals: list[float]
@@ -249,8 +246,7 @@ def run_distances(run: AdaptiveRun, ref: ReferenceSolution) -> DistanceReport:
     return DistanceReport(totals=totals, per_group=per_group)
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     """Fitted convergence and complexity rates of an adaptive run.
 
     alpha_hat = exp(slope) of log(error) vs iteration (per-iteration

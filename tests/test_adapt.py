@@ -36,6 +36,19 @@ def test_config_validation():
         AdaptiveConfig(dim=1, M0=0)
     with pytest.raises(ValueError):
         AdaptiveConfig(dim=1, mode="bogus")
+    with pytest.raises(ValueError):
+        AdaptiveConfig(dim=1, tol=math.nan)
+    with pytest.raises(ValueError):
+        AdaptiveConfig(dim=1)._replace(mode="bogus")
+    assert AdaptiveConfig(dim=1)._replace(mode="source").mode == "source"
+
+
+def test_records_are_immutable(cosine_potential):
+    cfg = AdaptiveConfig(dim=1, M0=1, tol=1e-2)
+    record = run_eigen(cfg, cosine_potential).records[0]
+    for obj, name in ((cosine_potential, "nu_lower"), (record, "eta_tilde"), (cfg, "tol")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0.0)
 
 
 def test_constant_potential_terminates_immediately(constant_potential):

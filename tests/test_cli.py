@@ -340,6 +340,28 @@ def _set_path(raw, path, value):
             {"family": "explicit", "coefficients": 5},
             "problem.potential.coefficients",
         ),
+        (("seed",), -3, "seed"),
+        (
+            ("problem", "potential"),
+            {"family": "random-decay", "p": 2.5, "r_cut": -1},
+            "problem.potential.r_cut",
+        ),
+        (("algorithm", "tol"), math.nan, "algorithm"),
+        (
+            ("problem", "potential"),
+            {"family": "random-decay", "p": math.nan, "r_cut": 4},
+            "problem.potential",
+        ),
+        (
+            ("problem", "potential"),
+            {"family": "random-decay", "amplitude": math.inf, "p": 2.5, "r_cut": 4},
+            "problem.potential",
+        ),
+        (
+            ("problem", "potential"),
+            {"family": "trig", "c": 1.0, "terms": [{"k": [1], "a": math.nan}]},
+            "problem.potential",
+        ),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, path, value, field):
@@ -349,6 +371,17 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, path, value, field):
     rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", mode])
     assert rc == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config_seed, argv", [(-3, []), (7, ["--seed", "-5"])])
+def test_negative_seed_rejected_before_output(tmp_path, capsys, config_seed, argv):
+    # the random-decay phases need a non-negative seed, from the config or --seed
+    raw = minimal_config(output={"directory": str(tmp_path / "out")}, seed=config_seed)
+    raw["problem"]["potential"] = {"family": "random-decay", "p": 2.5, "r_cut": 4}
+    rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", *argv])
+    assert rc == 2
+    assert "config error: seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode", ["eigen-feasible", "compare", "uniform"])
@@ -547,6 +580,16 @@ def test_eigen_runs_do_not_import_scipy():
     assert out.stdout.split() == ["False", "False"]
     for mode in ("eigen-feasible", "compare"):
         assert random_decay_run_modules(mode) == ["0", "False", "False", "False"]
+
+
+def test_import_does_not_load_dataclasses():
+    # records are NamedTuples or plain classes: no module generates methods at import
+    code = "import sys, adaptpw.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert out.stdout.split() == ["False"]
 
 
 def random_decay_run_modules(mode, problem=None):

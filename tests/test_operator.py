@@ -71,6 +71,15 @@ def test_verify_rejects_sign_changing():
         trig_potential(1, 0.0, {(1,): 1.0})
 
 
+@pytest.mark.parametrize(
+    "c, terms", [(math.nan, {}), (1.0, {(1,): math.inf}), (1.0, {(2,): math.nan})]
+)
+def test_verify_rejects_non_finite_coefficients(c, terms):
+    # NaN fails every comparison, so the positivity check alone would pass it
+    with pytest.raises(PotentialError, match="finite"):
+        trig_potential(1, c, terms)
+
+
 def test_tail_l1():
     v = trig_potential(1, 1.0, {(1,): 0.6})
     assert v.tail_l1(0) == pytest.approx(0.6 * math.sqrt(TWO_PI), rel=1e-12)
