@@ -31,7 +31,9 @@ Outputs: iterations.csv (one row per adaptive iteration; wall time is
 reported in summary.json only so reruns are byte-identical),
 summary.json, marked_sets.jsonl, and in uniform/compare modes
 uniform.csv plus comparison.csv. Exit codes: 0 success, 2 config error,
-3 numerical failure.
+3 numerical failure. Every config error but compare mode's coverage
+error, which depends on the run's iterates, exits before the output
+directory is created.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adapt import AdaptiveConfig, AdaptiveRun, run_eigen, run_source
+from .adapt import MODES, AdaptiveConfig, AdaptiveRun, run_eigen, run_source
 from .frequency import ball, ball_size, shell_counts
 from .marking import MarkingError
 from .operator import (
@@ -78,7 +80,7 @@ ALGORITHM_DEFAULTS = {
     "max_dof": 20000,
 }
 
-RUN_MODES = ("eigen-feasible", "eigen-exact", "source", "uniform", "compare")
+RUN_MODES = MODES + ("uniform", "compare")
 OUTPUT_FORMATS = ("csv", "json", "gnuplot")
 
 
@@ -91,9 +93,7 @@ class ConfigError(ValueError):
 
 
 class ExperimentConfig(NamedTuple):
-    dim: int
-    k0: int
-    n_eigs: int
+    mode: str  # the run mode, after any --mode override
     potential_spec: dict
     rhs_spec: list | None
     algorithm: AdaptiveConfig
@@ -103,6 +103,10 @@ class ExperimentConfig(NamedTuple):
     formats: tuple[str, ...]
     seed: int | None
     raw: dict
+
+    @property
+    def dim(self) -> int:
+        return self.algorithm.dim
 
 
 class RunSummary:
@@ -124,10 +128,17 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _int(value) -> int:
+    """`int(value)`, refusing booleans and numbers with a fractional part."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _number(kind: type, value, path: str):
-    """`kind(value)` for kind int or float, a ConfigError naming `path` if it fails."""
+    """`kind(value)` for kind int (via `_int`) or float, a ConfigError naming `path` if it fails."""
     try:
-        return kind(value)
+        return _int(value) if kind is int else kind(value)
     except (TypeError, ValueError) as exc:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(path, f"must be {what}, got {value!r}") from exc
@@ -146,7 +157,7 @@ def _typed(kind: type, value, path: str):
 def _frequency(value, dim: int, path: str) -> tuple[int, ...]:
     """An integer frequency with `dim` components, a ConfigError naming `path` otherwise."""
     try:
-        k = tuple(int(x) for x in value)
+        k = tuple(_int(x) for x in value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, f"must be a list of integers, got {value!r}") from exc
     if len(k) != dim:
@@ -154,10 +165,13 @@ def _frequency(value, dim: int, path: str) -> tuple[int, ...]:
     return k
 
 
-def ingest_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
+def ingest_config(
+    path: str | Path, seed: int | None = None, mode: str | None = None
+) -> ExperimentConfig:
     """Load and validate a JSON experiment config, applying defaults.
 
-    A non-None `seed` overrides the config's own seed.
+    A non-None `seed` or `mode` overrides the config's own seed or
+    algorithm.mode.
     """
     p = Path(path)
     if not p.is_file():
@@ -166,10 +180,17 @@ def ingest_config(path: str | Path, seed: int | None = None) -> ExperimentConfig
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    return validate_config(raw, seed)
+    return validate_config(raw, seed, mode)
 
 
-def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
+def validate_config(
+    raw: dict, seed: int | None = None, mode: str | None = None
+) -> ExperimentConfig:
+    """The checked config of `raw`, after `preflight`; `seed` and `mode` override its own.
+
+    `mode` is one of RUN_MODES. For compare and uniform (loop-free) runs, the
+    loop's mode in `algorithm` is eigen-feasible.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
     problem = _require(raw, "problem", "config")
@@ -190,9 +211,13 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
 
     algo = dict(ALGORITHM_DEFAULTS)
     algo.update(_typed(dict, raw.get("algorithm", {}), "algorithm"))
-    mode = algo.pop("mode")
-    if mode not in ("eigen-feasible", "eigen-exact", "source"):
-        raise ConfigError("algorithm.mode", f"unknown mode {mode!r}")
+    config_mode = algo.pop("mode")
+    if config_mode not in MODES:
+        raise ConfigError("algorithm.mode", f"unknown mode {config_mode!r}")
+    if mode is None:
+        mode = config_mode
+    elif mode not in RUN_MODES:
+        raise ConfigError("mode", f"unknown mode {mode!r}")
     for key in ("theta_tilde", "zeta", "tol"):
         algo[key] = _number(float, algo[key], f"algorithm.{key}")
     for key in ("M0", "max_iter", "max_dof"):
@@ -214,15 +239,10 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
             n_eigs=n_eigs,
             max_iter=algo["max_iter"],
             max_dof=algo["max_dof"],
-            mode=mode,
+            mode=mode if mode in MODES else "eigen-feasible",
         )
     except ValueError as exc:
         raise ConfigError("algorithm", str(exc)) from exc
-
-    rhs_spec = problem.get("rhs")
-    if mode == "source":
-        if not rhs_spec:
-            raise ConfigError("problem.rhs", "source mode requires right-hand sides")
 
     verification = _typed(dict, raw.get("verification", {}), "verification")
     m_ref = _number(int, verification.get("M_ref", 32), "verification.M_ref")
@@ -250,12 +270,10 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
     elif pot["family"] == "random-decay":
         raise ConfigError("seed", "random-decay potentials require an explicit seed")
 
-    return ExperimentConfig(
-        dim=dim,
-        k0=k0,
-        n_eigs=n_eigs,
+    config = ExperimentConfig(
+        mode=mode,
         potential_spec=pot,
-        rhs_spec=rhs_spec,
+        rhs_spec=problem.get("rhs"),
         algorithm=adaptive,
         m_ref=m_ref,
         enable_subspace_distance=enable_dist,
@@ -264,6 +282,8 @@ def validate_config(raw: dict, seed: int | None = None) -> ExperimentConfig:
         seed=seed,
         raw=raw,
     )
+    preflight(config)
+    return config
 
 
 #: peak bytes per n^2 of source mode's reference on n frequencies, measured
@@ -303,43 +323,44 @@ def eigen_reference_bytes(config: ExperimentConfig, n: int) -> int:
     compare or uniform sweep solves smaller balls after the reference solve
     has freed its block vectors, beside the reference's few columns.
     """
-    block = config.k0 + config.n_eigs + 1 + BLOCK_GUARD * 2**BLOCK_GUARD_GROWS
+    block = config.algorithm.k0 + config.algorithm.n_eigs + 1 + BLOCK_GUARD * 2**BLOCK_GUARD_GROWS
     return solve_bytes(n, grid_points(config.m_ref, 2 * config.m_ref), config.dim, block)
 
 
-def _check_ball_holds_cluster(field_path: str, radius: int, config: ExperimentConfig) -> None:
+def _check_ball_holds_cluster(field_path: str, radius: int, algo: AdaptiveConfig) -> None:
     # ball(need) holds at least 2*need+1 frequencies, so counting the ball of
     # radius min(radius, need) decides the question at bounded cost
-    need = config.k0 + config.n_eigs
-    n = ball_size(min(radius, need), config.dim)
+    need = algo.k0 + algo.n_eigs
+    n = ball_size(min(radius, need), algo.dim)
     if n < need:
         raise ConfigError(
             field_path,
-            f"the ball of radius {radius} in {config.dim}D has {n} frequencies, "
-            f"too few for k0={config.k0}, n_eigs={config.n_eigs}",
+            f"the ball of radius {radius} in {algo.dim}D has {n} frequencies, "
+            f"too few for k0={algo.k0}, n_eigs={algo.n_eigs}",
         )
 
 
-def preflight(config: ExperimentConfig, mode: str) -> None:
+def preflight(config: ExperimentConfig) -> None:
     """Reject, before any work, a run that its frequency balls cannot carry.
 
-    Eigen, compare and uniform runs need the cluster to fit in the initial
-    ball, a compare run needs verification, and every run that builds a
-    reference needs its solve to fit in memory: the matrix-free eigen
-    reference (`eigen_reference_bytes`: block vectors, FFT grid and the
-    first Schur block), or source mode's complex `solve_source`
-    (`SOURCE_REFERENCE_BYTES` n^2). An eigen reference must also hold the
-    cluster.
+    A source run needs right-hand sides. Eigen, compare and uniform runs
+    need the cluster to fit in the initial ball, a compare run needs
+    verification, and every run that builds a reference needs its solve to
+    fit in memory: the matrix-free eigen reference (`eigen_reference_bytes`:
+    block vectors, FFT grid and the first Schur block), or source mode's
+    complex `solve_source` (`SOURCE_REFERENCE_BYTES` n^2). An eigen
+    reference must also hold the cluster.
     """
-    if mode not in RUN_MODES:
-        raise ConfigError("mode", f"unknown mode {mode!r}")
+    mode = config.mode
+    if mode == "source" and not config.rhs_spec:
+        raise ConfigError("problem.rhs", "source mode requires right-hand sides")
     if mode == "compare" and not config.enable_subspace_distance:
         raise ConfigError(
             "verification.enable_subspace_distance",
             "compare mode matches errors against the reference, so it must be true",
         )
     if mode != "source":
-        _check_ball_holds_cluster("algorithm.M0", config.algorithm.M0, config)
+        _check_ball_holds_cluster("algorithm.M0", config.algorithm.M0, config.algorithm)
     if mode == "source" and config.enable_subspace_distance:
         check_reference_memory(
             config.m_ref, config.dim, lambda n: SOURCE_REFERENCE_BYTES * n * n
@@ -348,7 +369,7 @@ def preflight(config: ExperimentConfig, mode: str) -> None:
         check_reference_memory(
             config.m_ref, config.dim, lambda n: eigen_reference_bytes(config, n)
         )
-        _check_ball_holds_cluster("verification.M_ref", config.m_ref, config)
+        _check_ball_holds_cluster("verification.M_ref", config.m_ref, config.algorithm)
 
 
 # -- potential families -------------------------------------------------------
@@ -367,7 +388,7 @@ def build_potential(spec: dict, dim: int, seed: int | None = None) -> tuple[Pote
         c = _number(float, spec.get("c", 1.0), "problem.potential.c")
         if c <= 0.0:
             raise ConfigError("problem.potential.c", f"must be > 0, got {c}")
-        fld = SpectralField.from_pairs(dim, {(0,) * dim: c * norm}, real_flag=True)
+        fld = SpectralField.from_pairs(dim, {(0,) * dim: c * norm})
     elif family == "trig":
         c = _number(float, spec.get("c", 0.0), "problem.potential.c")
         coeffs: dict[tuple, complex] = {(0,) * dim: c * norm}
@@ -379,7 +400,7 @@ def build_potential(spec: dict, dim: int, seed: int | None = None) -> tuple[Pote
             neg = tuple(-x for x in k)
             coeffs[k] = coeffs.get(k, 0.0) + half
             coeffs[neg] = coeffs.get(neg, 0.0) + half
-        fld = SpectralField.from_pairs(dim, coeffs, real_flag=True)
+        fld = SpectralField.from_pairs(dim, coeffs)
     elif family == "random-decay":
         if seed is None:
             raise ConfigError("seed", "random-decay potentials require a seed")
@@ -390,6 +411,8 @@ def build_potential(spec: dict, dim: int, seed: int | None = None) -> tuple[Pote
         )
         if r_cut < 0:
             raise ConfigError("problem.potential.r_cut", f"must be >= 0, got {r_cut}")
+        if not (math.isfinite(amplitude) and math.isfinite(p)):
+            raise ConfigError("problem.potential", f"non-finite amplitude {amplitude} or p {p}")
         fld, shift, tail = _random_decay_field(dim, amplitude, p, r_cut, seed)
         meta.update(
             seed=seed,
@@ -401,11 +424,6 @@ def build_potential(spec: dict, dim: int, seed: int | None = None) -> tuple[Pote
         )
     elif family == "explicit":
         fld = _parse_triples(spec.get("coefficients", []), dim, "problem.potential.coefficients")
-        if not fld.real_flag:
-            raise ConfigError(
-                "problem.potential.coefficients",
-                "coefficients must be Hermitian-symmetric (real potential)",
-            )
     else:  # pragma: no cover - guarded in validate_config
         raise ConfigError("problem.potential.family", f"unknown family {family!r}")
     try:
@@ -438,7 +456,7 @@ def _random_decay_field(
     sym = mags.astype(np.complex128)
     sym[first] = mags[first] * phase
     sym[neg[first]] = mags[first] * np.conj(phase)
-    fld = SpectralField(support, sym, real_flag=True)
+    fld = SpectralField(support, sym)
     npts = 4 * (r_cut + 1)
     vmin = float(evaluate_on_grid(fld, npts).min())
     shift = max(0.0, 0.5 - vmin)
@@ -446,7 +464,7 @@ def _random_decay_field(
         zero = support.index_of((0,) * dim)
         shifted = sym.copy()
         shifted[zero] += shift * (2.0 * math.pi) ** (dim / 2.0)
-        fld = SpectralField(support, shifted, real_flag=True)
+        fld = SpectralField(support, shifted)
     # modeling error of truncating the infinite family at r_cut: l1 tail of
     # the magnitude law summed over the next shells (window of width 3 r_cut),
     # term by term in ascending |G|^2 as over the canonically ordered window
@@ -703,20 +721,24 @@ def _uniform_step(
     The clamp keeps every swept ball inside the reference ball.
     """
     m_list = list(range(config.algorithm.M0, min(m_hi, config.m_ref) + 1))
-    rows = uniform_sweep(potential, config.k0, config.n_eigs, m_list, ref)
+    rows = uniform_sweep(potential, config.algorithm.k0, config.algorithm.n_eigs, m_list, ref)
     write_uniform_csv(outdir / "uniform.csv", rows)
     summary.data["files"]["uniform"] = "uniform.csv"
     return rows
 
 
-def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: bool = False) -> RunSummary:
-    """Execute the configured experiment and write artifacts to disk."""
+def run_experiment(config: ExperimentConfig, quiet: bool = False) -> RunSummary:
+    """Execute the configured experiment and write artifacts to disk.
+
+    The potential and right-hand sides are built before the output
+    directory is created, so a config they reject leaves no directory.
+    """
     t_start = time.perf_counter()
-    mode = mode or config.algorithm.mode
-    preflight(config, mode)
+    mode, algo = config.mode, config.algorithm
+    potential, pot_meta = build_potential(config.potential_spec, config.dim, config.seed)
+    rhs = build_rhs(config.rhs_spec, config.dim) if mode == "source" else None
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    potential, pot_meta = build_potential(config.potential_spec, config.dim, config.seed)
 
     summary = RunSummary(
         {"config": config.raw, "mode": mode, "seed": config.seed, "potential": pot_meta,
@@ -728,8 +750,7 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
             print(msg)
 
     if mode == "source":
-        rhs = build_rhs(config.rhs_spec or [], config.dim)
-        run = run_source(config.algorithm._replace(mode="source"), potential, rhs)
+        run = run_source(algo, potential, rhs)
         errors = None
         if config.enable_subspace_distance:
             ref_sols = solve_source(ball(config.m_ref, config.dim), potential, rhs)
@@ -741,19 +762,18 @@ def run_experiment(config: ExperimentConfig, mode: str | None = None, quiet: boo
             f"dof {len(run.final_index_set)}"
         )
     elif mode == "uniform":
-        ref = reference_solve(potential, config.k0, config.n_eigs, config.m_ref)
-        m_hi = max(config.algorithm.M0 + 1, config.m_ref // 2)
+        ref = reference_solve(potential, algo.k0, algo.n_eigs, config.m_ref)
+        m_hi = max(algo.M0 + 1, config.m_ref // 2)
         rows = _uniform_step(outdir, summary, config, potential, ref, m_hi)
         summary.data["termination_reason"] = "max_dof"  # sweep budget exhausted
         summary.data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
         summary.data["reference_solver"] = ref.solver._asdict()
         say(f"uniform sweep: {len(rows)} radii")
     else:
-        algo = config.algorithm._replace(mode="eigen-feasible" if mode == "compare" else mode)
         run = run_eigen(algo, potential)
         distances = ref = None
         if config.enable_subspace_distance:
-            ref = reference_solve(potential, config.k0, config.n_eigs, config.m_ref)
+            ref = reference_solve(potential, algo.k0, algo.n_eigs, config.m_ref)
             gap_ok, gap_below, gap_above = eigenvalue_gap_check(ref)
             summary.data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
             summary.data["reference_solver"] = ref.solver._asdict()
@@ -832,20 +852,16 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("config", help="path to a JSON experiment config")
     runp.add_argument("--out", help="output directory (overrides config)")
     runp.add_argument("--seed", type=int, help="seed override for random potentials")
-    runp.add_argument(
-        "--mode",
-        choices=RUN_MODES,
-        help="run mode override",
-    )
+    runp.add_argument("--mode", help=f"run mode override, one of {', '.join(RUN_MODES)}")
     runp.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
     try:
-        config = ingest_config(args.config, args.seed)
+        config = ingest_config(args.config, args.seed, args.mode)
         outdir = args.out or os.environ.get(ENV_OUTPUT_DIR) or config.output_dir
         if outdir != config.output_dir:
             config = config._replace(output_dir=outdir)
-        run_experiment(config, mode=args.mode, quiet=args.quiet)
+        run_experiment(config, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

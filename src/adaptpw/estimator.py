@@ -79,8 +79,7 @@ def _residual(
     uc = u.coefficients_on(support)
     head = lam * uc if f is None else f.coefficients_on(support)
     r = head - support.norms_sq.astype(np.float64) * uc - vu.coefficients_on(support)
-    real = u.real_flag and v.real_flag and (f is None or f.real_flag)
-    return _make_residual(SpectralField(support, r, real_flag=real), bound)
+    return _make_residual(SpectralField(support, r), bound)
 
 
 def residual(u: SpectralField, lam: float, potential: Potential) -> Residual:

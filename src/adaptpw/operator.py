@@ -153,18 +153,18 @@ def verify_potential(field: SpectralField) -> Potential:
     and the reported bounds carry a 1e-12 relative round-off margin. The
     FFT's own round-off stays below 1e-13 * max(1, (2*pi)^(-d/2) sum |V_K|)
     (measured: 2e-15 in 3D), far inside that margin. A potential with a
-    non-finite coefficient, or whose grid minimum is negative (beyond the
-    margin), is rejected; a grid minimum of exactly zero is allowed but
-    flagged, since the energy-norm constants then degenerate.
+    non-finite coefficient, one that is not real (support not closed
+    under negation, or `hermitian_defect` above 1e-12 * max(1, max |V_K|)),
+    or one whose grid minimum is negative (beyond the margin) is rejected;
+    a grid minimum of exactly zero is allowed but flagged, since the
+    energy-norm constants then degenerate.
     """
-    if not field.real_flag:
-        raise PotentialError("potential must be flagged as a real field")
     if not np.all(np.isfinite(field.coeffs)):
         raise PotentialError("potential coefficients must be finite")
     if not validate_symmetric(field.support):
         raise PotentialError("potential support must be closed under negation")
     scale0 = max(1.0, float(np.max(np.abs(field.coeffs))) if len(field.support) else 0.0)
-    if field.hermitian_defect() > 1e-10 * scale0:
+    if field.hermitian_defect() > 1e-12 * scale0:
         raise PotentialError("potential coefficients are not Hermitian-symmetric")
     radius = int(math.ceil(field.support.max_radius() - 1e-12))
     npts = 4 * (radius + 1)
@@ -445,9 +445,8 @@ class ReferenceOperator:
         g = entries[np.concatenate([coords.zero, coords.reps, coords.negs[neg_sel]])]
         bins = np.ravel_multi_index(tuple((g[:, ::-1] % n).T), shape)
         vf = self.potential.field
-        coupled = SpectralField(
-            IndexSet(dim, vf.support.entries[self._couples]), vf.coeffs[self._couples], True
-        )
+        keep = self._couples
+        coupled = SpectralField(IndexSet(dim, vf.support.entries[keep]), vf.coeffs[keep])
         values = np.ascontiguousarray(evaluate_on_grid(coupled, n).transpose())
         return shape, bins, neg_sel, values
 
@@ -1016,9 +1015,7 @@ def solve_source(s: IndexSet, potential: Potential, rhs: list[SpectralField]) ->
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"stiffness matrix not positive definite: {exc}") from exc
     x = np.linalg.solve(h.matrix, np.stack([f.coefficients_on(s) for f in rhs], axis=1))
-    return [
-        SpectralField(s, x[:, i].copy(), real_flag=f.real_flag) for i, f in enumerate(rhs)
-    ]
+    return [SpectralField(s, x[:, i].copy()) for i in range(len(rhs))]
 
 
 def group_slices(eigenvalues: np.ndarray, rtol: float) -> list[slice]:

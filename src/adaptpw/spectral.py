@@ -50,14 +50,13 @@ def _norm_factor(dim: int) -> float:
 class SpectralField:
     """Complex Fourier coefficients over a finite frequency support.
 
-    `real_flag` declares that the field represents a real-valued function,
-    i.e. coefficients satisfy u_{-G} = conj(u_G). The flag is propagated
-    soundly by arithmetic; `hermitian_defect` measures the actual deviation.
+    The field is real-valued when u_{-G} = conj(u_G); `hermitian_defect`
+    measures the deviation from that symmetry.
     """
 
-    __slots__ = ("support", "coeffs", "real_flag")
+    __slots__ = ("support", "coeffs")
 
-    def __init__(self, support: IndexSet, coeffs, real_flag: bool = False) -> None:
+    def __init__(self, support: IndexSet, coeffs) -> None:
         arr = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
         if arr.shape[0] != len(support):
             raise FieldError(
@@ -66,33 +65,28 @@ class SpectralField:
         arr.setflags(write=False)
         self.support = support
         self.coeffs = arr
-        self.real_flag = bool(real_flag)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int) -> "SpectralField":
-        return cls(IndexSet(dim), [], real_flag=True)
+        return cls(IndexSet(dim), [])
 
     @classmethod
     def unit(cls, dim: int, g) -> "SpectralField":
         """The basis field e_g (coefficient 1 at frequency g)."""
         g = tuple(int(x) for x in (g if hasattr(g, "__len__") else (g,)))
         support = IndexSet(dim, [g])
-        return cls(support, [1.0], real_flag=all(x == 0 for x in g))
+        return cls(support, [1.0])
 
     @classmethod
-    def from_pairs(cls, dim: int, pairs, real_flag: bool | None = None) -> "SpectralField":
+    def from_pairs(cls, dim: int, pairs) -> "SpectralField":
         """Build from a {frequency tuple: coefficient} mapping."""
         keys = [tuple(int(x) for x in (k if hasattr(k, "__len__") else (k,))) for k in pairs]
         support = IndexSet(dim, keys)
         coeffs = np.zeros(len(support), dtype=np.complex128)
         coeffs[support.positions(keys)] = list(pairs.values())
-        field = cls(support, coeffs, real_flag=False)
-        if real_flag is None:
-            scale = max(1.0, float(np.max(np.abs(coeffs))) if len(coeffs) else 0.0)
-            real_flag = field.hermitian_defect() <= 1e-12 * scale
-        return cls(support, coeffs, real_flag=real_flag)
+        return cls(support, coeffs)
 
     # -- norms and access --------------------------------------------------
 
@@ -136,24 +130,22 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         support, a, b = self._aligned(other)
-        return SpectralField(support, a + b, self.real_flag and other.real_flag)
+        return SpectralField(support, a + b)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         support, a, b = self._aligned(other)
-        return SpectralField(support, a - b, self.real_flag and other.real_flag)
+        return SpectralField(support, a - b)
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.support, -self.coeffs, self.real_flag)
+        return SpectralField(self.support, -self.coeffs)
 
     def __mul__(self, scalar) -> "SpectralField":
-        c = complex(scalar)
-        keeps_real = self.real_flag and c.imag == 0.0
-        return SpectralField(self.support, self.coeffs * c, keeps_real)
+        return SpectralField(self.support, self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"SpectralField(dim={self.support.dim}, size={len(self.support)}, real={self.real_flag})"
+        return f"SpectralField(dim={self.support.dim}, size={len(self.support)})"
 
 
 def hs_norm(f: SpectralField, s: float) -> float:
@@ -173,9 +165,7 @@ def project(f: SpectralField, s: IndexSet) -> SpectralField:
     if f.support.dim != s.dim:
         raise ValueError(f"dimension mismatch: {f.support.dim} vs {s.dim}")
     keep = s.positions(f.support) >= 0
-    return SpectralField(
-        IndexSet(f.support.dim, f.support.entries[keep]), f.coeffs[keep], f.real_flag
-    )
+    return SpectralField(IndexSet(f.support.dim, f.support.entries[keep]), f.coeffs[keep])
 
 
 def multiply(v: SpectralField, u: SpectralField) -> SpectralField:
@@ -204,17 +194,17 @@ def multiply(v: SpectralField, u: SpectralField) -> SpectralField:
     out.real = np.bincount(pos, weights=terms.real, minlength=len(out_support))
     out.imag = np.bincount(pos, weights=terms.imag, minlength=len(out_support))
     out *= _norm_factor(dim)
-    return SpectralField(out_support, out, v.real_flag and u.real_flag)
+    return SpectralField(out_support, out)
 
 
 def evaluate_on_grid(f: SpectralField, points_per_axis: int) -> np.ndarray:
-    """Values of the field on the uniform grid x_j = 2*pi*j/n of the torus.
+    """Values of a real field on the uniform grid x_j = 2*pi*j/n of the torus.
 
     exp(i G.x_j) depends only on G mod n, so each coefficient is folded
     onto grid bin G mod n (exact for every n, also below the support
-    diameter) and one inverse FFT sums the bins. Returns a real array when
-    `real_flag` is set (the imaginary parts are checked to be at round-off
-    level) and a complex array otherwise.
+    diameter) and one inverse FFT sums the bins. Returns the real parts;
+    a FieldError is raised when an imaginary part exceeds round-off, i.e.
+    when the field is not real.
     """
     if points_per_axis < 1:
         raise ValueError("points_per_axis must be >= 1")
@@ -225,15 +215,11 @@ def evaluate_on_grid(f: SpectralField, points_per_axis: int) -> np.ndarray:
     folded.real = np.bincount(bins, weights=f.coeffs.real, minlength=n**dim)
     folded.imag = np.bincount(bins, weights=f.coeffs.imag, minlength=n**dim)
     values = np.fft.ifftn(folded.reshape((n,) * dim), norm="forward") * _norm_factor(dim)
-    if f.real_flag:
-        scale = max(1.0, float(np.max(np.abs(values))))
-        defect = float(np.max(np.abs(values.imag)))
-        if defect > 1e-10 * scale:
-            raise FieldError(
-                f"field flagged real but grid values have imaginary part {defect:.3e}"
-            )
-        return values.real
-    return values
+    scale = max(1.0, float(np.max(np.abs(values))))
+    defect = float(np.max(np.abs(values.imag)))
+    if defect > 1e-10 * scale:
+        raise FieldError(f"field is not real: grid values have imaginary part {defect:.3e}")
+    return values.real
 
 
 def a_inner(u: SpectralField, v: SpectralField, potential) -> complex:

@@ -14,7 +14,7 @@ def trig_field(dim, c, terms):
         neg = tuple(-x for x in k)
         coeffs[k] = coeffs.get(k, 0.0) + 0.5 * a * norm
         coeffs[neg] = coeffs.get(neg, 0.0) + 0.5 * a * norm
-    return SpectralField.from_pairs(dim, coeffs, real_flag=True)
+    return SpectralField.from_pairs(dim, coeffs)
 
 
 def trig_potential(dim, c, terms):

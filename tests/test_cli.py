@@ -121,6 +121,25 @@ def test_explicit_family_requires_hermitian():
         build_potential(spec, 1, seed=None)
 
 
+@pytest.mark.parametrize("defect, accepted", [(1e-11, False), (1e-13, True)])
+def test_explicit_family_hermitian_tolerance(defect, accepted):
+    # a real potential needs |V_-K - conj(V_K)| <= 1e-12 * max(1, max |V_K|)
+    spec = {
+        "family": "explicit",
+        "coefficients": [
+            {"index": [0], "re": 3.0},
+            {"index": [1], "re": 1.0, "im": 3.0 * defect},
+            {"index": [-1], "re": 1.0},
+        ],
+    }
+    if accepted:
+        assert build_potential(spec, 1)[0].field.hermitian_defect() == 3.0 * defect
+    else:
+        with pytest.raises(ConfigError, match="Hermitian-symmetric") as err:
+            build_potential(spec, 1)
+        assert err.value.field.startswith("problem.potential")
+
+
 # -- runs -------------------------------------------------------------------------
 
 
@@ -362,6 +381,16 @@ def _set_path(raw, path, value):
             {"family": "trig", "c": 1.0, "terms": [{"k": [1], "a": math.nan}]},
             "problem.potential",
         ),
+        (("problem", "dim"), 1.9, "problem.dim"),
+        (("problem", "n_eigs"), 1.7, "problem.n_eigs"),
+        (("algorithm", "M0"), 2.5, "algorithm.M0"),
+        (("algorithm", "max_iter"), True, "algorithm.max_iter"),
+        (
+            ("problem", "potential"),
+            {"family": "trig", "c": 1.0, "terms": [{"k": [1.6], "a": 1.0}]},
+            "problem.potential.terms[0].k",
+        ),
+        (("algorithm", "max_dof"), math.inf, "algorithm.max_dof"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, path, value, field):
@@ -371,6 +400,27 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, path, value, field):
     rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", mode])
     assert rc == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_floats_are_integers():
+    raw = minimal_config(algorithm={"M0": 2.0, "max_iter": 5.0})
+    raw["problem"]["dim"] = 1.0
+    config = validate_config(raw)
+    assert (config.dim, config.algorithm.M0, config.algorithm.max_iter) == (1, 2, 5)
+    assert type(config.algorithm.M0) is int
+    spec = {"family": "trig", "c": 1.0, "terms": [{"k": [1.0], "a": 1.0}]}
+    assert sorted(build_potential(spec, 1)[0].field.support.to_list()) == [(-1,), (0,), (1,)]
+
+
+@pytest.mark.parametrize("mode, field", [("source", "problem.rhs"), ("bogus", "mode")])
+def test_mode_override_checked_before_output(tmp_path, capsys, mode, field):
+    # the config's own mode needs no right-hand sides; --mode source does
+    raw = minimal_config(output={"directory": str(tmp_path / "out")})
+    rc = main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", mode])
+    assert rc == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("config_seed, argv", [(-3, []), (7, ["--seed", "-5"])])
@@ -412,7 +462,8 @@ def test_cluster_ball_preflight_skips_source_mode():
     # a source run has no eigenvalue cluster for its balls to hold
     raw = minimal_config(algorithm={"M0": 1}, verification={"M_ref": 1})
     raw["problem"]["n_eigs"] = 6
-    cli.preflight(validate_config(raw), "source")
+    raw["problem"]["rhs"] = [[{"index": [0], "re": 1.0}]]
+    validate_config(raw, mode="source")
 
 
 def test_uniform_sweep_stays_inside_reference(tmp_path):
@@ -524,9 +575,8 @@ def test_reference_ball_preflight_rejects_before_work(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(cli, "physical_memory", lambda: 8 * 2**30)
     monkeypatch.setattr(cli, "build_potential", build_potential)
-    default = cli.validate_config(raw)
+    default = cli.validate_config(raw, mode="compare")
     assert default.m_ref == 32
-    cli.preflight(default, "compare")
     assert cli.eigen_reference_bytes(default, 137065) < 2**30
 
     raw["verification"] = {"M_ref": 80}
@@ -536,7 +586,7 @@ def test_reference_ball_preflight_rejects_before_work(tmp_path, monkeypatch, cap
     tracemalloc.stop()
     assert rc == 2
     err = capsys.readouterr().err
-    need = cli.eigen_reference_bytes(cli.validate_config(raw), 2143641)
+    need = cli.eigen_reference_bytes(default._replace(m_ref=80), 2143641)
     assert "verification.M_ref" in err and str(need) in err and need > 8 * 2**30
     assert not (tmp_path / "out").exists()
     assert peak < 2**20
@@ -548,7 +598,7 @@ def test_reference_ball_preflight_rejects_huge_radius_at_once():
         raw = minimal_config(verification={"M_ref": 10**12})
         raw["problem"]["dim"] = dim
         with pytest.raises(cli.ConfigError, match="verification.M_ref"):
-            cli.preflight(cli.validate_config(raw), "compare")
+            cli.validate_config(raw, mode="compare")
 
 
 def test_reference_ball_preflight_follows_verification(tmp_path, monkeypatch):
@@ -557,9 +607,9 @@ def test_reference_ball_preflight_follows_verification(tmp_path, monkeypatch):
     raw = minimal_config(verification={"M_ref": 200})
     config = cli.validate_config(raw)
     monkeypatch.setattr(cli, "physical_memory", lambda: cli.eigen_reference_bytes(config, 401) - 1)
-    cli.preflight(cli.validate_config(minimal_config(verification={"M_ref": 199})), "uniform")
+    cli.validate_config(minimal_config(verification={"M_ref": 199}), mode="uniform")
     with pytest.raises(cli.ConfigError, match="401 frequencies"):
-        cli.preflight(config, "uniform")
+        cli.validate_config(raw, mode="uniform")
     assert main(["run", str(write_config(tmp_path, raw)), "--quiet", "--mode", "uniform"]) == 2
     raw["verification"]["enable_subspace_distance"] = False
     raw["output"] = {"directory": str(tmp_path / "out")}

@@ -12,11 +12,12 @@ values on its grid.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptpw import IndexSet, SpectralField, verify_potential
-from adaptpw.spectral import evaluate_on_grid
+from adaptpw.spectral import FieldError, evaluate_on_grid
 
 #: measured worst case 1.9e-15 in 3D; the bound leaves room for other BLAS/FFT builds
 RTOL = 1e-13
@@ -49,7 +50,7 @@ def random_field(draw, dim, radius, hermitian):
     coeffs = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
     if hermitian:
         coeffs = 0.5 * (coeffs + np.conj(coeffs[support.negation_permutation()]))
-    return SpectralField(support, coeffs, real_flag=hermitian)
+    return SpectralField(support, coeffs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -63,11 +64,15 @@ def test_fft_grid_matches_direct_sum(data):
         n = data.draw(st.integers(1, diameter - 1))  # folded: several G share a bin
     else:
         n = data.draw(st.integers(diameter, diameter + 5))
+    if not hermitian:
+        with pytest.raises(FieldError, match="not real"):
+            evaluate_on_grid(f, n)
+        return
     ref = ref_evaluate(f, n)
     vals = evaluate_on_grid(f, n)
     assert vals.shape == (n,) * dim
-    assert np.isrealobj(vals) == hermitian
-    assert float(np.max(np.abs(vals - (ref.real if hermitian else ref)))) <= tolerance(f)
+    assert np.isrealobj(vals)
+    assert float(np.max(np.abs(vals - ref.real))) <= tolerance(f)
 
 
 @settings(max_examples=40, deadline=None)
@@ -81,7 +86,7 @@ def test_verify_potential_brackets_direct_sum(data):
     coeffs[f.support.index_of((0,) * dim)] += (1.0 - ref_evaluate(f, npts).real.min()) * (
         2.0 * math.pi
     ) ** (dim / 2.0)
-    f = SpectralField(f.support, coeffs, real_flag=True)
+    f = SpectralField(f.support, coeffs)
     ref = ref_evaluate(f, npts).real
     potential = verify_potential(f)
     assert potential.nu_lower <= ref.min()

@@ -280,7 +280,7 @@ def test_solve_source_rejects_indefinite_matrix():
     # V = -5 bypasses verify_potential, so H = |G|^2 - 5 is indefinite but
     # nonsingular on ball(2): only the Cholesky check can reject it
     norm = math.sqrt(TWO_PI)
-    field = SpectralField.from_pairs(1, {(0,): -5.0 * norm}, real_flag=True)
+    field = SpectralField.from_pairs(1, {(0,): -5.0 * norm})
     v = Potential(
         field=field, nu_lower=-5.0, nu_upper=-5.0, alpha_lower=-5.0, alpha_upper=1.0,
         l1_total=5.0 * norm,

@@ -199,7 +199,7 @@ def test_assemble_matches_reference_exactly(data):
     v = data.draw(field_on(dim, radius=3, max_size=15))
     neg = v.support.negation_permutation()
     hermitian = 0.5 * (v.coeffs + np.conj(v.coeffs[neg]))
-    vf = SpectralField(v.support, hermitian, real_flag=True)
+    vf = SpectralField(v.support, hermitian)
     s = IndexSet(dim, data.draw(symmetric_points(dim)))
     potential = Potential(vf, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert np.array_equal(assemble(s, potential).matrix, ref_assemble(s, vf))
@@ -275,7 +275,6 @@ def test_far_potential_support_matches_references():
     # a summand past KEY_LIMIT / 2 is fine while every sum stays in key range
     far = 600_000
     vf = SpectralField.from_pairs(1, {(-far,): 0.5 - 0.25j, (0,): 2.0, (far,): 0.5 + 0.25j})
-    assert vf.real_flag
     s = ball(2, 1)
     u = SpectralField(s, np.arange(1.0, len(s) + 1) + 0.5j)
     support, coeffs = ref_multiply(vf, u)
@@ -293,7 +292,7 @@ def test_real_assembly_matches_explicit_unitary_transform(data):
     v = data.draw(field_on(dim, radius=3, max_size=15))
     neg = v.support.negation_permutation()
     hermitian = 0.5 * (v.coeffs + np.conj(v.coeffs[neg]))
-    vf = SpectralField(v.support, hermitian, real_flag=True)
+    vf = SpectralField(v.support, hermitian)
     s = IndexSet(dim, data.draw(symmetric_points(dim)))
     potential = Potential(vf, 0.0, 0.0, 0.0, 0.0, 0.0)
     h = assemble(s, potential).matrix

@@ -40,7 +40,7 @@ def operator_case(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
     c = 0.5 * (c + np.conj(c[support.negation_permutation()]))
-    field = SpectralField(support, c, real_flag=True)
+    field = SpectralField(support, c)
     return ball(radius, dim), Potential(field, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -160,7 +160,7 @@ def test_dense_refuses_an_asymmetric_matrix():
     # V_1 != conj(V_-1): built past `verify_potential`, this potential gives
     # rows that are not symmetric, and every `dense` call checks them
     support = IndexSet(1, np.array([[0], [1], [-1]]))
-    field = SpectralField(support, np.array([1.0, 0.5, 0.1], dtype=complex), real_flag=True)
+    field = SpectralField(support, np.array([1.0, 0.5, 0.1], dtype=complex))
     h = ReferenceOperator(ball(3, 1), Potential(field, 0.0, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(SolverError, match="not symmetric"):
         h.dense()

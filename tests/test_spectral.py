@@ -42,7 +42,7 @@ def random_hermitian_field(dim, radius, seed):
     coeffs = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
     perm = support.negation_permutation()
     sym = 0.5 * (coeffs + np.conj(coeffs[perm]))
-    return SpectralField(support, sym, real_flag=True)
+    return SpectralField(support, sym)
 
 
 # -- hs_norm -------------------------------------------------------------
@@ -204,16 +204,6 @@ def test_a_inner_hermitian_and_coercive():
 
 
 # -- field plumbing -------------------------------------------------------
-
-
-def test_real_flag_propagation():
-    u = random_hermitian_field(1, 2, seed=51)
-    v = random_hermitian_field(1, 2, seed=52)
-    assert (u + v).real_flag
-    assert (u - v).real_flag
-    assert (2.0 * u).real_flag
-    assert not (1j * u).real_flag
-    assert multiply(u, v).real_flag
 
 
 def test_coefficients_on_realizes_projection():
