@@ -39,6 +39,14 @@ class AdmissibilityWarning(UserWarning):
     """Marking parameters lie outside the range backed by complexity theory."""
 
 
+class ParameterError(ValueError):
+    """An `AdaptiveConfig` field out of its range; `field` names it."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(f"{field} {message}")
+        self.field = field
+
+
 class _AdaptiveFields(NamedTuple):
     dim: int
     theta_tilde: float = 0.5
@@ -67,29 +75,21 @@ class AdaptiveConfig(_AdaptiveFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not 1 <= self.dim <= 3:
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not 0.0 < self.theta_tilde < 1.0:
-            raise ValueError(f"theta_tilde must be in (0, 1), got {self.theta_tilde}")
-        if not 0.0 <= self.zeta < self.theta_tilde:
-            raise ValueError(
-                f"zeta must be in [0, theta_tilde), got zeta={self.zeta}, "
-                f"theta_tilde={self.theta_tilde}"
-            )
-        if not self.tol >= 0.0:  # NaN fails every comparison
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
-        if self.M0 < 1:
-            raise ValueError(f"M0 must be >= 1, got {self.M0}")
-        if self.k0 < 0:
-            raise ValueError(f"k0 must be >= 0, got {self.k0}")
-        if self.n_eigs < 1:
-            raise ValueError(f"n_eigs must be >= 1, got {self.n_eigs}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
-        if self.max_dof < 1:
-            raise ValueError(f"max_dof must be >= 1, got {self.max_dof}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for field, ok, rule in (
+            ("dim", 1 <= self.dim <= 3, "must be 1, 2 or 3"),
+            ("theta_tilde", 0.0 < self.theta_tilde < 1.0, "must be in (0, 1)"),
+            ("zeta", 0.0 <= self.zeta < self.theta_tilde,
+             f"must be in [0, theta_tilde) with theta_tilde={self.theta_tilde}"),
+            ("tol", self.tol >= 0.0, "must be >= 0"),  # NaN fails every comparison
+            ("M0", self.M0 >= 1, "must be >= 1"),
+            ("k0", self.k0 >= 0, "must be >= 0"),
+            ("n_eigs", self.n_eigs >= 1, "must be >= 1"),
+            ("max_iter", self.max_iter >= 0, "must be >= 0"),
+            ("max_dof", self.max_dof >= 1, "must be >= 1"),
+            ("mode", self.mode in MODES, f"must be one of {MODES}"),
+        ):
+            if not ok:
+                raise ParameterError(field, f"{rule}, got {getattr(self, field)!r}")
         return self
 
     def _replace(self, **changes) -> AdaptiveConfig:

@@ -33,7 +33,10 @@ summary.json, marked_sets.jsonl, and in uniform/compare modes
 uniform.csv plus comparison.csv. Exit codes: 0 success, 2 config error,
 3 numerical failure. Every config error but compare mode's coverage
 error, which depends on the run's iterates, exits before the output
-directory is created.
+directory is created. Values must have their JSON type, and each error
+names its exact field. A reference ball, the initial ball (M0) or a
+verification grid whose solve or sampling would exceed physical memory
+is refused up front (`preflight`, `operator.verification_grid`).
 """
 
 from __future__ import annotations
@@ -50,12 +53,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adapt import MODES, AdaptiveConfig, AdaptiveRun, run_eigen, run_source
+from .adapt import MODES, AdaptiveConfig, AdaptiveRun, ParameterError, run_eigen, run_source
 from .frequency import ball, ball_size, shell_counts
 from .marking import MarkingError
 from .operator import (
     BLOCK_GUARD, BLOCK_GUARD_GROWS, Potential, PotentialError, ReferenceOperator, SolverError,
-    grid_points, physical_memory, solve_bytes, solve_eigen_block, solve_source, verify_potential,
+    grid_points, physical_memory, solve_bytes, solve_eigen_block, solve_source, verification_grid,
+    verify_potential,
 )
 from .spectral import SpectralField, evaluate_on_grid
 from .verify import (
@@ -69,16 +73,6 @@ from .verify import (
 )
 
 ENV_OUTPUT_DIR = "ADAPTPW_OUT"
-
-ALGORITHM_DEFAULTS = {
-    "mode": "eigen-feasible",
-    "theta_tilde": 0.5,
-    "zeta": 0.1,
-    "tol": 1e-6,
-    "M0": 2,
-    "max_iter": 50,
-    "max_dof": 20000,
-}
 
 RUN_MODES = MODES + ("uniform", "compare")
 OUTPUT_FORMATS = ("csv", "json", "gnuplot")
@@ -128,38 +122,28 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _int(value) -> int:
-    """`int(value)`, refusing booleans and numbers with a fractional part."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+def _read(kind: type, value, path: str):
+    """`value` as a `kind`: int, float, dict, list, bool or str; a ConfigError naming `path` if not.
 
-
-def _number(kind: type, value, path: str):
-    """`kind(value)` for kind int (via `_int`) or float, a ConfigError naming `path` if it fails."""
-    try:
-        return _int(value) if kind is int else kind(value)
-    except (TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(path, f"must be {what}, got {value!r}") from exc
-
-
-_KIND_NAMES = {dict: "an object", list: "a list", bool: "true or false"}
-
-
-def _typed(kind: type, value, path: str):
-    """`value` if it is a `kind` (dict, list or bool), a ConfigError naming `path` otherwise."""
-    if not isinstance(value, kind):
-        raise ConfigError(path, f"must be {_KIND_NAMES[kind]}, got {value!r}")
-    return value
+    JSON types are checked, not coerced: an integer is an int or a float with
+    no fractional part, a number (float) an int or a float, and neither is a
+    bool or a string.
+    """
+    if kind is bool or not isinstance(value, bool):
+        if isinstance(value, kind):
+            return value
+        if kind is int and isinstance(value, float) and value.is_integer():
+            return int(value)
+        if kind is float and isinstance(value, int) and abs(value) <= sys.float_info.max:
+            return float(value)
+    what = {int: "an integer", float: "a number", dict: "an object", list: "a list",
+            bool: "true or false", str: "a string"}[kind]
+    raise ConfigError(path, f"must be {what}, got {value!r}")
 
 
 def _frequency(value, dim: int, path: str) -> tuple[int, ...]:
     """An integer frequency with `dim` components, a ConfigError naming `path` otherwise."""
-    try:
-        k = tuple(_int(x) for x in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, f"must be a list of integers, got {value!r}") from exc
+    k = tuple(_read(int, x, path) for x in _read(list, value, path))
     if len(k) != dim:
         raise ConfigError(path, f"needs {dim} components")
     return k
@@ -178,7 +162,7 @@ def ingest_config(
         raise ConfigError("config", f"file not found: {p}")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal of over 4300 digits
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
     return validate_config(raw, seed, mode)
 
@@ -191,70 +175,50 @@ def validate_config(
     `mode` is one of RUN_MODES. For compare and uniform (loop-free) runs, the
     loop's mode in `algorithm` is eigen-feasible.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config", "top level must be a JSON object")
+    _read(dict, raw, "config")
+    # AdaptiveConfig owns the loop's defaults and ranges: each value is read by
+    # the type of its default, and a range error is reported on its own field
+    defaults = AdaptiveConfig._field_defaults
     problem = _require(raw, "problem", "config")
-    dim = _number(int, _require(problem, "dim", "problem"), "problem.dim")
-    if not 1 <= dim <= 3:
-        raise ConfigError("problem.dim", f"must be 1, 2 or 3, got {dim}")
-    k0 = _number(int, problem.get("k0", 0), "problem.k0")
-    if k0 < 0:
-        raise ConfigError("problem.k0", f"must be >= 0, got {k0}")
-    n_eigs = _number(int, _require(problem, "n_eigs", "problem"), "problem.n_eigs")
-    if n_eigs < 1:
-        raise ConfigError("problem.n_eigs", f"must be >= 1, got {n_eigs}")
+    fields = {
+        "dim": _read(int, _require(problem, "dim", "problem"), "problem.dim"),
+        "k0": _read(int, problem.get("k0", defaults["k0"]), "problem.k0"),
+        "n_eigs": _read(int, _require(problem, "n_eigs", "problem"), "problem.n_eigs"),
+    }
     pot = _require(problem, "potential", "problem")
     if not isinstance(pot, dict) or "family" not in pot:
         raise ConfigError("problem.potential", "must be an object with a 'family' key")
     if pot["family"] not in ("constant", "trig", "random-decay", "explicit"):
         raise ConfigError("problem.potential.family", f"unknown family {pot['family']!r}")
 
-    algo = dict(ALGORITHM_DEFAULTS)
-    algo.update(_typed(dict, raw.get("algorithm", {}), "algorithm"))
-    config_mode = algo.pop("mode")
-    if config_mode not in MODES:
-        raise ConfigError("algorithm.mode", f"unknown mode {config_mode!r}")
-    if mode is None:
-        mode = config_mode
-    elif mode not in RUN_MODES:
-        raise ConfigError("mode", f"unknown mode {mode!r}")
-    for key in ("theta_tilde", "zeta", "tol"):
-        algo[key] = _number(float, algo[key], f"algorithm.{key}")
-    for key in ("M0", "max_iter", "max_dof"):
-        algo[key] = _number(int, algo[key], f"algorithm.{key}")
-    if algo["zeta"] >= algo["theta_tilde"]:
-        raise ConfigError(
-            "algorithm.zeta",
-            f"must be < algorithm.theta_tilde "
-            f"(zeta={algo['zeta']}, theta_tilde={algo['theta_tilde']})",
-        )
+    algo = _read(dict, raw.get("algorithm", {}), "algorithm")
+    fields.update(
+        (key, _read(type(default), algo.get(key, default), f"algorithm.{key}"))
+        for key, default in defaults.items() if key not in fields
+    )
     try:
-        adaptive = AdaptiveConfig(
-            dim=dim,
-            theta_tilde=algo["theta_tilde"],
-            zeta=algo["zeta"],
-            tol=algo["tol"],
-            M0=algo["M0"],
-            k0=k0,
-            n_eigs=n_eigs,
-            max_iter=algo["max_iter"],
-            max_dof=algo["max_dof"],
-            mode=mode if mode in MODES else "eigen-feasible",
-        )
-    except ValueError as exc:
-        raise ConfigError("algorithm", str(exc)) from exc
+        adaptive = AdaptiveConfig(**fields)
+        if mode is None:
+            mode = adaptive.mode
+        elif mode not in RUN_MODES:
+            raise ConfigError("mode", f"unknown mode {mode!r}")
+        else:
+            adaptive = adaptive._replace(mode=mode if mode in MODES else "eigen-feasible")
+    except ParameterError as exc:
+        section = "problem" if exc.field in ("dim", "k0", "n_eigs") else "algorithm"
+        raise ConfigError(f"{section}.{exc.field}", str(exc)) from exc
 
-    verification = _typed(dict, raw.get("verification", {}), "verification")
-    m_ref = _number(int, verification.get("M_ref", 32), "verification.M_ref")
+    verification = _read(dict, raw.get("verification", {}), "verification")
+    m_ref = _read(int, verification.get("M_ref", 32), "verification.M_ref")
     if m_ref < 1:
         raise ConfigError("verification.M_ref", f"must be >= 1, got {m_ref}")
-    enable_dist = _typed(
+    enable_dist = _read(
         bool, verification.get("enable_subspace_distance", True),
         "verification.enable_subspace_distance",
     )
 
-    output = _typed(dict, raw.get("output", {}), "output")
-    outdir = str(output.get("directory", "out"))
+    output = _read(dict, raw.get("output", {}), "output")
+    outdir = _read(str, output.get("directory", "out"), "output.directory")
     formats = output.get("formats", ["csv", "json"])
     if not isinstance(formats, list) or not all(f in OUTPUT_FORMATS for f in formats):
         raise ConfigError(
@@ -264,7 +228,7 @@ def validate_config(
     if seed is None:
         seed = raw.get("seed")
     if seed is not None:
-        seed = _number(int, seed, "seed")
+        seed = _read(int, seed, "seed")
         if seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {seed}")
     elif pot["family"] == "random-decay":
@@ -291,9 +255,13 @@ def validate_config(
 #: matrix, the Cholesky factor and the LU copy of the solve.
 SOURCE_REFERENCE_BYTES = 51
 
+#: peak bytes per n^2 of the adaptive loop's first solve on ball(M0), its complex
+#: `assemble` and `eigh`, measured the same way: 80.9-81.4 at n = 2453-3209, 1D-3D
+LOOP_SOLVE_BYTES = 82
 
-def check_reference_memory(m_ref: int, dim: int, bytes_of: Callable[[int], int]) -> None:
-    """Reject a reference ball whose solve needs more than physical memory.
+
+def check_ball_memory(field_path: str, radius: int, dim: int, bytes_of: Callable) -> None:
+    """Reject, as a ConfigError on `field_path`, a ball whose solve needs more than physical memory.
 
     The solve on n frequencies peaks at `bytes_of(n)` bytes, which grows
     with n. The cube |G_i| <= M/sqrt(d) lies inside the ball, so its size is
@@ -303,15 +271,14 @@ def check_reference_memory(m_ref: int, dim: int, bytes_of: Callable[[int], int])
     that could itself be large.
     """
     limit = physical_memory()
-    n = (2 * math.isqrt(m_ref * m_ref // dim) + 1) ** dim
+    n = (2 * math.isqrt(radius * radius // dim) + 1) ** dim
     if bytes_of(n) <= 64 * limit:
-        n = ball_size(m_ref, dim)
+        n = ball_size(radius, dim)
     if bytes_of(n) > limit:
         raise ConfigError(
-            "verification.M_ref",
-            f"the reference ball of radius {m_ref} in {dim}D has at least {n} frequencies; "
-            f"its reference solve needs {bytes_of(n)} bytes, more than the "
-            f"{limit} bytes of physical memory",
+            field_path,
+            f"the ball of radius {radius} in {dim}D has at least {n} frequencies; "
+            f"its solve needs {bytes_of(n)} bytes, more than the {limit} bytes of physical memory",
         )
 
 
@@ -344,14 +311,15 @@ def preflight(config: ExperimentConfig) -> None:
     """Reject, before any work, a run that its frequency balls cannot carry.
 
     A source run needs right-hand sides. Eigen, compare and uniform runs
-    need the cluster to fit in the initial ball, a compare run needs
-    verification, and every run that builds a reference needs its solve to
-    fit in memory: the matrix-free eigen reference (`eigen_reference_bytes`:
-    block vectors, FFT grid and the first Schur block), or source mode's
-    complex `solve_source` (`SOURCE_REFERENCE_BYTES` n^2). An eigen
-    reference must also hold the cluster.
+    need the cluster to fit in the initial ball, and the loop's dense first
+    solve there (`LOOP_SOLVE_BYTES` n^2) to fit in memory. A compare run
+    needs verification, and every run that builds a reference needs its
+    solve to fit in memory: the matrix-free eigen reference
+    (`eigen_reference_bytes`: block vectors, FFT grid and the first Schur
+    block), or source mode's complex `solve_source` (`SOURCE_REFERENCE_BYTES`
+    n^2). An eigen reference must also hold the cluster.
     """
-    mode = config.mode
+    mode, algo = config.mode, config.algorithm
     if mode == "source" and not config.rhs_spec:
         raise ConfigError("problem.rhs", "source mode requires right-hand sides")
     if mode == "compare" and not config.enable_subspace_distance:
@@ -360,16 +328,18 @@ def preflight(config: ExperimentConfig) -> None:
             "compare mode matches errors against the reference, so it must be true",
         )
     if mode != "source":
-        _check_ball_holds_cluster("algorithm.M0", config.algorithm.M0, config.algorithm)
+        _check_ball_holds_cluster("algorithm.M0", algo.M0, algo)
+    if mode not in ("source", "uniform"):  # the loop solves on ball(M0) first
+        check_ball_memory("algorithm.M0", algo.M0, algo.dim, lambda n: LOOP_SOLVE_BYTES * n * n)
     if mode == "source" and config.enable_subspace_distance:
-        check_reference_memory(
-            config.m_ref, config.dim, lambda n: SOURCE_REFERENCE_BYTES * n * n
+        check_ball_memory(
+            "verification.M_ref", config.m_ref, algo.dim, lambda n: SOURCE_REFERENCE_BYTES * n * n
         )
     elif config.enable_subspace_distance or mode == "uniform":
-        check_reference_memory(
-            config.m_ref, config.dim, lambda n: eigen_reference_bytes(config, n)
+        check_ball_memory(
+            "verification.M_ref", config.m_ref, algo.dim, lambda n: eigen_reference_bytes(config, n)
         )
-        _check_ball_holds_cluster("verification.M_ref", config.m_ref, config.algorithm)
+        _check_ball_holds_cluster("verification.M_ref", config.m_ref, algo)
 
 
 # -- potential families -------------------------------------------------------
@@ -384,49 +354,51 @@ def build_potential(spec: dict, dim: int, seed: int | None = None) -> tuple[Pote
     family = spec["family"]
     norm = (2.0 * math.pi) ** (dim / 2.0)
     meta: dict = {"family": family}
-    if family == "constant":
-        c = _number(float, spec.get("c", 1.0), "problem.potential.c")
-        if c <= 0.0:
-            raise ConfigError("problem.potential.c", f"must be > 0, got {c}")
-        fld = SpectralField.from_pairs(dim, {(0,) * dim: c * norm})
-    elif family == "trig":
-        c = _number(float, spec.get("c", 0.0), "problem.potential.c")
-        coeffs: dict[tuple, complex] = {(0,) * dim: c * norm}
-        for i, term in enumerate(_typed(list, spec.get("terms", []), "problem.potential.terms")):
-            path = f"problem.potential.terms[{i}]"
-            k = _frequency(_require(term, "k", path), dim, f"{path}.k")
-            a = _number(float, _require(term, "a", path), f"{path}.a")
-            half = 0.5 * a * norm
-            neg = tuple(-x for x in k)
-            coeffs[k] = coeffs.get(k, 0.0) + half
-            coeffs[neg] = coeffs.get(neg, 0.0) + half
-        fld = SpectralField.from_pairs(dim, coeffs)
-    elif family == "random-decay":
-        if seed is None:
-            raise ConfigError("seed", "random-decay potentials require a seed")
-        amplitude = _number(float, spec.get("amplitude", 1.0), "problem.potential.amplitude")
-        p = _number(float, _require(spec, "p", "problem.potential"), "problem.potential.p")
-        r_cut = _number(
-            int, _require(spec, "r_cut", "problem.potential"), "problem.potential.r_cut"
-        )
-        if r_cut < 0:
-            raise ConfigError("problem.potential.r_cut", f"must be >= 0, got {r_cut}")
-        if not (math.isfinite(amplitude) and math.isfinite(p)):
-            raise ConfigError("problem.potential", f"non-finite amplitude {amplitude} or p {p}")
-        fld, shift, tail = _random_decay_field(dim, amplitude, p, r_cut, seed)
-        meta.update(
-            seed=seed,
-            positivity_shift=shift,
-            modeling_error_l1=tail,
-            amplitude=amplitude,
-            p=p,
-            r_cut=r_cut,
-        )
-    elif family == "explicit":
-        fld = _parse_triples(spec.get("coefficients", []), dim, "problem.potential.coefficients")
-    else:  # pragma: no cover - guarded in validate_config
-        raise ConfigError("problem.potential.family", f"unknown family {family!r}")
     try:
+        if family == "constant":
+            c = _read(float, spec.get("c", 1.0), "problem.potential.c")
+            if c <= 0.0:
+                raise ConfigError("problem.potential.c", f"must be > 0, got {c}")
+            fld = SpectralField.from_pairs(dim, {(0,) * dim: c * norm})
+        elif family == "trig":
+            c = _read(float, spec.get("c", 0.0), "problem.potential.c")
+            coeffs: dict[tuple, complex] = {(0,) * dim: c * norm}
+            terms = _read(list, spec.get("terms", []), "problem.potential.terms")
+            for i, term in enumerate(terms):
+                path = f"problem.potential.terms[{i}]"
+                k = _frequency(_require(term, "k", path), dim, f"{path}.k")
+                a = _read(float, _require(term, "a", path), f"{path}.a")
+                half = 0.5 * a * norm
+                neg = tuple(-x for x in k)
+                coeffs[k] = coeffs.get(k, 0.0) + half
+                coeffs[neg] = coeffs.get(neg, 0.0) + half
+            fld = SpectralField.from_pairs(dim, coeffs)
+        elif family == "random-decay":
+            if seed is None:
+                raise ConfigError("seed", "random-decay potentials require a seed")
+            amplitude = _read(float, spec.get("amplitude", 1.0), "problem.potential.amplitude")
+            p = _read(float, _require(spec, "p", "problem.potential"), "problem.potential.p")
+            r_cut = _read(
+                int, _require(spec, "r_cut", "problem.potential"), "problem.potential.r_cut"
+            )
+            if r_cut < 0:
+                raise ConfigError("problem.potential.r_cut", f"must be >= 0, got {r_cut}")
+            if not (math.isfinite(amplitude) and math.isfinite(p)):
+                raise ConfigError("problem.potential", f"non-finite amplitude {amplitude} or p {p}")
+            fld, shift, tail = _random_decay_field(dim, amplitude, p, r_cut, seed)
+            meta.update(
+                seed=seed,
+                positivity_shift=shift,
+                modeling_error_l1=tail,
+                amplitude=amplitude,
+                p=p,
+                r_cut=r_cut,
+            )
+        elif family == "explicit":
+            coefficients = spec.get("coefficients", [])
+            fld = _parse_triples(coefficients, dim, "problem.potential.coefficients")
+        else:  # pragma: no cover - guarded in validate_config
+            raise ConfigError("problem.potential.family", f"unknown family {family!r}")
         potential = verify_potential(fld)
     except PotentialError as exc:
         raise ConfigError("problem.potential", str(exc)) from exc
@@ -444,8 +416,14 @@ def _random_decay_field(
     Magnitudes follow A (1+|G|^2)^(-p/2) exactly up to |G| <= r_cut; one
     phase is drawn per +-pair (in canonical support order) and assigned
     conjugately, so Hermitian symmetry holds by construction. The mean is
-    then shifted so the sampled minimum is at least 0.5.
+    then shifted so the sampled minimum is at least 0.5. Arrays beyond
+    physical memory are refused first, by a PotentialError.
     """
+    # tracemalloc peaks: ball(r_cut) takes 89-105 bytes a point of its cube
+    # (meshgrid, points, squares); the tail 30.5 an entry of its (4 r_cut)^2 + 1
+    # shell arrays, and 8 a point of ball(4 r_cut), bounded by its cube
+    held = 112 * (2 * r_cut + 1) ** dim + 32 * (16 * r_cut**2 + 1) + 8 * (8 * r_cut + 1) ** dim
+    npts = verification_grid(r_cut, dim, held)
     support = ball(r_cut, dim)
     phases = np.array(_uniform_phases(seed, len(support)))
     mags = amplitude * (1.0 + support.norms_sq.astype(np.float64)) ** (-p / 2.0)
@@ -457,7 +435,6 @@ def _random_decay_field(
     sym[first] = mags[first] * phase
     sym[neg[first]] = mags[first] * np.conj(phase)
     fld = SpectralField(support, sym)
-    npts = 4 * (r_cut + 1)
     vmin = float(evaluate_on_grid(fld, npts).min())
     shift = max(0.0, 0.5 - vmin)
     if shift > 0.0:
@@ -532,10 +509,10 @@ def _parse_triples(triples: list, dim: int, field_path: str) -> SpectralField:
     A malformed triple is reported under `field_path[j]`.
     """
     coeffs = {}
-    for j, entry in enumerate(_typed(list, triples, field_path)):
+    for j, entry in enumerate(_read(list, triples, field_path)):
         path = f"{field_path}[{j}]"
         k = _frequency(_require(entry, "index", path), dim, f"{path}.index")
-        coeffs[k] = _number(float, entry.get("re", 0.0), f"{path}.re") + 1j * _number(
+        coeffs[k] = _read(float, entry.get("re", 0.0), f"{path}.re") + 1j * _read(
             float, entry.get("im", 0.0), f"{path}.im"
         )
     return SpectralField.from_pairs(dim, coeffs)
@@ -544,7 +521,7 @@ def _parse_triples(triples: list, dim: int, field_path: str) -> SpectralField:
 def build_rhs(rhs_spec: list, dim: int) -> list[SpectralField]:
     return [
         _parse_triples(t, dim, f"problem.rhs[{i}]")
-        for i, t in enumerate(_typed(list, rhs_spec, "problem.rhs"))
+        for i, t in enumerate(_read(list, rhs_spec, "problem.rhs"))
     ]
 
 

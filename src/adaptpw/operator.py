@@ -80,6 +80,11 @@ DENSE_CERT_BYTES = 32
 #: the gathered rows (M_PD is formed a block of columns at a time)
 SCHUR_BYTES = 16
 
+#: peak bytes per cell of `evaluate_on_grid` on a verification grid, by
+#: tracemalloc: the folded complex grid, one bincount and the complex inverse
+#: FFT; 40-48 measured in 1D-3D
+GRID_CELL_BYTES = 48
+
 #: side of the square tiles of `ReferenceOperator.dense`'s symmetry check; its
 #: rows gather blocks of A and B of about _TILE**2 entries at a time
 _TILE = 128
@@ -155,7 +160,8 @@ def verify_potential(field: SpectralField) -> Potential:
     (measured: 2e-15 in 3D), far inside that margin. A potential with a
     non-finite coefficient, one that is not real (support not closed
     under negation, or `hermitian_defect` above 1e-12 * max(1, max |V_K|)),
-    or one whose grid minimum is negative (beyond the margin) is rejected;
+    one whose grid (`verification_grid`) exceeds physical memory, or one
+    whose grid minimum is negative (beyond the margin) is rejected;
     a grid minimum of exactly zero is allowed but flagged, since the
     energy-norm constants then degenerate.
     """
@@ -167,8 +173,7 @@ def verify_potential(field: SpectralField) -> Potential:
     if field.hermitian_defect() > 1e-12 * scale0:
         raise PotentialError("potential coefficients are not Hermitian-symmetric")
     radius = int(math.ceil(field.support.max_radius() - 1e-12))
-    npts = 4 * (radius + 1)
-    values = evaluate_on_grid(field, npts)
+    values = evaluate_on_grid(field, verification_grid(radius, field.support.dim))
     vmin = float(values.min())
     vmax = float(values.max())
     margin = 1e-12 * max(1.0, abs(vmin), abs(vmax))
@@ -193,6 +198,23 @@ def verify_potential(field: SpectralField) -> Potential:
         alpha_upper=max(nu_upper, 1.0),
         l1_total=float(np.sum(np.abs(field.coeffs))),
     )
+
+
+def verification_grid(radius: int, dim: int, held: int = 0) -> int:
+    """Points per axis, 4 (radius + 1), of the grid that samples a potential of radius `radius`.
+
+    A PotentialError is raised, before anything is allocated, when sampling
+    on it (`GRID_CELL_BYTES` a cell) beside `held` bytes the caller needs at
+    the same time would take more than physical memory.
+    """
+    npts = 4 * (radius + 1)
+    need, limit = GRID_CELL_BYTES * npts**dim + held, physical_memory()
+    if need > limit:
+        raise PotentialError(
+            f"a potential of radius {radius} and its verification grid of {npts}^{dim} points "
+            f"need {need} bytes, more than the {limit} bytes of physical memory"
+        )
+    return npts
 
 
 class Hamiltonian(NamedTuple):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import adaptpw.adapt as adapt
 import adaptpw.cli as cli
-from adaptpw import EigenCluster, ReferenceOperator, reference_solve
+import adaptpw.operator as operator
+from adaptpw import EigenCluster, PotentialError, ReferenceOperator, reference_solve
 from adaptpw.cli import (
     ConfigError,
     build_potential,
@@ -86,9 +87,10 @@ def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         ingest_config(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError):
-        ingest_config(bad)
+    for text in ("{not json", '{"seed": ' + "1" * 5000 + "}"):
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            ingest_config(bad)
 
 
 # -- potential families ----------------------------------------------------------
@@ -365,7 +367,7 @@ def _set_path(raw, path, value):
             {"family": "random-decay", "p": 2.5, "r_cut": -1},
             "problem.potential.r_cut",
         ),
-        (("algorithm", "tol"), math.nan, "algorithm"),
+        (("algorithm", "tol"), math.nan, "algorithm.tol"),
         (
             ("problem", "potential"),
             {"family": "random-decay", "p": math.nan, "r_cut": 4},
@@ -391,6 +393,22 @@ def _set_path(raw, path, value):
             "problem.potential.terms[0].k",
         ),
         (("algorithm", "max_dof"), math.inf, "algorithm.max_dof"),
+        (("problem", "dim"), "2", "problem.dim"),
+        (("problem", "n_eigs"), "1", "problem.n_eigs"),
+        (
+            ("problem",),
+            {"dim": 2, "n_eigs": 1,
+             "potential": {"family": "trig", "c": 1.0, "terms": [{"k": "12", "a": 0.5}]}},
+            "problem.potential.terms[0].k",
+        ),
+        (("algorithm", "tol"), True, "algorithm.tol"),
+        (("algorithm", "tol"), "1e-3", "algorithm.tol"),
+        (("output", "directory"), None, "output.directory"),
+        (("output", "directory"), 5, "output.directory"),
+        (("algorithm", "M0"), 0, "algorithm.M0"),
+        (("algorithm", "theta_tilde"), 1.5, "algorithm.theta_tilde"),
+        (("algorithm", "max_dof"), 0, "algorithm.max_dof"),
+        (("problem", "k0"), -1, "problem.k0"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, path, value, field):
@@ -411,6 +429,16 @@ def test_integral_floats_are_integers():
     assert type(config.algorithm.M0) is int
     spec = {"family": "trig", "c": 1.0, "terms": [{"k": [1.0], "a": 1.0}]}
     assert sorted(build_potential(spec, 1)[0].field.support.to_list()) == [(-1,), (0,), (1,)]
+
+
+def test_empty_algorithm_takes_adaptive_config_defaults():
+    # AdaptiveConfig is the one home of the loop's defaults, types included
+    raw = minimal_config(algorithm={})
+    raw["problem"].update(dim=2, n_eigs=3)
+    del raw["problem"]["k0"]
+    expected = adapt.AdaptiveConfig(dim=2, n_eigs=3)
+    algorithm = validate_config(raw).algorithm
+    assert algorithm == expected and list(map(type, algorithm)) == list(map(type, expected))
 
 
 @pytest.mark.parametrize("mode, field", [("source", "problem.rhs"), ("bogus", "mode")])
@@ -616,6 +644,70 @@ def test_reference_ball_preflight_follows_verification(tmp_path, monkeypatch):
     assert main(["run", str(write_config(tmp_path, raw)), "--quiet"]) == 0
 
 
+@pytest.mark.parametrize(
+    "potential, algorithm, field",
+    [
+        # a potential of radius 3000 is sampled on 12004^3 grid points
+        ({"family": "trig", "c": 1.0, "terms": [{"k": [3000, 0, 0], "a": 0.5}]}, {},
+         "problem.potential"),
+        # ball(2000) is cut from a 4001^3 cube, beside the grid and the tail window
+        ({"family": "random-decay", "p": 2.5, "r_cut": 2000}, {}, "problem.potential"),
+        # ball(60) holds 904,089 frequencies for the loop's first dense solve
+        (None, {"M0": 60}, "algorithm.M0"),
+    ],
+)
+def test_memory_refusals_exit_2_before_output(tmp_path, capsys, potential, algorithm, field):
+    raw = minimal_config(
+        algorithm=algorithm, verification={"enable_subspace_distance": False},
+        output={"directory": str(tmp_path / "out")}, seed=7,
+    )
+    raw["problem"]["dim"] = 3
+    raw["problem"]["potential"] = potential or raw["problem"]["potential"]
+    assert main(["run", str(write_config(tmp_path, raw)), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:") and "physical memory" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_initial_ball_preflight_follows_mode(monkeypatch):
+    # the eigen loop, also a compare run's, first solves densely on ball(M0):
+    # in 1D, M0=2 gives 5 frequencies and LOOP_SOLVE_BYTES * 25 bytes
+    raw = minimal_config(verification={"enable_subspace_distance": False})
+    raw["problem"]["rhs"] = [[{"index": [0], "re": 1.0}]]
+    monkeypatch.setattr(cli, "physical_memory", lambda: cli.LOOP_SOLVE_BYTES * 25)
+    validate_config(raw)
+    monkeypatch.setattr(cli, "physical_memory", lambda: cli.LOOP_SOLVE_BYTES * 25 - 1)
+    for mode in ("eigen-feasible", "eigen-exact"):
+        with pytest.raises(ConfigError, match="at least 5 frequencies") as err:
+            validate_config(raw, mode=mode)
+        assert err.value.field == "algorithm.M0"
+    validate_config(raw, mode="source")
+    # uniform and source runs never solve densely on ball(M0)
+    monkeypatch.undo()
+    raw = minimal_config(algorithm={"M0": 60}, verification={"M_ref": 4})
+    raw["problem"]["dim"] = 3
+    raw["problem"]["rhs"] = [[{"index": [0, 0, 0], "re": 1.0}]]
+    validate_config(raw, mode="uniform")
+    validate_config(raw, mode="source")
+    with pytest.raises(ConfigError, match="algorithm.M0"):
+        validate_config(raw, mode="compare")
+
+
+@pytest.mark.parametrize("dim, r_cut", [(1, 100), (2, 60), (3, 10)])
+def test_random_decay_memory_model_covers_traced_peak(monkeypatch, dim, r_cut):
+    # the bytes reserved for the ball's cube, the verification grid and the
+    # tail arrays bound the traced peak of building the field, within 3 times
+    tracemalloc.start()
+    cli._random_decay_field(dim, 1.0, 2.5, r_cut, 7)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    monkeypatch.setattr(operator, "physical_memory", lambda: 3 * peak)
+    cli._random_decay_field(dim, 1.0, 2.5, r_cut, 7)
+    monkeypatch.setattr(operator, "physical_memory", lambda: peak - 1)
+    with pytest.raises(PotentialError, match="physical memory"):
+        cli._random_decay_field(dim, 1.0, 2.5, r_cut, 7)
+
+
 def test_eigen_runs_do_not_import_scipy():
     # adaptpw needs numpy only: scipy (0.2-0.35 s, ~28 MB to import) is kept
     # out, and numpy.ma comes with np.unique's first call, which index sets avoid
@@ -722,8 +814,6 @@ def test_random_decay_phases_reject_negative_seeds():
 @pytest.fixture
 def counted_solves(monkeypatch):
     """Sizes of every complex assembly, real `dense` matrix, Cholesky factorisation and `eigh`."""
-    import adaptpw.operator as operator
-
     counts = {"complex": [], "real": [], "cholesky": [], "eigh": []}
     assemble, dense = operator.assemble, operator.ReferenceOperator.dense
     cholesky, eigh = np.linalg.cholesky, np.linalg.eigh
