@@ -715,7 +715,10 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> RunSummary:
     potential, pot_meta = build_potential(config.potential_spec, config.dim, config.seed)
     rhs = build_rhs(config.rhs_spec, config.dim) if mode == "source" else None
     outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output.directory", f"cannot create {outdir}: {exc}") from exc
 
     summary = RunSummary(
         {"config": config.raw, "mode": mode, "seed": config.seed, "potential": pot_meta,

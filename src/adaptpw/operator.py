@@ -63,7 +63,9 @@ BLOCK_DENSE_MAX = 256
 CERT_BLOCK = 64
 
 #: grid cells `ReferenceOperator.apply` transforms at a time (columns times
-#: cells per column), which bounds its FFT buffers to about 40 bytes a cell
+#: cells per column), which bounds its FFT buffers to about 40 bytes a cell;
+#: smaller batches cost memory instead of saving it (2^14 cells raised the
+#: source2d benchmark's peak RSS from 34.30 to 35.18 MB)
 _FFT_CELLS = 1 << 20
 
 #: bytes per coordinate and block vector of a block solve: X and H X, the
@@ -76,18 +78,26 @@ BLOCK_BYTES = 8 * 16
 #: copy and the factor; ru_maxrss grew by 25.2 n^2 at n = 1961
 DENSE_CERT_BYTES = 32
 
-#: bytes per k n of a count certificate's Schur block of k on n coordinates:
-#: the gathered rows (M_PD is formed a block of columns at a time)
+#: bytes per k n of a count certificate's Schur block of k on n coordinates
+#: (`schur_bytes`): the gathered rows (8) and, while they are gathered, the
+#: sum-box tables they are read from and one block of each temporary
+#: (`_ROW_BYTES`); 10,980 KiB traced at k = 64 on the 17,077-frequency 3D
+#: ball(16), where the rows alone are 8,538 KiB
 SCHUR_BYTES = 16
+
+#: bytes per k^2 of the same block: T, one k-column block of M_PD, its scaled
+#: copy and their product, which T is updated by (`schur_bytes`)
+SCHUR_SQUARE_BYTES = 32
 
 #: peak bytes per cell of `evaluate_on_grid` on a verification grid, by
 #: tracemalloc: the folded complex grid, one bincount and the complex inverse
 #: FFT; 40-48 measured in 1D-3D
 GRID_CELL_BYTES = 48
 
-#: side of the square tiles of `ReferenceOperator.dense`'s symmetry check; its
-#: rows gather blocks of A and B of about _TILE**2 entries at a time
-_TILE = 128
+#: bytes of one temporary of a row gather: `ReferenceOperator.rows`,
+#: `row_sums`, the symmetry check of `dense` and the shift rows of the
+#: certificate's last step each take as many rows at a time as fit (`_row_step`)
+_ROW_BYTES = 1 << 16
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -338,6 +348,16 @@ def physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _row_step(row_bytes: int) -> int:
+    """Rows of `row_bytes` bytes each that fit one `_ROW_BYTES` temporary, at least 1."""
+    return max(1, _ROW_BYTES // max(row_bytes, 1))
+
+
+def schur_bytes(k: int, n: int) -> int:
+    """Modelled peak bytes of a count certificate's Schur block of k on n coordinates."""
+    return SCHUR_BYTES * k * n + SCHUR_SQUARE_BYTES * k * k
+
+
 def solve_bytes(n: int, points: int, dim: int, block: int) -> int:
     """Modelled peak bytes of a matrix-free `solve_eigen_block` on n coordinates.
 
@@ -345,13 +365,13 @@ def solve_bytes(n: int, points: int, dim: int, block: int) -> int:
     of one batch of columns on a grid of `points`^dim cells (40 bytes a
     cell) beside V's values and their complex evaluation (24 bytes a cell),
     and the certificate's first Schur block of k = max(`CERT_BLOCK`,
-    4 block) rows (`SCHUR_BYTES` k n). Larger Schur blocks and the dense
+    4 block) rows (`schur_bytes`). Larger Schur blocks and the dense
     last step are checked by `certify_count` when it reaches them.
     """
     cells = points**dim
     batch = min(block * cells, max(_FFT_CELLS, cells))
     cert = min(max(CERT_BLOCK, 4 * block), n)
-    return BLOCK_BYTES * n * block + 40 * batch + 24 * cells + SCHUR_BYTES * cert * n
+    return BLOCK_BYTES * n * block + 40 * batch + 24 * cells + schur_bytes(cert, n)
 
 
 class ReferenceOperator:
@@ -475,6 +495,10 @@ class ReferenceOperator:
     def rows(self, idx: np.ndarray) -> np.ndarray:
         """Rows `idx` of H, gathered from the potential a block of rows at a time.
 
+        A block holds as many rows as fit `_ROW_BYTES` of complex A (and as
+        much of B), about 10 of the 797-frequency 2D ball's 399 cos rows; each
+        entry is formed by itself, so the result does not depend on the block.
+
         For representatives G, G' let A = H[G, G'] and B = H[G, -G'] =
         (2*pi)^(-d/2) V_{G+G'}. The cos/cos block is Re(A + B), sin/sin
         Re(A - B), cos/sin Im(B - A) and sin/cos Im(A + B). Taking
@@ -489,7 +513,7 @@ class ReferenceOperator:
         a_rows = _potential_rows(self.potential, g[freq], -g)  # G - G'
         b_rows = _potential_rows(self.potential, g[freq], g)  # G + G'
         out = np.empty((len(idx), self.n))
-        step = max(1, _TILE * _TILE // max(m, 1))
+        step = _row_step(16 * m)  # complex A and B, m entries a row
         for i in range(0, len(idx), step):
             a, b, s = a_rows(i, i + step), b_rows(i, i + step), sin[i : i + step, None]
             out[i : i + step, :m] = np.where(s, a.imag + b.imag, a.real + b.real)
@@ -521,7 +545,7 @@ class ReferenceOperator:
             ind = _table_rows(self.basis, np.ones(self.n), self._cos, -k)
             off = np.where(np.any(k, axis=1), w, 0.0)  # K = 0 is the diagonal pair
             total = np.empty(m)
-            step = max(1, _TILE * _TILE // max(len(k), 1))
+            step = _row_step(8 * len(k))
             for i in range(0, m, step):
                 total[i : i + step] = ind(i, i + step) @ off
             w_g = np.abs(self._v(self._cos).real) + np.abs(self._v(self._cos).imag)
@@ -538,7 +562,8 @@ class ReferenceOperator:
         """The whole matrix, `rows` of every coordinate; SolverError beyond physical memory.
 
         Neither U nor the complex H is formed, and the symmetry check runs
-        tile by tile, so the matrix is the only n x n array held.
+        over strips of rows that fit `_ROW_BYTES`, each from the diagonal
+        rightwards, so the matrix is the only n x n array held.
         """
         n = self.n
         need = DENSE_CERT_BYTES * n * n
@@ -548,11 +573,10 @@ class ReferenceOperator:
             )
         r = self.rows(np.arange(n))
         scale = max(1.0, float(r.max(initial=0.0)), -float(r.min(initial=0.0)))
-        defect = 0.0
-        for i in range(0, n, _TILE):  # |r - r^T| is symmetric: tiles on and above the diagonal
-            for j in range(i, n, _TILE):
-                asym = r[i : i + _TILE, j : j + _TILE] - r[j : j + _TILE, i : i + _TILE].T
-                defect = max(defect, float(np.max(np.abs(asym, out=asym))))
+        defect, step = 0.0, _row_step(8 * n)
+        for i in range(0, n, step):  # |r - r^T| is symmetric: rows i.. from column i on
+            asym = r[i : i + step, i:] - r[i:, i : i + step].T
+            defect = max(defect, float(np.max(np.abs(asym, out=asym))))
         if defect > 1e-13 * scale:
             raise SolverError(f"assembled matrix is not symmetric (defect {defect:.3e})")
         return r
@@ -827,8 +851,11 @@ def certify_count(
     by Gamma loses only on their tails, and doubles after each failure; the
     last step, k = n, factors M - delta I itself, formed in the lower
     triangle of the assembled matrix (`h.dense()`). A block whose arrays
-    would not fit in physical memory (`SCHUR_BYTES` k n bytes,
-    `DENSE_CERT_BYTES` n^2 for the last step) is not tried: SolverError.
+    would not fit in physical memory (`schur_bytes(k, n)`, `DENSE_CERT_BYTES`
+    n^2 for the last step) is not tried: SolverError. On the 797-frequency
+    2D ball of the compare benchmark, tracemalloc's peak of a Schur block is
+    762, 1,353, 3,682 and 9,598 KiB at k = 64, 128, 256 and 512, against a
+    model of 925, 2,106, 5,236 and 14,568 KiB.
 
     Rounding, with unit roundoff u and n below 1/(4u): the computed factor
     R of a k x k matrix B satisfies R^T R = B + E, ||E||_2 <= gamma_(k+1)
@@ -874,10 +901,10 @@ def certify_count(
         )
     k = max(CERT_BLOCK, 4 * cut)
     while k < n:
-        if SCHUR_BYTES * k * n > physical_memory():
+        if schur_bytes(k, n) > physical_memory():
             raise SolverError(
                 f"count certificate not proved by smaller blocks; its block of {k} "
-                f"needs {SCHUR_BYTES * k * n} bytes, more than physical memory"
+                f"needs {schur_bytes(k, n)} bytes, more than physical memory"
             )
         if _certify_shift(h, xc, c, rho, delta, k):
             return rho, cut, k
@@ -901,15 +928,17 @@ def _certify_shift(
 
     For k < n the Schur split of `certify_count` on the k coordinates of
     lowest diagonal entry, from their gathered rows (k x n) and the row-sum
-    bounds of the rest, with M_PD formed a block of columns at a time; for
-    k >= n a Cholesky factorisation of M - delta I, written row block by row
-    block into the lower triangle of the assembled matrix (which is all
-    `np.linalg.cholesky` reads).
+    bounds of the rest, with M_PD formed k columns at a time, so that T is
+    updated by rank-k products and every square block is at most k x k
+    (`schur_bytes`); for k >= n a Cholesky factorisation of M - delta I,
+    written into the lower triangle of the assembled matrix (which is all
+    `np.linalg.cholesky` reads) a block of rows that fits `_ROW_BYTES` at a
+    time.
     """
     n = h.n
     if k >= n:
         a = h.dense()
-        step = max(1, _TILE * _TILE // n)
+        step = _row_step(8 * n)
         for i in range(0, n, step):
             j = min(i + step, n)
             shift = xc[i:j] @ xc[:j].T
@@ -940,13 +969,12 @@ def _certify_shift(
     t += hp[:, p]
     t[np.diag_indices(k)] -= rho
     h_pd = 0.0
-    step = max(1, _TILE * _TILE // k)
-    for i in range(0, n - k, step):
-        di = d[i : i + step]
+    for i in range(0, n - k, k):
+        di, g = d[i : i + k], gamma[i : i + k]
         m_pd = hp[:, di]
-        h_pd += float(np.einsum("ij,ij,j->", m_pd, m_pd, 1.0 / gamma[i : i + step]))
-        m_pd += c * (xp @ xd[i : i + step].T)
-        t -= (m_pd / gamma[i : i + step]) @ m_pd.T
+        h_pd += float(np.einsum("ij,ij,j->", m_pd, m_pd, 1.0 / g))
+        m_pd += c * (xp @ xd[i : i + k].T)
+        t -= (m_pd / g) @ m_pd.T
     s = (math.sqrt(h_pd) + c * math.sqrt(xp_f2) * x_d) ** 2
     delta_t = 2.0 * u * (
         (n + 2 * cut + 6) * s + (cut + 4) * f_pp + (k + 2) * max(float(np.trace(t)), 0.0)

@@ -2,7 +2,15 @@ import math
 
 import pytest
 
-from adaptpw import SpectralField, eta_cluster, truncated_residual, verify_potential
+from adaptpw import (
+    ReferenceOperator,
+    SpectralField,
+    ball,
+    eta_cluster,
+    truncated_residual,
+    verify_potential,
+)
+from adaptpw.cli import build_potential
 
 
 def trig_field(dim, c, terms):
@@ -30,6 +38,23 @@ def cosine_potential():
 @pytest.fixture(scope="session")
 def constant_potential():
     return trig_potential(1, 1.0, {})
+
+
+@pytest.fixture(scope="session")
+def compare2d_potential():
+    """The 2D random-decay potential of the compare benchmark's seed-7 instance."""
+    spec = {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}
+    return build_potential(spec, 2, seed=7)[0]
+
+
+@pytest.fixture(scope="session")
+def compare2d_reference(compare2d_potential):
+    """Its reference operator on ball(16, 2), 797 frequencies.
+
+    Shared by the session: its product count and cached diagonal, row sums
+    and FFT setup carry over from test to test.
+    """
+    return ReferenceOperator(ball(16, 2), compare2d_potential)
 
 
 def exhaustive_truncation(fields, lambdas, potential, zeta, rs_exact):

@@ -151,14 +151,11 @@ def skipping_window(h, p, m, tol, start=None):
 
 
 @pytest.fixture(scope="module")
-def rd_hamiltonian():
+def rd_hamiltonian(compare2d_potential):
     # 317 frequencies, above BLOCK_DENSE_MAX: every guard the solver tries
     # leaves the block smaller than a third of the ball, so no attempt is
     # whole-space
-    pot, _ = build_potential(
-        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
-    )
-    return ReferenceOperator(ball(10, 2), pot)
+    return ReferenceOperator(ball(10, 2), compare2d_potential)
 
 
 def test_certificate_rejects_window_that_skips_lambda_1(rd_hamiltonian):
@@ -225,7 +222,7 @@ def test_compare_run_exits_3_when_the_certificate_outgrows_memory(tmp_path, monk
     assert "more than physical memory" in capsys.readouterr().err
 
 
-def test_reference_solve_calls_no_full_eigh(monkeypatch):
+def test_reference_solve_calls_no_full_eigh(compare2d_potential, monkeypatch):
     sizes = []
     eigh = np.linalg.eigh
 
@@ -234,10 +231,7 @@ def test_reference_solve_calls_no_full_eigh(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    pot, _ = build_potential(
-        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
-    )
-    ref = reference_solve(pot, 0, 2, 16)
+    ref = reference_solve(compare2d_potential, 0, 2, 16)
     n = len(ref.basis)
     assert n == 797
     assert sizes and max(sizes) < n // 3
@@ -428,13 +422,10 @@ def test_false_claims_are_never_certified(claim):
             assert not operator._certify_shift(MatrixOperator(a), x, c, rho, 0.0, k), (k, rho)
 
 
-def test_certificate_memory_stays_below_the_matrix():
+def test_certificate_memory_stays_below_the_matrix(compare2d_reference):
     # the compare2d reference: 797 frequencies, certified by a block of 64;
     # the whole-matrix certificate held about 13 n^2 bytes beside the matrix
-    pot, _ = build_potential(
-        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
-    )
-    h = ReferenceOperator(ball(16, 2), pot)
+    h = compare2d_reference
     n = h.n
     theta, x, res, _ = operator._block_iterate(h, 7, 3, operator.BLOCK_RTOL * h.diagonal().max())
     tracemalloc.start()
@@ -444,6 +435,88 @@ def test_certificate_memory_stays_below_the_matrix():
     finally:
         tracemalloc.stop()
     assert k < n and peak < 6 * n * n
+
+
+@pytest.fixture(scope="module")
+def compare2d_block(compare2d_reference):
+    """The converged block of the compare2d reference (k0 = 0, n_eigs = 2) and its claim.
+
+    Returns theta, x and the residuals, then the (rho, cut) its certificate
+    proves and the shift c of `certify_count`.
+    """
+    h = compare2d_reference
+    theta, x, res, _ = operator._block_iterate(h, 7, 3, operator.BLOCK_RTOL * h.diagonal().max())
+    rho, cut, _ = certify_count(h, theta, x, res, 3)
+    return theta, x, res, rho, cut, 2.0 * (rho - float(theta[0])) + 1.0
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certificate_peak_stays_within_its_model(compare2d_potential, compare2d_block):
+    # a fresh operator, so that the row sums are gathered inside the trace
+    h = ReferenceOperator(ball(16, 2), compare2d_potential)
+    theta, x, res = compare2d_block[:3]
+    (_, _, k), peak = traced_peak(certify_count, h, theta, x, res, 3)
+    assert k == operator.CERT_BLOCK and peak <= operator.schur_bytes(k, h.n)
+
+
+@pytest.mark.parametrize("k", [256, 512])
+def test_square_schur_blocks_stay_within_the_model(compare2d_reference, compare2d_block, k):
+    # above n/4 the k x k blocks outweigh the k gathered rows
+    h = compare2d_reference
+    _, x, _, rho, cut, c = compare2d_block
+    proved, peak = traced_peak(operator._certify_shift, h, x[:, :cut], c, rho, 0.0, k)
+    assert proved and peak <= operator.schur_bytes(k, h.n)
+
+
+def gathered_results(basis, potential, claims):
+    """What a fresh operator gathers and decides: rows and dense, row sums, certificates.
+
+    `claims` are (x, c, rho, sizes) tuples; each size is one `_certify_shift`.
+    """
+    h = ReferenceOperator(basis, potential)
+    order = np.random.default_rng(0).permutation(h.n)
+    decisions = [
+        operator._certify_shift(h, x, c, rho, 0.0, k) for x, c, rho, sizes in claims for k in sizes
+    ]
+    return [h.rows(order).tobytes(), h.dense().tobytes()], h.row_sums(np.arange(h.n)), decisions
+
+
+@pytest.mark.parametrize("budget", ["one row", "whole matrix"])
+def test_row_budget_changes_no_result(
+    budget, compare2d_potential, compare2d_reference, compare2d_block, monkeypatch
+):
+    theta, x, res, rho, cut, c = compare2d_block
+    n = compare2d_reference.n
+    reference = [(x[:, :cut], c, rho, [64, 128, 256, 512, n])]
+    small = ReferenceOperator(ball(10, 2), compare2d_potential)
+    a = small.dense()
+    w, v = np.linalg.eigh(a)
+    sizes = [k for k in 2 ** np.arange(9) if k < small.n] + [small.n]
+    false = [
+        (xf, 2.0 * (rf - float(w[0])) + 1.0, rf, sizes)
+        for cut_f in (1, 3, 6)
+        for xf, rf in false_claim_cases(a, w, v, cut_f, 1e-6)
+    ]
+    cases = [(compare2d_reference.basis, reference), (small.basis, false)]
+    expected = [gathered_results(b, compare2d_potential, claims) for b, claims in cases]
+    assert expected[0][2] == [True] * 5 and not any(expected[1][2])
+
+    monkeypatch.setattr(operator, "_ROW_BYTES", 1 if budget == "one row" else 16 * n * n)
+    for (bits, sums, decisions), (basis, claims) in zip(expected, cases):
+        again = gathered_results(basis, compare2d_potential, claims)
+        assert again[0] == bits and again[2] == decisions
+        # a sum of at most n terms in another order: the gather's GEMV blocks
+        np.testing.assert_allclose(again[1], sums, rtol=n * np.finfo(float).eps, atol=0.0)
+    h = ReferenceOperator(compare2d_reference.basis, compare2d_potential)
+    assert certify_count(h, theta, x, res, 3) == (rho, cut, operator.CERT_BLOCK)
 
 
 def test_schur_block_shift_covers_rounding():

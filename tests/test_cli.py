@@ -591,6 +591,19 @@ def test_output_dir_override(tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
+@pytest.mark.parametrize("below", [True, False], ids=["below-a-file", "names-a-file"])
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "out-flag"])
+def test_unwritable_output_directory_exits_2(tmp_path, capsys, below, flag):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    target = str(blocker / "out" if below else blocker)
+    directory = str(tmp_path / "ignored") if flag else target
+    config = write_config(tmp_path, minimal_config(output={"directory": directory}))
+    assert main(["run", str(config), "--quiet", *(["--out", target] if flag else [])]) == 2
+    assert capsys.readouterr().err.startswith("config error: output.directory: cannot create")
+    assert blocker.read_text() == "" and not (tmp_path / "ignored").exists()
+
+
 def test_reference_ball_preflight_rejects_before_work(tmp_path, monkeypatch, capsys):
     # the matrix-free reference holds block vectors, an FFT grid and a Schur
     # block, O(n) bytes: on 8 GiB the 3D default M_ref=32 (137065

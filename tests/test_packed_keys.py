@@ -29,7 +29,6 @@ from adaptpw import (
     union,
     validate_symmetric,
 )
-from adaptpw.cli import build_potential
 from adaptpw.frequency import KEY_LIMIT, sum_box
 from adaptpw.operator import _potential_rows
 
@@ -379,13 +378,11 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_assemble_and_multiply_peaks():
+def test_assemble_and_multiply_peaks(compare2d_potential):
     # assemble peaks in its Hermitian check, the matrix beside two complex
     # temporaries (48 n^2 bytes); multiply forms one key per (K, G) pair and
     # no array of summed frequencies
-    potential, _ = build_potential(
-        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
-    )
+    potential = compare2d_potential
     s = ball(16, 2)
     n, pairs = len(s), len(potential.field.support) * len(s)
     rng = np.random.default_rng(3)
@@ -394,23 +391,19 @@ def test_assemble_and_multiply_peaks():
     assert _traced_peak(multiply, potential.field, u) < 48 * pairs
 
 
-def test_dense_real_matrix_peak():
+def test_dense_real_matrix_peak(compare2d_potential):
     # the matrix is the only n^2 array: A and B are gathered a block of rows
-    # at a time and the symmetry check runs over tiles
-    potential, _ = build_potential(
-        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
-    )
+    # at a time and the symmetry check runs over strips of rows
+    potential = compare2d_potential
     s = ball(16, 2)
     n = len(s)
     assert _traced_peak(lambda: ReferenceOperator(s, potential).dense()) <= 11 * n * n
 
 
-def test_assemble_hermitian_check_keeps_one_temporary():
+def test_assemble_hermitian_check_keeps_one_temporary(compare2d_potential):
     # h^H - h is formed in place in one complex copy beside the matrix, and
     # its modulus is the only other n^2 array: 16 + 16 + 8 = 40 n^2 bytes
-    potential, _ = build_potential(
-        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
-    )
+    potential = compare2d_potential
     s = ball(16, 2)
     n = len(s)
     assert _traced_peak(assemble, s, potential) < 44 * n * n

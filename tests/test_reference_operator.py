@@ -117,18 +117,11 @@ def test_grid_points_is_the_smallest_smooth_size():
     assert operator.grid_points(10**12, 2 * 10**12) == 4016775629952
 
 
-def compare2d_reference():
-    pot, _ = build_potential(
-        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
-    )
-    return pot, ReferenceOperator(ball(16, 2), pot)
-
-
-def test_reference_solve_memory_is_linear_in_n():
+def test_reference_solve_memory_is_linear_in_n(compare2d_potential, compare2d_reference):
     # the compare2d reference, 797 frequencies: block vectors, the FFT grid
     # and a Schur block of 64 rows, as `solve_bytes` models them, stay well
     # below the 8 n^2 bytes of the matrix alone, which is never formed
-    pot, h = compare2d_reference()
+    pot, h = compare2d_potential, compare2d_reference
     n = h.n
     tracemalloc.start()
     try:
@@ -141,10 +134,10 @@ def test_reference_solve_memory_is_linear_in_n():
     assert peak <= bound < 4 * n * n
 
 
-def test_certificate_refuses_blocks_beyond_physical_memory(monkeypatch):
-    pot, h = compare2d_reference()
+def test_certificate_refuses_blocks_beyond_physical_memory(compare2d_reference, monkeypatch):
+    h = compare2d_reference
     theta, x, res, _ = operator._block_iterate(h, 7, 3, operator.BLOCK_RTOL * h.diagonal().max())
-    first = operator.SCHUR_BYTES * operator.CERT_BLOCK * h.n
+    first = operator.schur_bytes(operator.CERT_BLOCK, h.n)
     monkeypatch.setattr(operator, "physical_memory", lambda: first)
     assert certify_count(h, theta, x, res, 3)[2] == operator.CERT_BLOCK
     monkeypatch.setattr(operator, "physical_memory", lambda: first - 1)

@@ -176,13 +176,11 @@ def test_distance_matches_cholesky_frame_oracle(dim, m_ref, r_cut):
         assert subspace_distance(x, y, ref.operator) == pytest.approx(both, rel=1e-10, abs=0.0)
 
 
-def test_reference_path_allocates_no_complex_square_array():
+def test_reference_path_allocates_no_complex_square_array(compare2d_potential):
     # the matrix-free reference path holds no n x n array at all: one real
     # matrix alone (8 n^2 bytes) would reach the bound, a complex one (16
     # n^2) exceed it
-    pot, _ = build_potential(
-        {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 8}, 2, seed=7
-    )
+    pot = compare2d_potential
     cfg = AdaptiveConfig(dim=2, M0=2, k0=0, n_eigs=2, tol=1.2e-2, zeta=0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
