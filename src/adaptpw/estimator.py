@@ -30,7 +30,7 @@ import numpy as np
 
 from .frequency import IndexSet, lattice_keys, union
 from .operator import Potential
-from .spectral import SpectralField, multiply
+from .spectral import SpectralField, multiply, norm_factor
 
 # Relative slack of the certified skip in choose_truncation, far above the
 # round-off (near 1e-12 relative) of the two sums it compares.
@@ -102,8 +102,7 @@ def truncated_residual(
     """
     if radius < 0:
         raise ValueError("truncation radius must be >= 0")
-    dim = potential.dim
-    bound = ((2.0 * math.pi) ** (-dim / 2.0)) * potential.tail_l1(radius) * u.l2_norm()
+    bound = norm_factor(potential.dim) * potential.tail_l1(radius) * u.l2_norm()
     return _residual(u, potential.truncated_field(radius), lam=lam, bound=bound)
 
 
@@ -154,7 +153,7 @@ def choose_truncation(
     if not 0.0 <= zeta < 1.0:
         raise ValueError(f"zeta must be in [0, 1), got {zeta}")
     full = potential.support_radius()
-    scale = (2.0 * math.pi) ** (-potential.dim / 2.0)
+    scale = norm_factor(potential.dim)
     norms = [u.l2_norm() for u in fields]
     skip_above = zeta * eta_cluster(rs_exact) * (1.0 + _SKIP_MARGIN)
     radius = 1

@@ -225,13 +225,14 @@ def ball_size(radius: int, dim: int) -> int:
 def shell_counts(radius: int, dim: int) -> np.ndarray:
     """counts[s] = number of G in Z^d with |G|^2 = s, for s = 0..radius^2.
 
-    Built axis by axis: each axis adds k^2 for k = 0, +-1, .., +-radius,
-    so no lattice point is enumerated.
+    Built axis by axis: the first axis holds k^2 for k = 0, +-1, .., +-radius,
+    and each further axis adds them, so no lattice point is enumerated.
     """
     r2 = radius * radius
     counts = np.zeros(r2 + 1, dtype=np.int64)
     counts[0] = 1
-    for _ in range(dim):
+    counts[np.arange(1, radius + 1) ** 2] = 2
+    for _ in range(dim - 1):
         grown = counts.copy()
         for k in range(1, radius + 1):
             grown[k * k :] += 2 * counts[: r2 + 1 - k * k]

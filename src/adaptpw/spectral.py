@@ -11,8 +11,8 @@ and exactness removes aliasing from the list of error sources that
 estimator certification has to cover. `multiply` takes the Minkowski sum
 of the supports and the position of every product in it from one
 lattice-key sum per pair and accumulates the products with one
-`np.bincount` per real and imaginary part. The single (2*pi)^(-d/2)
-convolution factor lives there too.
+`np.bincount` per real and imaginary part. The (2*pi)^(-d/2) convolution
+factor is `norm_factor`.
 
 Grid evaluation is the FFT here: `evaluate_on_grid` folds each
 coefficient onto its grid bin G mod n and applies one inverse FFT. Folding
@@ -42,8 +42,8 @@ class FieldError(ValueError):
     pass
 
 
-def _norm_factor(dim: int) -> float:
-    # (2*pi)^(-d/2); for d=1,2 this round-trips exactly against its inverse
+def norm_factor(dim: int) -> float:
+    """(2*pi)^(-d/2); for d=1,2 this round-trips exactly against its inverse."""
     return (2.0 * math.pi) ** (-dim / 2.0)
 
 
@@ -193,7 +193,7 @@ def multiply(v: SpectralField, u: SpectralField) -> SpectralField:
     out = np.empty(len(out_support), dtype=np.complex128)
     out.real = np.bincount(pos, weights=terms.real, minlength=len(out_support))
     out.imag = np.bincount(pos, weights=terms.imag, minlength=len(out_support))
-    out *= _norm_factor(dim)
+    out *= norm_factor(dim)
     return SpectralField(out_support, out)
 
 
@@ -214,7 +214,7 @@ def evaluate_on_grid(f: SpectralField, points_per_axis: int) -> np.ndarray:
     folded = np.empty(n**dim, dtype=np.complex128)
     folded.real = np.bincount(bins, weights=f.coeffs.real, minlength=n**dim)
     folded.imag = np.bincount(bins, weights=f.coeffs.imag, minlength=n**dim)
-    values = np.fft.ifftn(folded.reshape((n,) * dim), norm="forward") * _norm_factor(dim)
+    values = np.fft.ifftn(folded.reshape((n,) * dim), norm="forward") * norm_factor(dim)
     scale = max(1.0, float(np.max(np.abs(values))))
     defect = float(np.max(np.abs(values.imag)))
     if defect > 1e-10 * scale:

@@ -35,7 +35,8 @@ import numpy as np
 from .adapt import AdaptiveRun
 from .frequency import IndexSet, ball, union
 from .operator import (
-    BlockSolveStats, EigenCluster, Potential, ReferenceOperator, group_slices, solve_eigen_block,
+    CLUSTER_GAP_RTOL, BlockSolveStats, EigenCluster, Potential, ReferenceOperator, group_slices,
+    solve_eigen_block,
 )
 from .spectral import SpectralField
 
@@ -125,7 +126,7 @@ def reference_solve(
 
 
 def eigenvalue_gap_check(ref: ReferenceSolution) -> tuple[bool, float, float]:
-    """Relative boundary gaps of the cluster; True iff both exceed 1e-8."""
+    """Relative boundary gaps of the cluster; True iff both exceed `CLUSTER_GAP_RTOL`."""
     lam = ref.cluster.eigenvalues
     gap_below = (float(lam[0]) - ref.cluster.lambda_below) / max(1.0, abs(float(lam[0])))
     if ref.cluster.lambda_above is None:
@@ -134,7 +135,7 @@ def eigenvalue_gap_check(ref: ReferenceSolution) -> tuple[bool, float, float]:
         gap_above = (ref.cluster.lambda_above - float(lam[-1])) / max(
             1.0, abs(float(lam[-1]))
         )
-    ok = gap_below > 1e-8 and gap_above > 1e-8
+    ok = gap_below > CLUSTER_GAP_RTOL and gap_above > CLUSTER_GAP_RTOL
     return ok, gap_below, gap_above
 
 

@@ -125,7 +125,8 @@ def test_explicit_family_requires_hermitian():
 
 @pytest.mark.parametrize("defect, accepted", [(1e-11, False), (1e-13, True)])
 def test_explicit_family_hermitian_tolerance(defect, accepted):
-    # a real potential needs |V_-K - conj(V_K)| <= 1e-12 * max(1, max |V_K|)
+    # a real potential needs |V_-K - conj(V_K)| <= 1e-12 * max(1, max |V_K|),
+    # and an accepted one is replaced by its Hermitian part
     spec = {
         "family": "explicit",
         "coefficients": [
@@ -135,11 +136,39 @@ def test_explicit_family_hermitian_tolerance(defect, accepted):
         ],
     }
     if accepted:
-        assert build_potential(spec, 1)[0].field.hermitian_defect() == 3.0 * defect
+        field = build_potential(spec, 1)[0].field
+        assert field.hermitian_defect() == 0.0
+        assert field.coefficient((1,)) == complex(1.0, 1.5 * defect)
+        assert field.coefficient((-1,)) == complex(1.0, -1.5 * defect)
+        assert field.coefficient((0,)) == 3.0
     else:
         with pytest.raises(ConfigError, match="Hermitian-symmetric") as err:
             build_potential(spec, 1)
         assert err.value.field.startswith("problem.potential")
+
+
+def test_potential_within_the_hermitian_tolerance_runs(tmp_path):
+    # V_-1 - conj(V_1) = 9e-13 passes the potential's check; the matrices
+    # assembled from it are Hermitian, so the run does not stop at assembly
+    raw = {
+        "problem": {
+            "dim": 1,
+            "n_eigs": 1,
+            "potential": {
+                "family": "explicit",
+                "coefficients": [
+                    {"index": [0], "re": 3.0},
+                    {"index": [1], "re": 1.0},
+                    {"index": [-1], "re": 1.0 + 9e-13},
+                ],
+            },
+        },
+        "algorithm": {"M0": 1},
+        "verification": {"enable_subspace_distance": False},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    assert main(["run", str(write_config(tmp_path, raw)), "--quiet"]) == 0
+    assert (tmp_path / "out" / "summary.json").is_file()
 
 
 # -- runs -------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptpw import IndexSet, ball, union, validate_symmetric
-from adaptpw.frequency import ball_size
+from adaptpw.frequency import ball_size, shell_counts
 
 
 def brute_force_ball(radius, dim):
@@ -39,6 +39,13 @@ def test_ball_size_counts_without_building():
         for radius in range(0, 17):
             assert ball_size(radius, dim) == len(ball(radius, dim))
     assert ball_size(32, 3) == 137065  # the 3D default reference ball
+
+
+def test_shell_counts_match_the_ball():
+    for dim in (1, 2, 3):
+        for radius in range(0, 13):
+            counts = np.bincount(ball(radius, dim).norms_sq, minlength=radius * radius + 1)
+            assert np.array_equal(shell_counts(radius, dim), counts)
 
 
 def test_ball_1d_cardinality_is_odd():

@@ -379,9 +379,9 @@ def _traced_peak(fn, *args):
 
 
 def test_assemble_and_multiply_peaks(compare2d_potential):
-    # assemble peaks in its Hermitian check, the matrix beside two complex
-    # temporaries (48 n^2 bytes); multiply forms one key per (K, G) pair and
-    # no array of summed frequencies
+    # assemble holds the matrix and the table index of its gather (24 n^2
+    # bytes, see below); multiply forms one key per (K, G) pair and no array
+    # of summed frequencies
     potential = compare2d_potential
     s = ball(16, 2)
     n, pairs = len(s), len(potential.field.support) * len(s)
@@ -393,17 +393,17 @@ def test_assemble_and_multiply_peaks(compare2d_potential):
 
 def test_dense_real_matrix_peak(compare2d_potential):
     # the matrix is the only n^2 array: A and B are gathered a block of rows
-    # at a time and the symmetry check runs over strips of rows
+    # at a time
     potential = compare2d_potential
     s = ball(16, 2)
     n = len(s)
     assert _traced_peak(lambda: ReferenceOperator(s, potential).dense()) <= 11 * n * n
 
 
-def test_assemble_hermitian_check_keeps_one_temporary(compare2d_potential):
-    # h^H - h is formed in place in one complex copy beside the matrix, and
-    # its modulus is the only other n^2 array: 16 + 16 + 8 = 40 n^2 bytes
+def test_assemble_holds_the_matrix_and_its_gather_index(compare2d_potential):
+    # the complex matrix and the intp table index it is gathered by are the
+    # only n^2 arrays: 16 + 8 = 24 n^2 bytes
     potential = compare2d_potential
     s = ball(16, 2)
     n = len(s)
-    assert _traced_peak(assemble, s, potential) < 44 * n * n
+    assert _traced_peak(assemble, s, potential) < 28 * n * n

@@ -14,9 +14,12 @@ from adaptpw import (
     ReferenceOperator,
     SolverError,
     SpectralField,
+    assemble,
     ball,
     certify_count,
     reference_solve,
+    union,
+    verify_potential,
 )
 from adaptpw.cli import build_potential
 
@@ -24,8 +27,12 @@ RADII = {1: (0, 3, 12, 40), 2: (0, 2, 6), 3: (0, 1, 3)}
 
 
 @st.composite
-def operator_case(draw):
-    """A ball and a Hermitian potential whose support is near, sparse or partly far away."""
+def support_case(draw, far=None):
+    """A ball, a symmetric support near it, sparse or partly far away, and a seeded rng.
+
+    The far terms sit at `far[dim]` on the first and the last axis (600,000
+    and 70,000 by default), where they never couple the ball.
+    """
     dim = draw(st.sampled_from([1, 2, 3]))
     radius = draw(st.sampled_from(RADII[dim]))
     kind = draw(st.sampled_from(["near", "sparse", "far"]))
@@ -34,14 +41,40 @@ def operator_case(draw):
         st.lists(st.tuples(*[st.integers(-reach, reach)] * dim), min_size=1, max_size=12)
     )
     if kind == "far":  # terms that never couple the ball, beside near ones
-        pts += [(600_000,) + (0,) * (dim - 1), (0,) * (dim - 1) + (-70_000,)]
+        first, last = (far or {}).get(dim, (600_000, 70_000))
+        pts += [(first,) + (0,) * (dim - 1), (0,) * (dim - 1) + (-last,)]
     arr = np.array(pts, dtype=np.int64).reshape(-1, dim)
     support = IndexSet(dim, np.concatenate([arr, -arr]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ball(radius, dim), support, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def hermitian_coefficients(support, rng):
     c = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
-    c = 0.5 * (c + np.conj(c[support.negation_permutation()]))
-    field = SpectralField(support, c)
-    return ball(radius, dim), Potential(field, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return 0.5 * (c + np.conj(c[support.negation_permutation()]))
+
+
+@st.composite
+def operator_case(draw):
+    """A ball and a Hermitian potential whose support is near, sparse or partly far away."""
+    basis, support, rng = draw(support_case())
+    field = SpectralField(support, hermitian_coefficients(support, rng))
+    return basis, Potential(field, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+@st.composite
+def near_hermitian_case(draw):
+    """A ball and a positive potential, Hermitian up to 0.71 of `verify_potential`'s tolerance.
+
+    Its far terms stay near enough for a small verification grid.
+    """
+    basis, support, rng = draw(support_case({1: (5_000, 700), 2: (100, 40), 3: (12, 7)}))
+    dim = support.dim
+    support = union(support, IndexSet(dim, np.zeros((1, dim), dtype=np.int64)))
+    c = hermitian_coefficients(support, rng)
+    c[support.index_of((0,) * dim)] += np.sum(np.abs(c)) + 1.0  # V > 0 on the whole torus
+    tol = 1e-12 * max(1.0, float(np.abs(c).max()))
+    c += 0.25 * tol * (rng.uniform(-1, 1, len(c)) + 1j * rng.uniform(-1, 1, len(c)))
+    return basis, SpectralField(support, c)
 
 
 @settings(max_examples=80, deadline=None)
@@ -76,6 +109,20 @@ def test_operator_matches_assembled_matrix(case, columns):
     off = off.sum(axis=1)
     assert np.all(h.row_sums(np.arange(n)) >= off * (1.0 - 4.0 * (n + 2) * u))
     assert h.frobenius() >= float(np.linalg.norm(a)) * (1.0 - 1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_hermitian_case())
+def test_verified_potential_makes_matrices_exactly_hermitian(case):
+    # `verify_potential` is the one test that V is real: it returns V's
+    # Hermitian part, and the matrices built from it need no check of their own
+    basis, field = case
+    potential = verify_potential(field)
+    assert potential.field.hermitian_defect() == 0.0
+    h = assemble(basis, potential).matrix
+    assert np.array_equal(h, h.conj().T)
+    d = ReferenceOperator(basis, potential).dense()
+    assert np.array_equal(d, d.T)
 
 
 @pytest.mark.parametrize("dim, radius, r_cut", [(1, 6, 3), (2, 4, 2), (3, 2, 1)])
@@ -146,14 +193,4 @@ def test_certificate_refuses_blocks_beyond_physical_memory(compare2d_reference, 
     dense = operator.DENSE_CERT_BYTES * h.n**2
     monkeypatch.setattr(operator, "physical_memory", lambda: dense - 1)
     with pytest.raises(SolverError, match="more than physical memory"):
-        h.dense()
-
-
-def test_dense_refuses_an_asymmetric_matrix():
-    # V_1 != conj(V_-1): built past `verify_potential`, this potential gives
-    # rows that are not symmetric, and every `dense` call checks them
-    support = IndexSet(1, np.array([[0], [1], [-1]]))
-    field = SpectralField(support, np.array([1.0, 0.5, 0.1], dtype=complex))
-    h = ReferenceOperator(ball(3, 1), Potential(field, 0.0, 0.0, 0.0, 0.0, 0.0))
-    with pytest.raises(SolverError, match="not symmetric"):
         h.dense()
