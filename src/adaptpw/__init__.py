@@ -9,14 +9,11 @@ complexity against reference solves.
 
 from .adapt import (
     AdaptiveConfig,
-    AdaptiveRun,
     AdmissibilityWarning,
-    IterationRecord,
     run_eigen,
     run_source,
 )
 from .estimator import (
-    EstimatorValue,
     Residual,
     choose_truncation,
     cluster_estimate,
@@ -27,13 +24,10 @@ from .estimator import (
     truncated_residual,
 )
 from .frequency import IndexSet, ball, union, validate_symmetric
-from .marking import MarkingError, MarkResult, dorfler_mark
+from .marking import MarkingError, dorfler_mark
 from .operator import (
-    BlockSolveStats,
     ClusterBoundaryWarning,
-    CosSinCoordinates,
     EigenCluster,
-    Hamiltonian,
     Potential,
     PositivityWarning,
     PotentialError,
@@ -56,10 +50,6 @@ from .spectral import (
     project,
 )
 from .verify import (
-    CoverageWarning,
-    DistanceReport,
-    RateFit,
-    ReferenceSolution,
     eigenvalue_gap_check,
     fit_rates,
     reference_solve,

@@ -12,7 +12,6 @@ factor of the feasible eigenvalue loop.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from collections.abc import Callable
 from typing import NamedTuple
@@ -32,7 +31,6 @@ from .operator import EigenCluster, Potential, assemble, solve_eigen, solve_sour
 from .spectral import SpectralField, a_norm
 
 MODES = ("eigen-feasible", "eigen-exact", "source")
-TERMINATION_REASONS = ("tol", "max_iter", "max_dof", "exact")
 
 
 class AdmissibilityWarning(UserWarning):
@@ -98,9 +96,10 @@ class AdaptiveConfig(_AdaptiveFields):
 
 
 class IterationRecord(NamedTuple):
-    """Per-iteration audit snapshot of an adaptive run.
+    """Per-iteration audit snapshot of an adaptive run: one row of iterations.csv.
 
-    For eigenvalue runs `values` holds the cluster eigenvalues; for
+    It holds no timing, so identical configs give identical records. For
+    eigenvalue runs `values` holds the cluster eigenvalues; for
     source runs it holds the energy norms of the discrete solutions.
     residual_onset_max / residual_max are the largest exact-residual
     coefficient magnitudes on and off the current index set; their ratio
@@ -119,7 +118,6 @@ class IterationRecord(NamedTuple):
     marked_pairs: int
     residual_onset_max: float
     residual_max: float
-    wall_time: float
 
 
 class AdaptiveRun:
@@ -139,10 +137,6 @@ class AdaptiveRun:
     @property
     def final_cluster(self) -> EigenCluster:
         return self.clusters[-1]
-
-    @property
-    def final_solutions(self) -> list[SpectralField]:
-        return self.solutions[-1]
 
     @property
     def final_index_set(self) -> IndexSet:
@@ -263,7 +257,6 @@ def _refine(
     dof0 = len(current)
     n = 0
     while True:
-        t0 = time.perf_counter()
         values, rs_exact, rs, trunc_m, eta_exact = solve(current)
         estimate = cluster_estimate(rs, current)
         onset_max, overall_max = onset_offset_maxima(rs_exact, current)
@@ -299,7 +292,6 @@ def _refine(
                 marked_pairs=mark.pairs_marked if mark is not None else 0,
                 residual_onset_max=onset_max,
                 residual_max=overall_max,
-                wall_time=time.perf_counter() - t0,
             )
         )
         run.index_sets.append(current)

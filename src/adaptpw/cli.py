@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adapt import MODES, AdaptiveConfig, AdaptiveRun, ParameterError, run_eigen, run_source
-from .frequency import ball, ball_size, shell_counts
+from .frequency import KeyRangeError, ball, ball_size, shell_counts
 from .marking import MarkingError
 from .operator import (
     BLOCK_GUARD, BLOCK_GUARD_GROWS, Potential, PotentialError, ReferenceOperator, SolverError,
@@ -845,7 +845,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, MarkingError, np.linalg.LinAlgError) as exc:
+    except (SolverError, MarkingError, KeyRangeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -111,19 +111,14 @@ def source_residual(w: SpectralField, f: SpectralField, potential: Potential) ->
     return _residual(w, potential.field, f=f)
 
 
-def eta(r: Residual, subset: IndexSet | None = None) -> float:
-    """Estimator over `subset` (None means the full residual support)."""
-    if subset is None:
-        return float(math.sqrt(np.sum(r.per_frequency)))
-    if len(r.support) == 0:
-        return 0.0
-    mask = subset.positions(r.support) >= 0
-    return float(math.sqrt(np.sum(r.per_frequency[mask])))
+def eta(r: Residual) -> float:
+    """Estimator over the full residual support."""
+    return float(math.sqrt(np.sum(r.per_frequency)))
 
 
-def eta_cluster(rs: list[Residual], subset: IndexSet | None = None) -> float:
+def eta_cluster(rs: list[Residual]) -> float:
     """Root-sum-square of per-member estimators."""
-    return float(math.sqrt(sum(eta(r, subset) ** 2 for r in rs)))
+    return float(math.sqrt(sum(eta(r) ** 2 for r in rs)))
 
 
 def choose_truncation(
@@ -181,31 +176,20 @@ class EstimatorValue(NamedTuple):
     pair's total squared contribution across cluster members, in order of
     first encounter; pairs are atomic so any marked set built from them is
     symmetric. `zeta_actual` is the certified ratio bound/total (0 for
-    exact residuals); `on_set_sq` is the (near-zero) squared mass left on
-    the current set.
+    exact residuals).
+
+    `off_set_sq`, the markable mass, is the sum of all pair contributions.
+    It equals total^2 up to the mass on the current set, which is zero in
+    exact arithmetic for exact residuals; marking against it stays well
+    posed even when a run is pushed to the round-off floor, where solver
+    noise on the current set would otherwise swamp the candidates.
     """
 
     total: float
     pair_reps: np.ndarray
     pair_contribs: np.ndarray
     zeta_actual: float
-    on_set_sq: float
-
-    @property
-    def total_sq(self) -> float:
-        return self.total * self.total
-
-    @property
-    def off_set_sq(self) -> float:
-        """Markable estimator mass: the sum of all pair contributions.
-
-        Equals total_sq up to the on-set part, which is zero in exact
-        arithmetic for exact residuals; marking against this quantity
-        stays well posed even when a run is pushed to the round-off floor
-        where solver noise on the current set would otherwise swamp the
-        candidates.
-        """
-        return sum(self.pair_contribs.tolist())
+    off_set_sq: float
 
 
 def cluster_estimate(rs: list[Residual], current: IndexSet) -> EstimatorValue:
@@ -230,10 +214,9 @@ def cluster_estimate(rs: list[Residual], current: IndexSet) -> EstimatorValue:
     total = math.sqrt(total_sq)
     bound = math.sqrt(sum(r.truncation_bound**2 for r in rs))
     zeta_actual = bound / total if total > 0.0 else 0.0
-    on_set_sq = max(0.0, total_sq - sum(pair_contribs.tolist()))
     return EstimatorValue(
         total=total, pair_reps=reps[first[order]], pair_contribs=pair_contribs,
-        zeta_actual=zeta_actual, on_set_sq=on_set_sq,
+        zeta_actual=zeta_actual, off_set_sq=sum(pair_contribs.tolist()),
     )
 
 

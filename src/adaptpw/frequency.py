@@ -50,11 +50,15 @@ def _negated_keys(keys: np.ndarray, dim: int) -> np.ndarray:
     return zero - (keys - zero)
 
 
+class KeyRangeError(ValueError):
+    """Frequency sums that would leave the lattice key range."""
+
+
 def _sum_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """keys[i, j] = key(a[i] + b[j]) for (n, d) and (m, d) frequency arrays a, b."""
     reach_a, reach_b = (np.max(np.abs(x), axis=0, initial=0) for x in (a, b))
     if np.any(reach_a + reach_b >= KEY_LIMIT):
-        raise ValueError(
+        raise KeyRangeError(
             f"frequency sums need max|a_k| + max|b_k| < 2^20 = {KEY_LIMIT}, "
             f"got maxima {reach_a.tolist()} and {reach_b.tolist()}"
         )
@@ -113,22 +117,6 @@ class IndexSet:
     def __len__(self) -> int:
         return self.entries.shape[0]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IndexSet)
-            and self.dim == other.dim
-            and self.entries.shape == other.entries.shape
-            and bool(np.array_equal(self.entries, other.entries))
-        )
-
-    __hash__ = None  # mutable ndarray payload; not hashable
-
-    def __contains__(self, g) -> bool:
-        return bool(self.positions([g])[0] >= 0)
-
-    def __repr__(self) -> str:
-        return f"IndexSet(dim={self.dim}, size={len(self)})"
-
     def to_list(self) -> list[tuple[int, ...]]:
         return list(map(tuple, self.entries.tolist()))
 
@@ -156,7 +144,7 @@ class IndexSet:
         """out[i, j] = position of a[i] + b[j] in this set, -1 where absent.
 
         Sums are looked up by key, never formed. Per component, max|a_k| +
-        max|b_k| < KEY_LIMIT keeps them in key range; else a ValueError.
+        max|b_k| < KEY_LIMIT keeps them in key range; else a KeyRangeError.
         """
         a = np.asarray(a, dtype=np.int64).reshape(-1, self.dim)
         b = np.asarray(b, dtype=np.int64).reshape(-1, self.dim)

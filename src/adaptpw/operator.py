@@ -122,6 +122,12 @@ class ClusterBoundaryWarning(UserWarning):
     """The gap separating the eigenvalue cluster from the rest is tiny."""
 
 
+def _ceil_radius(s: IndexSet) -> int:
+    """Smallest integer M with every entry of `s` in the ball of radius M, by integer sqrt."""
+    q = int(s.norms_sq.max(initial=0))
+    return 1 + math.isqrt(q - 1) if q else 0
+
+
 class Potential(NamedTuple):
     """A real, finite-support potential with verified pointwise bounds.
 
@@ -144,10 +150,7 @@ class Potential(NamedTuple):
 
     def support_radius(self) -> int:
         """Smallest integer M with support(V) inside the ball of radius M."""
-        return int(math.ceil(self.field.support.max_radius() - 1e-12))
-
-    def mean_value(self) -> float:
-        return float(norm_factor(self.dim) * self.field.coefficient((0,) * self.dim).real)
+        return _ceil_radius(self.field.support)
 
     def tail_l1(self, radius: int) -> float:
         """sum of |V_K| over frequencies with |K| > radius."""
@@ -185,7 +188,7 @@ def verify_potential(field: SpectralField) -> Potential:
         raise PotentialError("potential coefficients are not Hermitian-symmetric")
     c, neg = field.coeffs, field.support.negation_permutation()
     field = SpectralField(field.support, 0.5 * c + 0.5 * np.conj(c[neg]))  # halves: no overflow
-    radius = int(math.ceil(field.support.max_radius() - 1e-12))
+    radius = _ceil_radius(field.support)
     values = evaluate_on_grid(field, verification_grid(radius, field.support.dim))
     vmin = float(values.min())
     vmax = float(values.max())

@@ -1,4 +1,4 @@
-"""Fourier coefficient fields on the torus [0, 2*pi)^d and their algebra.
+"""Fourier coefficient fields on the torus [0, 2*pi)^d: norms, products, grid values.
 
 Coefficients are stored in the orthonormal convention: a field is
 u = sum_G u_G e_G with e_G(x) = (2*pi)^(-d/2) exp(i G.x), so the L^2 norm
@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .frequency import IndexSet, minkowski_sum, union
+from .frequency import IndexSet, minkowski_sum
 
 
 class FieldError(ValueError):
@@ -73,13 +73,6 @@ class SpectralField:
         return cls(IndexSet(dim), [])
 
     @classmethod
-    def unit(cls, dim: int, g) -> "SpectralField":
-        """The basis field e_g (coefficient 1 at frequency g)."""
-        g = tuple(int(x) for x in (g if hasattr(g, "__len__") else (g,)))
-        support = IndexSet(dim, [g])
-        return cls(support, [1.0])
-
-    @classmethod
     def from_pairs(cls, dim: int, pairs) -> "SpectralField":
         """Build from a {frequency tuple: coefficient} mapping."""
         keys = [tuple(int(x) for x in (k if hasattr(k, "__len__") else (k,))) for k in pairs]
@@ -92,13 +85,6 @@ class SpectralField:
 
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-    def hs_norm(self, s: float) -> float:
-        return hs_norm(self, s)
-
-    def coefficient(self, g) -> complex:
-        pos = self.support.positions([g])[0]
-        return complex(self.coeffs[pos]) if pos >= 0 else 0.0 + 0.0j
 
     def coefficients_on(self, basis: IndexSet) -> np.ndarray:
         """Coefficient vector aligned with `basis` order (zeros where absent).
@@ -122,37 +108,13 @@ class SpectralField:
         ok = pos >= 0
         return float(np.max(np.abs(self.coeffs[pos[ok]] - np.conj(self.coeffs[ok])), initial=0.0))
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _aligned(self, other: "SpectralField"):
-        support = union(self.support, other.support)
-        return support, self.coefficients_on(support), other.coefficients_on(support)
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        support, a, b = self._aligned(other)
-        return SpectralField(support, a + b)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        support, a, b = self._aligned(other)
-        return SpectralField(support, a - b)
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.support, -self.coeffs)
-
-    def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.support, self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"SpectralField(dim={self.support.dim}, size={len(self.support)})"
-
 
 def hs_norm(f: SpectralField, s: float) -> float:
     """Periodic Sobolev norm: sqrt(sum (1+|G|^2)^s |u_G|^2).
 
     s = 0 is the L^2 norm (Parseval), s = -1 is the norm in which all
-    residual estimators are measured.
+    residual estimators are measured. The estimators sum their weighted
+    coefficients themselves; the tests compare them against this norm.
     """
     if len(f.support) == 0:
         return 0.0
@@ -225,11 +187,9 @@ def evaluate_on_grid(f: SpectralField, points_per_axis: int) -> np.ndarray:
 def a_inner(u: SpectralField, v: SpectralField, potential) -> complex:
     """Energy inner product (grad u, grad v) + (V u, v), conjugate-linear in u.
 
-    `potential` may be a verified potential object or a bare real
-    SpectralField of potential coefficients.
+    `potential` is a verified `operator.Potential`.
     """
-    vfield = getattr(potential, "field", potential)
-    w = multiply(vfield, u)
+    w = multiply(potential.field, u)
     kin = _l2_pairing(u, v, kinetic=True)
     pot = _l2_pairing(w, v, kinetic=False)
     return kin + pot

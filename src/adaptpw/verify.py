@@ -44,6 +44,9 @@ from .spectral import SpectralField
 #: into separate groups for per-group distances
 GROUP_GAP_RTOL = 1e-6
 
+#: leading iterations a rate fit drops as pre-asymptotic
+FIT_SKIP = 1
+
 
 class CoverageError(ValueError):
     """An index set is not contained in the reference basis."""
@@ -272,10 +275,10 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), r2
 
 
-def fit_rates(records, errors, skip_first: int = 1) -> RateFit:
+def fit_rates(records, errors) -> RateFit:
     """Least-squares rate fits from iteration records and an error sequence.
 
-    The first `skip_first` iterations are dropped as pre-asymptotic.
+    The first `FIT_SKIP` iterations are dropped as pre-asymptotic.
     Records only contribute to the complexity fit once degrees of freedom
     were actually added.
     """
@@ -290,9 +293,9 @@ def fit_rates(records, errors, skip_first: int = 1) -> RateFit:
     if len(errors) < 4:
         raise ValueError(f"need at least 4 iterations with positive errors, got {len(errors)}")
 
-    ns = np.array([r.n for r in records], dtype=float)[skip_first:]
-    dofs = np.array([r.dof_delta for r in records], dtype=float)[skip_first:]
-    logs = np.log(np.array(errors))[skip_first:]
+    ns = np.array([r.n for r in records], dtype=float)[FIT_SKIP:]
+    dofs = np.array([r.dof_delta for r in records], dtype=float)[FIT_SKIP:]
+    logs = np.log(np.array(errors))[FIT_SKIP:]
 
     slope, alpha_r2 = _linear_fit(ns, logs)
     alpha_hat = math.exp(slope)

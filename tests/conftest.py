@@ -3,6 +3,7 @@ import math
 import pytest
 
 from adaptpw import (
+    IndexSet,
     ReferenceOperator,
     SpectralField,
     ball,
@@ -11,6 +12,11 @@ from adaptpw import (
     verify_potential,
 )
 from adaptpw.cli import build_potential
+
+
+def coefficient(f, g):
+    """The coefficient u_g of field f, 0 where g is outside its support."""
+    return complex(f.coefficients_on(IndexSet(f.support.dim, [g]))[0])
 
 
 def trig_field(dim, c, terms):

@@ -139,7 +139,7 @@ def source_run():
     cfg = AdaptiveConfig(
         dim=1, theta_tilde=0.6, zeta=0.0, tol=0.0, max_iter=6, mode="source"
     )
-    rhs = [SpectralField.unit(1, (0,))]
+    rhs = [SpectralField.from_pairs(1, {(0,): 1.0})]
     run = run_source(cfg, pot, rhs)
     ref_sols = solve_source(ball(64, 1), pot, rhs)
     errors = source_errors(run, ref_sols, pot)

@@ -7,10 +7,11 @@ from adaptpw import (
     AdaptiveConfig,
     AdmissibilityWarning,
     SpectralField,
+    hs_norm,
     run_eigen,
     run_source,
 )
-from conftest import trig_potential
+from conftest import coefficient, trig_potential
 
 
 def inline_reference_lambda(m, c, beta, k):
@@ -133,7 +134,7 @@ def test_exact_and_feasible_paths_coincide_for_small_zeta():
     run_feas = run_eigen(AdaptiveConfig(mode="eigen-feasible", zeta=1e-12, **base), spec_pot)
     assert len(run_exact.records) == len(run_feas.records)
     for a, b in zip(run_exact.index_sets, run_feas.index_sets):
-        assert a == b
+        assert np.array_equal(a.entries, b.entries)
     for ra, rb in zip(run_exact.records, run_feas.records):
         assert ra.eta_tilde == rb.eta_tilde
 
@@ -162,23 +163,23 @@ def test_source_constant_e0():
     c = 2.0
     v = trig_potential(1, c, {})
     cfg = AdaptiveConfig(dim=1, theta_tilde=0.9, zeta=0.0, tol=1e-12, mode="source")
-    run = run_source(cfg, v, [SpectralField.unit(1, (0,))])
+    run = run_source(cfg, v, [SpectralField.from_pairs(1, {(0,): 1.0})])
     assert run.termination_reason in ("tol", "exact")
     assert run.index_sets[0].to_list() == []
     assert run.index_sets[1].to_list() == [(0,)]
-    assert run.final_solutions[0].coefficient((0,)) == pytest.approx(1.0 / c, rel=1e-14)
+    assert coefficient(run.solutions[-1][0], (0,)) == pytest.approx(1.0 / c, rel=1e-14)
     assert run.records[0].eta_tilde == pytest.approx(1.0, rel=1e-15)
 
 
 def test_source_pair_rhs():
     c = 2.0
     v = trig_potential(1, c, {})
-    f = SpectralField.unit(1, (1,))
+    f = SpectralField.from_pairs(1, {(1,): 1.0})
     cfg = AdaptiveConfig(dim=1, theta_tilde=0.5, zeta=0.0, tol=1e-12, mode="source")
     run = run_source(cfg, v, [f])
     assert run.index_sets[1].to_list() == [(-1,), (1,)]
     assert len(run.records) == 2
-    assert run.final_solutions[0].coefficient((1,)) == pytest.approx(
+    assert coefficient(run.solutions[-1][0], (1,)) == pytest.approx(
         1.0 / (1.0 + c), rel=1e-14
     )
 
@@ -191,8 +192,9 @@ def test_source_contraction(cosine_potential):
     cfg = AdaptiveConfig(
         dim=1, theta_tilde=0.6, zeta=0.0, tol=0.0, max_iter=6, mode="source"
     )
-    run = run_source(cfg, cosine_potential, [SpectralField.unit(1, (0,))])
-    ref = solve_source(ball(64, 1), cosine_potential, [SpectralField.unit(1, (0,))])
+    rhs = [SpectralField.from_pairs(1, {(0,): 1.0})]
+    run = run_source(cfg, cosine_potential, rhs)
+    ref = solve_source(ball(64, 1), cosine_potential, rhs)
     errs = source_errors(run, ref, cosine_potential)
     fit = fit_rates(run.records, errs)
     # contraction certified to be at least rho(theta) = sqrt(1 - a*/a^* theta^2)
@@ -221,7 +223,7 @@ def test_three_dimensional_runs():
 def test_source_requires_mode():
     v = trig_potential(1, 1.0, {})
     with pytest.raises(ValueError):
-        run_source(AdaptiveConfig(dim=1), v, [SpectralField.unit(1, (0,))])
+        run_source(AdaptiveConfig(dim=1), v, [SpectralField.from_pairs(1, {(0,): 1.0})])
     with pytest.raises(ValueError):
         run_eigen(AdaptiveConfig(dim=1, mode="source"), v)
 
@@ -230,12 +232,12 @@ def test_source_requires_mode():
 def test_source_rejects_eigen_modes(mode):
     v = trig_potential(1, 1.0, {})
     with pytest.raises(ValueError, match="run_source requires mode 'source'"):
-        run_source(AdaptiveConfig(dim=1, mode=mode), v, [SpectralField.unit(1, (0,))])
+        run_source(AdaptiveConfig(dim=1, mode=mode), v, [SpectralField.from_pairs(1, {(0,): 1.0})])
 
 
 def _source_budget_run(potential, **budget):
     cfg = AdaptiveConfig(dim=1, theta_tilde=0.5, zeta=0.0, tol=0.0, mode="source", **budget)
-    return run_source(cfg, potential, [SpectralField.unit(1, (0,))])
+    return run_source(cfg, potential, [SpectralField.from_pairs(1, {(0,): 1.0})])
 
 
 def test_source_budget_termination(cosine_potential):
@@ -265,7 +267,7 @@ def test_source_first_estimate_is_data_norm(cosine_potential):
     cfg = AdaptiveConfig(dim=1, theta_tilde=0.5, zeta=0.0, tol=0.0, max_iter=2, mode="source")
     run = run_source(cfg, cosine_potential, rhs)
     first = run.records[0]
-    data_norm = math.sqrt(sum(f.hs_norm(-1.0) ** 2 for f in rhs))
+    data_norm = math.sqrt(sum(hs_norm(f, -1.0) ** 2 for f in rhs))
     assert first.index_set_size == 0
     assert first.values == (0.0, 0.0)
     assert first.eta_tilde == pytest.approx(data_norm, rel=1e-15)

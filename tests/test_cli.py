@@ -25,7 +25,7 @@ from adaptpw.cli import (
     validate_config,
 )
 from adaptpw.spectral import evaluate_on_grid
-from conftest import exhaustive_truncation
+from conftest import coefficient, exhaustive_truncation
 
 
 def minimal_config(**overrides):
@@ -138,9 +138,9 @@ def test_explicit_family_hermitian_tolerance(defect, accepted):
     if accepted:
         field = build_potential(spec, 1)[0].field
         assert field.hermitian_defect() == 0.0
-        assert field.coefficient((1,)) == complex(1.0, 1.5 * defect)
-        assert field.coefficient((-1,)) == complex(1.0, -1.5 * defect)
-        assert field.coefficient((0,)) == 3.0
+        assert coefficient(field, (1,)) == complex(1.0, 1.5 * defect)
+        assert coefficient(field, (-1,)) == complex(1.0, -1.5 * defect)
+        assert coefficient(field, (0,)) == 3.0
     else:
         with pytest.raises(ConfigError, match="Hermitian-symmetric") as err:
             build_potential(spec, 1)
@@ -169,6 +169,33 @@ def test_potential_within_the_hermitian_tolerance_runs(tmp_path):
     }
     assert main(["run", str(write_config(tmp_path, raw)), "--quiet"]) == 0
     assert (tmp_path / "out" / "summary.json").is_file()
+
+
+def test_frequency_sums_beyond_the_key_range_are_a_numerical_failure(tmp_path, capsys):
+    # the first marking adds +-539999, so the next assembly needs the
+    # difference 1079998 >= 2^20 of two set frequencies; 4 * (539999 + 1)
+    # = 2^7 3^3 5^4 grid points keep the potential's check fast
+    raw = {
+        "problem": {
+            "dim": 1,
+            "n_eigs": 1,
+            "potential": {
+                "family": "explicit",
+                "coefficients": [
+                    {"index": [0], "re": 3.0},
+                    {"index": [539999], "re": 0.5},
+                    {"index": [-539999], "re": 0.5},
+                ],
+            },
+        },
+        "algorithm": {"M0": 2, "max_iter": 6, "tol": 1e-12},
+        "verification": {"enable_subspace_distance": False},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    assert main(["run", str(write_config(tmp_path, raw)), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: frequency sums need")
+    assert "< 2^20 = 1048576" in err and err.count("\n") == 1
 
 
 # -- runs -------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import adaptpw.operator as operator
 from adaptpw import (
     ClusterBoundaryWarning,
     IndexSet,
@@ -18,8 +19,9 @@ from adaptpw import (
     solve_eigen,
     solve_source,
 )
+from adaptpw.frequency import KEY_LIMIT
 from adaptpw.spectral import evaluate_on_grid
-from conftest import trig_potential
+from conftest import coefficient, trig_potential
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,6 +89,21 @@ def test_tail_l1():
     assert v.support_radius() == 1
 
 
+def test_support_radius_is_the_exact_ceiling():
+    # the integer ceil-sqrt against the float form ceil(sqrt(q) - 1e-12) it
+    # replaced: on squares, their neighbours and random norms in key range
+    assert trig_potential(2, 2.0, {(3, 4): 0.5, (1, 1): 0.2}).support_radius() == 5
+    assert operator._ceil_radius(IndexSet(3)) == 0
+    top = KEY_LIMIT - 1
+    rows = [[r, 0, 0] for r in (0, 1, 2, 1000, top)]
+    rows += [[r, 1, 0] for r in (1, 2, 1000, top)] + [[r, r, r] for r in (1, 7, top)]
+    rows += np.random.default_rng(5).integers(-top, top + 1, size=(200, 3)).tolist()
+    for g in rows:
+        s = IndexSet(3, [g])
+        q = int(s.norms_sq.max())
+        assert operator._ceil_radius(s) == math.ceil(math.sqrt(q) - 1e-12), g
+
+
 # -- assembly ----------------------------------------------------------------
 
 
@@ -147,7 +164,7 @@ def test_assemble_hermitian_and_diagonal():
     h = assemble(s, v)
     scale = float(np.max(np.abs(h.matrix)))
     assert float(np.max(np.abs(h.matrix - h.matrix.conj().T))) <= 1e-14 * scale
-    mean_v = v.mean_value()
+    mean_v = coefficient(v.field, (0, 0)).real / TWO_PI  # (2*pi)^(-d/2) V_0
     assert np.allclose(np.diag(h.matrix).real, s.norms_sq + mean_v, atol=1e-12)
 
 
@@ -244,18 +261,18 @@ def test_solve_source_diagonal_cases():
     c = 2.0
     v = trig_potential(1, c, {})
     s = ball(2, 1)
-    e0 = SpectralField.unit(1, (0,))
-    e1 = SpectralField.unit(1, (1,))
+    e0 = SpectralField.from_pairs(1, {(0,): 1.0})
+    e1 = SpectralField.from_pairs(1, {(1,): 1.0})
     u0, u1 = solve_source(s, v, [e0, e1])
-    assert u0.coefficient((0,)) == pytest.approx(1.0 / c, rel=1e-14)
+    assert coefficient(u0, (0,)) == pytest.approx(1.0 / c, rel=1e-14)
     assert np.sum(np.abs(u0.coeffs) > 1e-14) == 1
-    assert u1.coefficient((1,)) == pytest.approx(1.0 / (1.0 + c), rel=1e-14)
+    assert coefficient(u1, (1,)) == pytest.approx(1.0 / (1.0 + c), rel=1e-14)
 
 
 def test_solve_source_matches_inline_reference():
     v = trig_potential(1, 1.0, {(1,): 1.0})
     s = ball(4, 1)
-    e0 = SpectralField.unit(1, (0,))
+    e0 = SpectralField.from_pairs(1, {(0,): 1.0})
     (u,) = solve_source(s, v, [e0])
     h = dense_reference_matrix(4, 1.0, 0.5)
     rhs = np.zeros(9)
@@ -263,7 +280,7 @@ def test_solve_source_matches_inline_reference():
     x = np.linalg.solve(h, rhs)
     ks = np.arange(-4, 5)
     for i, k in enumerate(ks):
-        assert u.coefficient((int(k),)) == pytest.approx(x[i], abs=1e-12)
+        assert coefficient(u, (int(k),)) == pytest.approx(x[i], abs=1e-12)
 
 
 def test_source_eigen_consistency():
@@ -272,8 +289,8 @@ def test_source_eigen_consistency():
     cluster = solve_eigen(assemble(s, v), 0, 1)
     lam = float(cluster.eigenvalues[0])
     u = cluster.field(0)
-    (w,) = solve_source(s, v, [lam * u])
-    assert hs_norm(w - u, 1.0) <= 1e-10
+    (w,) = solve_source(s, v, [SpectralField(u.support, lam * u.coeffs)])
+    assert hs_norm(SpectralField(s, w.coefficients_on(s) - u.coefficients_on(s)), 1.0) <= 1e-10
 
 
 def test_solve_source_rejects_indefinite_matrix():
@@ -286,10 +303,10 @@ def test_solve_source_rejects_indefinite_matrix():
         l1_total=5.0 * norm,
     )
     with pytest.raises(SolverError, match="not positive definite"):
-        solve_source(ball(2, 1), v, [SpectralField.unit(1, (0,))])
+        solve_source(ball(2, 1), v, [SpectralField.from_pairs(1, {(0,): 1.0})])
 
 
 def test_solve_source_empty_set():
     v = trig_potential(1, 1.0, {})
-    sols = solve_source(IndexSet(1), v, [SpectralField.unit(1, (0,))])
+    sols = solve_source(IndexSet(1), v, [SpectralField.from_pairs(1, {(0,): 1.0})])
     assert len(sols) == 1 and len(sols[0].support) == 0

@@ -76,7 +76,7 @@ def ref_assemble(s, vf):
 
 
 def ref_cluster_estimate(rs, current):
-    """(per-pair dict in first-encounter order, off-set sum, on-set mass)."""
+    """(per-pair dict in first-encounter order, off-set sum, total squared mass)."""
     per_pair = {}
     total_sq = 0.0
     for r in rs:
@@ -86,8 +86,7 @@ def ref_cluster_estimate(rs, current):
             g = tuple(int(x) for x in row)
             rep = max(g, tuple(-x for x in g))
             per_pair[rep] = per_pair.get(rep, 0.0) + float(c)
-    off = sum(per_pair.values())
-    return per_pair, off, max(0.0, total_sq - off)
+    return per_pair, sum(per_pair.values()), total_sq
 
 
 def ref_dorfler(contribs, theta, total_sq):
@@ -323,12 +322,12 @@ def test_cluster_estimate_and_marking_match_reference(data):
     rs = [
         Residual(f, 0.0, np.abs(f.coeffs) ** 2 / (1.0 + f.support.norms_sq)) for f in fields
     ]
-    per_pair, off, on = ref_cluster_estimate(rs, current)
+    per_pair, off, total_sq = ref_cluster_estimate(rs, current)
     est = cluster_estimate(rs, current)
     assert list(map(tuple, est.pair_reps.tolist())) == list(per_pair)
     assert est.pair_contribs.tolist() == list(per_pair.values())
     assert est.off_set_sq == off
-    assert est.on_set_sq == on
+    assert est.total == math.sqrt(total_sq)
     if not per_pair:
         return
     theta = data.draw(st.floats(0.05, 0.95))
@@ -363,7 +362,7 @@ def test_out_of_range_queries_do_not_alias():
     assert s.positions([[0, np.iinfo(np.int64).min]]).tolist() == [-1]
     with pytest.raises(ValueError):
         IndexSet(1, [[np.iinfo(np.int64).min]])
-    assert [-1, 2 * KEY_LIMIT] not in s
+    assert s.positions([-1, 2 * KEY_LIMIT]).tolist() == [-1]
 
 
 # -- memory ---------------------------------------------------------------------

@@ -1,0 +1,14 @@
+"""README's Library example runs as written against the package's exports."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs(capsys):
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    fit = capsys.readouterr().out
+    assert fit.startswith("RateFit(") and "status='ok'" in fit

@@ -13,7 +13,7 @@ from adaptpw import (
     multiply,
     project,
 )
-from conftest import trig_field, trig_potential
+from conftest import coefficient, trig_field, trig_potential
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,7 +49,7 @@ def random_hermitian_field(dim, radius, seed):
 
 
 def test_hs_norm_examples():
-    e0 = SpectralField.unit(1, (0,))
+    e0 = SpectralField.from_pairs(1, {(0,): 1.0})
     for s in (-2.0, -1.0, 0.0, 1.0, 3.5):
         assert hs_norm(e0, s) == pytest.approx(1.0, abs=0.0)
     f = SpectralField.from_pairs(1, {(1,): 1.0, (-1,): 1.0})
@@ -69,9 +69,9 @@ def test_parseval():
 def test_project_identity_and_zero():
     f = random_hermitian_field(1, 4, seed=2)
     p = project(f, f.support)
-    assert p.support == f.support
+    assert np.array_equal(p.support.entries, f.support.entries)
     assert np.array_equal(p.coeffs, f.coeffs)
-    e1 = SpectralField.unit(1, (1,))
+    e1 = SpectralField.from_pairs(1, {(1,): 1.0})
     assert len(project(e1, IndexSet(1, [[0]])).support) == 0
 
 
@@ -100,20 +100,20 @@ def test_project_idempotent_nonexpansive():
 def test_multiply_constant():
     c = 0.7
     v = trig_field(1, c, {})
-    u = SpectralField.unit(1, (0,))
+    u = SpectralField.from_pairs(1, {(0,): 1.0})
     w = multiply(v, u)
-    assert w.coefficient((0,)) == pytest.approx(c, rel=1e-15)
+    assert coefficient(w, (0,)) == pytest.approx(c, rel=1e-15)
     assert len(w.support) == 1
 
 
 def test_multiply_trig_hand_expansion():
     c, beta = 1.0, 0.5
     v = trig_field(1, c, {(1,): 2 * beta})
-    u = SpectralField.unit(1, (0,))
+    u = SpectralField.from_pairs(1, {(0,): 1.0})
     w = multiply(v, u)
-    assert w.coefficient((0,)) == pytest.approx(c, rel=1e-14)
-    assert w.coefficient((1,)) == pytest.approx(beta, rel=1e-14)
-    assert w.coefficient((-1,)) == pytest.approx(beta, rel=1e-14)
+    assert coefficient(w, (0,)) == pytest.approx(c, rel=1e-14)
+    assert coefficient(w, (1,)) == pytest.approx(beta, rel=1e-14)
+    assert coefficient(w, (-1,)) == pytest.approx(beta, rel=1e-14)
 
 
 def test_multiply_zero():
@@ -130,7 +130,7 @@ def test_multiply_matches_grid_oracle():
     prod = evaluate_on_grid(v, n) * evaluate_on_grid(u, n)
     recovered = dft_coefficients(prod.astype(complex), w.support.to_list(), 1)
     for g in w.support.to_list():
-        assert w.coefficient(g) == pytest.approx(recovered[g], abs=1e-12)
+        assert coefficient(w, g) == pytest.approx(recovered[g], abs=1e-12)
 
 
 def test_multiply_bilinear_commutative_hermitian():
@@ -141,7 +141,7 @@ def test_multiply_bilinear_commutative_hermitian():
     assert np.allclose(w1.coefficients_on(w2.support), w2.coeffs, rtol=1e-14, atol=1e-14)
     scale = max(1.0, float(np.max(np.abs(w1.coeffs))))
     assert w1.hermitian_defect() <= 1e-14 * scale
-    w3 = multiply(v, u + u)
+    w3 = multiply(v, SpectralField(u.support, 2 * u.coeffs))
     assert np.allclose(w3.coefficients_on(w1.support), 2 * w1.coeffs, rtol=1e-13)
 
 
@@ -149,7 +149,7 @@ def test_multiply_bilinear_commutative_hermitian():
 
 
 def test_evaluate_constant():
-    e0 = SpectralField.unit(1, (0,))
+    e0 = SpectralField.from_pairs(1, {(0,): 1.0})
     vals = evaluate_on_grid(e0, 8)
     assert np.allclose(vals, (TWO_PI) ** (-0.5))
 
@@ -172,7 +172,7 @@ def test_evaluate_matches_direct_sum_oracle():
         i, j = rng.integers(0, n, size=2)
         x = TWO_PI * np.array([i, j]) / n
         direct = sum(
-            f.coefficient(g) * (TWO_PI ** (-1.0)) * np.exp(1j * np.dot(g, x))
+            coefficient(f, g) * (TWO_PI ** (-1.0)) * np.exp(1j * np.dot(g, x))
             for g in f.support.to_list()
         )
         assert vals[i, j] == pytest.approx(direct.real, abs=1e-12)
@@ -184,8 +184,8 @@ def test_evaluate_matches_direct_sum_oracle():
 def test_a_inner_examples():
     c = 2.0
     vc = trig_potential(1, c, {})
-    e0 = SpectralField.unit(1, (0,))
-    e1 = SpectralField.unit(1, (1,))
+    e0 = SpectralField.from_pairs(1, {(0,): 1.0})
+    e1 = SpectralField.from_pairs(1, {(1,): 1.0})
     assert a_inner(e0, e0, vc) == pytest.approx(c, rel=1e-14)
     assert a_inner(e1, e1, vc) == pytest.approx(1.0 + c, rel=1e-14)
     beta = 0.3
