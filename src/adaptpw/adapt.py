@@ -258,8 +258,8 @@ def _refine(
     n = 0
     while True:
         values, rs_exact, rs, trunc_m, eta_exact = solve(current)
-        estimate = cluster_estimate(rs, current)
-        onset_max, overall_max = onset_offset_maxima(rs_exact, current)
+        estimate = cluster_estimate(rs)
+        onset_max, overall_max = onset_offset_maxima(rs_exact)
 
         stop_reason = None
         if estimate.total < threshold:

@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adapt import MODES, AdaptiveConfig, AdaptiveRun, ParameterError, run_eigen, run_source
-from .frequency import KeyRangeError, ball, ball_size, shell_counts
+from .frequency import KEY_LIMIT, KeyRangeError, ball, ball_size, shell_counts
 from .marking import MarkingError
 from .operator import (
     BLOCK_GUARD, BLOCK_GUARD_GROWS, Potential, PotentialError, ReferenceOperator, SolverError,
@@ -142,10 +142,12 @@ def _read(kind: type, value, path: str):
 
 
 def _frequency(value, dim: int, path: str) -> tuple[int, ...]:
-    """An integer frequency with `dim` components, a ConfigError naming `path` otherwise."""
+    """A frequency of `dim` integers, each |k| < 2^20; else a ConfigError naming `path`."""
     k = tuple(_read(int, x, path) for x in _read(list, value, path))
     if len(k) != dim:
         raise ConfigError(path, f"needs {dim} components")
+    if any(abs(x) >= KEY_LIMIT for x in k):
+        raise ConfigError(path, f"components must satisfy |k| < 2^20 = {KEY_LIMIT}, got {list(k)}")
     return k
 
 
@@ -506,12 +508,15 @@ def _uniform_phases(seed: int, count: int) -> list[float]:
 def _parse_triples(triples: list, dim: int, field_path: str) -> SpectralField:
     """Field from {index, re, im} coefficient triples listed at `field_path`.
 
-    A malformed triple is reported under `field_path[j]`.
+    A malformed triple, or one repeating an earlier index, is reported
+    under `field_path[j]`.
     """
     coeffs = {}
     for j, entry in enumerate(_read(list, triples, field_path)):
         path = f"{field_path}[{j}]"
         k = _frequency(_require(entry, "index", path), dim, f"{path}.index")
+        if k in coeffs:
+            raise ConfigError(f"{path}.index", f"repeats the index {list(k)} of an earlier entry")
         coeffs[k] = _read(float, entry.get("re", 0.0), f"{path}.re") + 1j * _read(
             float, entry.get("im", 0.0), f"{path}.im"
         )

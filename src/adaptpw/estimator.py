@@ -40,26 +40,22 @@ _SKIP_MARGIN = 1e-9
 class Residual(NamedTuple):
     """A residual field with its per-frequency estimator contributions.
 
-    `per_frequency[i]` is |r_G|^2 / (1+|G|^2) for the i-th support entry.
-    `truncation_bound` is a certified upper bound on the H^{-1} norm of
-    the part discarded by potential truncation (exactly 0 when the full
-    potential was used).
+    `per_frequency[i]` is |r_G|^2 / (1+|G|^2) for the i-th support entry,
+    `on_set[i]` whether it lies in the iterate set (the support of u) and
+    `total_sq` the sum of `per_frequency`. `truncation_bound` is a certified
+    upper bound on the H^{-1} norm of the part discarded by potential
+    truncation (exactly 0 when the full potential was used).
     """
 
     field: SpectralField
     truncation_bound: float
     per_frequency: np.ndarray
+    on_set: np.ndarray
+    total_sq: float
 
     @property
     def support(self) -> IndexSet:
         return self.field.support
-
-
-def _make_residual(field: SpectralField, bound: float) -> Residual:
-    weights = 1.0 + field.support.norms_sq.astype(np.float64)
-    per_freq = (np.abs(field.coeffs) ** 2) / weights
-    per_freq.setflags(write=False)
-    return Residual(field=field, truncation_bound=float(bound), per_frequency=per_freq)
 
 
 def _residual(
@@ -68,18 +64,24 @@ def _residual(
 ) -> Residual:
     """head - |G|^2 u - V u, with head = lam*u, or f when f is given.
 
-    Computed coefficientwise on supp u + supp(Vu), and supp f when given;
-    index sets keep canonical order, so the order of the unions is
-    immaterial.
+    Computed coefficientwise on supp(Vu), which holds supp u because verified
+    potentials and their truncations store V_0, and on supp f when given.
+    One lookup of u's frequencies places u and marks the iterate set.
     """
     vu = multiply(v, u)
-    support = union(u.support, vu.support)
-    if f is not None:
-        support = union(support, f.support)
-    uc = u.coefficients_on(support)
+    support = vu.support if f is None else union(vu.support, f.support)
+    pos = support.positions(u.support)
+    uc = np.zeros(len(support), dtype=np.complex128)
+    uc[pos] = u.coeffs
+    on_set = np.bincount(pos, minlength=len(support)) > 0
     head = lam * uc if f is None else f.coefficients_on(support)
-    r = head - support.norms_sq.astype(np.float64) * uc - vu.coefficients_on(support)
-    return _make_residual(SpectralField(support, r), bound)
+    vc = vu.coeffs if f is None else vu.coefficients_on(support)
+    norms_sq = support.norms_sq.astype(np.float64)
+    field = SpectralField(support, head - norms_sq * uc - vc)
+    per_freq = (np.abs(field.coeffs) ** 2) / (1.0 + norms_sq)
+    for a in (per_freq, on_set):
+        a.setflags(write=False)
+    return Residual(field, float(bound), per_freq, on_set, float(np.sum(per_freq)))
 
 
 def residual(u: SpectralField, lam: float, potential: Potential) -> Residual:
@@ -113,7 +115,7 @@ def source_residual(w: SpectralField, f: SpectralField, potential: Potential) ->
 
 def eta(r: Residual) -> float:
     """Estimator over the full residual support."""
-    return float(math.sqrt(np.sum(r.per_frequency)))
+    return math.sqrt(r.total_sq)
 
 
 def eta_cluster(rs: list[Residual]) -> float:
@@ -192,17 +194,17 @@ class EstimatorValue(NamedTuple):
     off_set_sq: float
 
 
-def cluster_estimate(rs: list[Residual], current: IndexSet) -> EstimatorValue:
-    """Aggregate residual contributions into pair totals outside `current`.
+def cluster_estimate(rs: list[Residual]) -> EstimatorValue:
+    """Aggregate residual contributions into pair totals outside the iterate set.
 
     Pair totals are one `np.bincount` over all members' contributions in
     encounter order, so each accumulates exactly like a running sum.
     """
     total_sq = 0.0
-    reps, contribs = [np.empty((0, current.dim), dtype=np.int64)], [np.empty(0)]
+    reps, contribs = [], []
     for r in rs:
-        total_sq += float(np.sum(r.per_frequency))
-        outside = current.positions(r.support) < 0
+        total_sq += r.total_sq
+        outside = ~r.on_set
         rows = r.support.entries[outside]
         is_rep = (r.support.pair_keys() == r.support.keys)[outside]
         reps.append(np.where(is_rep[:, None], rows, -rows))
@@ -220,8 +222,8 @@ def cluster_estimate(rs: list[Residual], current: IndexSet) -> EstimatorValue:
     )
 
 
-def onset_offset_maxima(rs: list[Residual], current: IndexSet) -> tuple[float, float]:
-    """(max |r_G| on the current set, max |r_G| anywhere) across members.
+def onset_offset_maxima(rs: list[Residual]) -> tuple[float, float]:
+    """(max |r_G| on the iterate set, max |r_G| anywhere) across members.
 
     The first number is the Galerkin-orthogonality defect in coefficient
     form; for exact residuals of true Galerkin solutions it sits at the
@@ -234,7 +236,6 @@ def onset_offset_maxima(rs: list[Residual], current: IndexSet) -> tuple[float, f
             continue
         mags = np.abs(r.field.coeffs)
         overall = max(overall, float(mags.max()))
-        inside = current.positions(r.support) >= 0
-        if np.any(inside):
-            onset = max(onset, float(mags[inside].max()))
+        if np.any(r.on_set):
+            onset = max(onset, float(mags[r.on_set].max()))
     return onset, overall

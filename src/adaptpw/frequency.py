@@ -69,13 +69,13 @@ def _sum_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class IndexSet:
     """Immutable, canonically ordered set of integer frequencies in Z^d.
 
-    Entries are stored as an (n, d) int64 array and `keys` holds their
-    lattice keys in the same order. Sets used as discretization spaces
-    are closed under negation; `validate_symmetric` checks that property,
-    construction does not enforce it.
+    Entries are stored as an (n, d) int64 array, with their lattice keys in
+    `keys` and |G|^2 in `norms_sq`, in the same order. Sets used as
+    discretization spaces are closed under negation; `validate_symmetric`
+    checks that property, construction does not enforce it.
     """
 
-    __slots__ = ("dim", "entries", "keys", "_sorted", "_rank", "_neg")
+    __slots__ = ("dim", "entries", "keys", "norms_sq", "_sorted", "_rank", "_neg")
 
     def __init__(self, dim: int, entries=None) -> None:
         if not 1 <= dim <= 3:
@@ -100,16 +100,18 @@ class IndexSet:
         keys = np.sort(keys)
         sorted_keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
         sorted_rows = ((sorted_keys[:, None] >> _shifts(dim)) & (2 * KEY_LIMIT - 1)) - KEY_LIMIT
-        order = np.lexsort((sorted_keys, np.sum(sorted_rows * sorted_rows, axis=1)))
+        norms_sq = np.sum(sorted_rows * sorted_rows, axis=1)
+        order = np.lexsort((sorted_keys, norms_sq))
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         self.dim = dim
         self.entries = sorted_rows[order]
         self.keys = sorted_keys[order]
+        self.norms_sq = norms_sq[order]
         self._sorted = sorted_keys
         self._rank = rank
         self._neg: np.ndarray | None = None
-        for a in (self.entries, self.keys, self._sorted, self._rank):
+        for a in (self.entries, self.keys, self.norms_sq, self._sorted, self._rank):
             a.setflags(write=False)
 
     # -- basic container behaviour -------------------------------------
@@ -171,10 +173,6 @@ class IndexSet:
         return self._neg
 
     # -- geometry ---------------------------------------------------------
-
-    @property
-    def norms_sq(self) -> np.ndarray:
-        return np.sum(self.entries * self.entries, axis=1)
 
     def max_radius(self) -> float:
         return math.sqrt(int(self.norms_sq.max(initial=0)))
@@ -282,11 +280,7 @@ def union(a: IndexSet, b: IndexSet) -> IndexSet:
     """Set union with canonical order restored."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if len(a) == 0:
-        return b
-    if len(b) == 0:
-        return a
-    return IndexSet(a.dim, np.concatenate([a.entries, b.entries], axis=0))
+    return IndexSet._from_keys(a.dim, np.concatenate((a.keys, b.keys)))
 
 
 def validate_symmetric(s: IndexSet) -> bool:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frequency import IndexSet, ball, sum_box, validate_symmetric
+from .frequency import IndexSet, ball, sum_box, union, validate_symmetric
 from .spectral import SpectralField, evaluate_on_grid, norm_factor, project
 
 #: relative gap below which adjacent eigenvalues are treated as one
@@ -178,6 +178,8 @@ def verify_potential(field: SpectralField) -> Potential:
     real: an accepted V is replaced by its exactly Hermitian part
     (V_K + conj V_-K) / 2 (V itself when V is Hermitian and has no
     subnormal coefficient), so no matrix assembled from it needs a check.
+    The returned field always stores V_0, as 0 when V has none, so
+    supp(V u) contains supp u for every field u (`estimator._residual`).
     """
     if not np.all(np.isfinite(field.coeffs)):
         raise PotentialError("potential coefficients must be finite")
@@ -186,8 +188,9 @@ def verify_potential(field: SpectralField) -> Potential:
     scale0 = max(1.0, float(np.max(np.abs(field.coeffs))) if len(field.support) else 0.0)
     if field.hermitian_defect() > 1e-12 * scale0:
         raise PotentialError("potential coefficients are not Hermitian-symmetric")
-    c, neg = field.coeffs, field.support.negation_permutation()
-    field = SpectralField(field.support, 0.5 * c + 0.5 * np.conj(c[neg]))  # halves: no overflow
+    support = union(field.support, ball(0, field.support.dim))
+    c, neg = field.coefficients_on(support), support.negation_permutation()
+    field = SpectralField(support, 0.5 * c + 0.5 * np.conj(c[neg]))  # halves: no overflow
     radius = _ceil_radius(field.support)
     values = evaluate_on_grid(field, verification_grid(radius, field.support.dim))
     vmin = float(values.min())

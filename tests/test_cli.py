@@ -198,6 +198,14 @@ def test_frequency_sums_beyond_the_key_range_are_a_numerical_failure(tmp_path, c
     assert "< 2^20 = 1048576" in err and err.count("\n") == 1
 
 
+def test_repeated_trig_terms_add():
+    twice = {"family": "trig", "c": 1.0, "terms": [{"k": [1], "a": 0.25}, {"k": [-1], "a": 0.25}]}
+    once = {"family": "trig", "c": 1.0, "terms": [{"k": [1], "a": 0.5}]}
+    a, b = (build_potential(spec, 1)[0].field for spec in (twice, once))
+    assert a.support.to_list() == b.support.to_list()
+    assert np.array_equal(a.coeffs, b.coeffs)
+
+
 # -- runs -------------------------------------------------------------------------
 
 
@@ -465,6 +473,41 @@ def _set_path(raw, path, value):
         (("algorithm", "theta_tilde"), 1.5, "algorithm.theta_tilde"),
         (("algorithm", "max_dof"), 0, "algorithm.max_dof"),
         (("problem", "k0"), -1, "problem.k0"),
+        # frequency components outside the lattice key range, |k| >= 2^20
+        (
+            ("problem", "potential"),
+            {"family": "explicit", "coefficients": [
+                {"index": [0], "re": 3.0}, {"index": [2000000], "re": 0.5},
+                {"index": [-2000000], "re": 0.5}]},
+            "problem.potential.coefficients[1].index",
+        ),
+        (
+            ("problem",),
+            {"dim": 3, "n_eigs": 1, "potential": {"family": "explicit", "coefficients": [
+                {"index": [0, 0, 0], "re": 3.0}, {"index": [0, -2000000, 0], "re": 0.5},
+                {"index": [0, 2000000, 0], "re": 0.5}]}},
+            "problem.potential.coefficients[1].index",
+        ),
+        (
+            ("problem",),
+            {"dim": 3, "n_eigs": 1, "potential": {"family": "trig", "c": 3.0, "terms": [
+                {"k": [1, 0, 0], "a": 0.5}, {"k": [0, 0, 1 << 20], "a": 0.5}]}},
+            "problem.potential.terms[1].k",
+        ),
+        (("problem", "rhs"), [[{"index": [0], "re": 1.0}],
+                              [{"index": [(1 << 20) - 1], "re": 1.0},
+                               {"index": [-(1 << 20)], "re": 1.0}]],
+         "problem.rhs[1][1].index"),
+        # a coefficient triple repeating an earlier index
+        (
+            ("problem", "potential"),
+            {"family": "explicit", "coefficients": [
+                {"index": [0], "re": 3.0}, {"index": [0], "re": 5.0}]},
+            "problem.potential.coefficients[1].index",
+        ),
+        (("problem", "rhs"), [[{"index": [1], "re": 1.0}, {"index": [-1], "re": 1.0},
+                               {"index": [1], "re": 2.0}]],
+         "problem.rhs[0][2].index"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, path, value, field):

@@ -9,6 +9,7 @@ import adaptpw.estimator as estimator
 from adaptpw import (
     AdaptiveConfig,
     IndexSet,
+    Residual,
     SpectralField,
     assemble,
     ball,
@@ -17,14 +18,20 @@ from adaptpw import (
     eta,
     eta_cluster,
     hs_norm,
+    multiply,
     residual,
     run_eigen,
     solve_eigen,
     solve_source,
     source_residual,
     truncated_residual,
+    union,
+    verify_potential,
 )
 from adaptpw.cli import build_potential
+from adaptpw.estimator import EstimatorValue, onset_offset_maxima
+from adaptpw.frequency import lattice_keys
+from adaptpw.spectral import norm_factor
 from conftest import coefficient, exhaustive_truncation, trig_potential
 
 TWO_PI = 2.0 * math.pi
@@ -94,11 +101,9 @@ def test_eta_cluster_pythagorean():
         pass
 
     r3 = Fake()
-    r3.per_frequency = np.array([9.0])
-    r3.support = IndexSet(1, [[1]])
+    r3.total_sq = 9.0
     r4 = Fake()
-    r4.per_frequency = np.array([16.0])
-    r4.support = IndexSet(1, [[2]])
+    r4.total_sq = 16.0
     assert eta_cluster([r3, r4]) == pytest.approx(5.0, rel=1e-15)
 
 
@@ -315,7 +320,7 @@ def test_cluster_estimate_pairs_symmetric():
     s = ball(3, 1)
     cluster = solve_eigen(assemble(s, v), 0, 2)
     rs = [residual(cluster.field(l), float(cluster.eigenvalues[l]), v) for l in range(2)]
-    est = cluster_estimate(rs, s)
+    est = cluster_estimate(rs)
     for rep in est.pair_reps.tolist():
         assert tuple(rep) >= tuple(-x for x in rep)
     # on-set mass sits at the eigensolver's backward-error level
@@ -323,3 +328,136 @@ def test_cluster_estimate_pairs_symmetric():
     assert total_sq - est.off_set_sq <= 1e-20
     assert est.total == math.sqrt(total_sq)
     assert est.zeta_actual == 0.0
+
+
+# -- one-pass residuals against the union-and-lookup form ---------------------------
+
+
+def oracle_residual(u, v, current, lam=0.0, f=None, bound=0.0):
+    """The residual on supp u + supp(Vu) (+ supp f): two unions, three projections.
+
+    Its on-set mask is looked up in `current` and its total summed here.
+    """
+    vu = multiply(v, u)
+    support = union(u.support, vu.support)
+    if f is not None:
+        support = union(support, f.support)
+    uc = u.coefficients_on(support)
+    head = lam * uc if f is None else f.coefficients_on(support)
+    r = head - support.norms_sq.astype(np.float64) * uc - vu.coefficients_on(support)
+    per = np.abs(r) ** 2 / (1.0 + support.norms_sq.astype(np.float64))
+    on_set = current.positions(support) >= 0
+    return Residual(SpectralField(support, r), float(bound), per, on_set, float(np.sum(per)))
+
+
+def oracle_cluster_estimate(rs, current):
+    """cluster_estimate with its own lookups in `current` and one np.sum per member."""
+    total_sq = 0.0
+    reps, contribs = [np.empty((0, current.dim), dtype=np.int64)], [np.empty(0)]
+    for r in rs:
+        total_sq += float(np.sum(r.per_frequency))
+        outside = current.positions(r.support) < 0
+        rows = r.support.entries[outside]
+        is_rep = (r.support.pair_keys() == r.support.keys)[outside]
+        reps.append(np.where(is_rep[:, None], rows, -rows))
+        contribs.append(r.per_frequency[outside])
+    reps = np.concatenate(reps)
+    _, first, inverse = np.unique(lattice_keys(reps), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    pair_contribs = np.bincount(inverse, weights=np.concatenate(contribs))[order]
+    total = math.sqrt(total_sq)
+    b = math.sqrt(sum(r.truncation_bound**2 for r in rs))
+    return EstimatorValue(
+        total=total, pair_reps=reps[first[order]], pair_contribs=pair_contribs,
+        zeta_actual=b / total if total > 0.0 else 0.0, off_set_sq=sum(pair_contribs.tolist()),
+    )
+
+
+def oracle_onset_offset_maxima(rs, current):
+    onset = overall = 0.0
+    for r in rs:
+        if len(r.support) == 0:
+            continue
+        mags = np.abs(r.field.coeffs)
+        overall = max(overall, float(mags.max()))
+        inside = current.positions(r.support) >= 0
+        if np.any(inside):
+            onset = max(onset, float(mags[inside].max()))
+    return onset, overall
+
+
+def random_symmetric_set(rng, radius, dim, share):
+    """A random subset of ball(radius) closed under negation, possibly empty."""
+    b = ball(radius, dim)
+    keep = rng.random(len(b)) < share
+    keep |= keep[b.negation_permutation()]
+    return IndexSet(dim, b.entries[keep])
+
+
+def random_field(rng, support):
+    n = len(support)
+    return SpectralField(support, rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+def assert_same_residual(r, oracle):
+    assert np.array_equal(r.support.entries, oracle.support.entries)
+    assert r.field.coeffs.tobytes() == oracle.field.coeffs.tobytes()
+    assert r.per_frequency.tobytes() == oracle.per_frequency.tobytes()
+    assert np.array_equal(r.on_set, oracle.on_set)
+    assert r.total_sq == oracle.total_sq
+    assert r.truncation_bound == oracle.truncation_bound
+
+
+def assert_same_estimates(rs, oracles, current):
+    est, ref = cluster_estimate(rs), oracle_cluster_estimate(oracles, current)
+    assert (est.total, est.zeta_actual, est.off_set_sq) == (
+        ref.total, ref.zeta_actual, ref.off_set_sq)
+    assert np.array_equal(est.pair_reps, ref.pair_reps)
+    assert est.pair_contribs.tobytes() == ref.pair_contribs.tobytes()
+    assert onset_offset_maxima(rs) == oracle_onset_offset_maxima(oracles, current)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from(["stored", "zero", "empty"]),
+       st.integers(0, 2**32 - 1))
+def test_one_pass_residuals_match_the_union_form(dim, kind, seed):
+    """residual, truncated_residual and source_residual agree bit for bit with the oracle.
+
+    A random positive potential stores V_0; V = 0 is given with no V_0, as
+    zeros on a random symmetric set or as the empty field, and verified.
+    """
+    rng = np.random.default_rng(seed)
+    vs = random_symmetric_set(rng, 2, dim, 0.4)
+    if kind == "stored":
+        v = random_field(rng, union(vs, IndexSet(dim, [0] * dim)))
+        c = v.coeffs.copy()
+        c = 0.5 * c + 0.5 * np.conj(c[v.support.negation_permutation()])
+        c[0] = 1.0 + np.sum(np.abs(c[1:]))  # V_0 first in canonical order
+        pot = verify_potential(SpectralField(v.support, c))
+    else:
+        support = IndexSet(dim) if kind == "empty" else IndexSet(dim, vs.entries[vs.norms_sq > 0])
+        pot = verify_potential(SpectralField(support, np.zeros(len(support))))
+    current = random_symmetric_set(rng, 3, dim, 0.5)
+    us = [random_field(rng, current) for _ in range(2)]
+    lams = [float(x) for x in rng.uniform(0.0, 10.0, 2)]
+    radius = int(rng.integers(0, pot.support_radius() + 2))
+
+    exact = [residual(u, lam, pot) for u, lam in zip(us, lams)]
+    truncated = [truncated_residual(u, lam, pot, radius) for u, lam in zip(us, lams)]
+    fs = [random_field(rng, random_symmetric_set(rng, 5, dim, 0.1)) for _ in range(2)]
+    source = [source_residual(u, f, pot) for u, f in zip(us, fs)]
+    oracles = {
+        "exact": [oracle_residual(u, pot.field, current, lam) for u, lam in zip(us, lams)],
+        "truncated": [
+            oracle_residual(
+                u, pot.truncated_field(radius), current, lam,
+                bound=norm_factor(dim) * pot.tail_l1(radius) * u.l2_norm(),
+            )
+            for u, lam in zip(us, lams)
+        ],
+        "source": [oracle_residual(u, pot.field, current, f=f) for u, f in zip(us, fs)],
+    }
+    for rs, label in ((exact, "exact"), (truncated, "truncated"), (source, "source")):
+        for r, oracle in zip(rs, oracles[label]):
+            assert_same_residual(r, oracle)
+        assert_same_estimates(rs, oracles[label], current)

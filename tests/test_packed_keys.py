@@ -319,11 +319,13 @@ def test_cluster_estimate_and_marking_match_reference(data):
     dim = data.draw(dims)
     fields = data.draw(st.lists(field_on(dim), min_size=1, max_size=3))
     current = IndexSet(dim, data.draw(symmetric_points(dim, radius=4)))
-    rs = [
-        Residual(f, 0.0, np.abs(f.coeffs) ** 2 / (1.0 + f.support.norms_sq)) for f in fields
-    ]
+    rs = []
+    for f in fields:
+        per_frequency = np.abs(f.coeffs) ** 2 / (1.0 + f.support.norms_sq)
+        on_set = current.positions(f.support) >= 0
+        rs.append(Residual(f, 0.0, per_frequency, on_set, float(np.sum(per_frequency))))
     per_pair, off, total_sq = ref_cluster_estimate(rs, current)
-    est = cluster_estimate(rs, current)
+    est = cluster_estimate(rs)
     assert list(map(tuple, est.pair_reps.tolist())) == list(per_pair)
     assert est.pair_contribs.tolist() == list(per_pair.values())
     assert est.off_set_sq == off
