@@ -42,12 +42,10 @@ from .operator import (
 )
 from .spectral import (
     SpectralField,
-    a_inner,
     a_norm,
     evaluate_on_grid,
     hs_norm,
     multiply,
-    project,
 )
 from .verify import (
     eigenvalue_gap_check,

@@ -62,8 +62,9 @@ class AdaptiveConfig(_AdaptiveFields):
     """Parameters of one adaptive run, checked on construction.
 
     theta_tilde is the bulk-marking fraction, zeta the certified
-    truncation slack of the feasible estimator (ignored in mode
-    "eigen-exact"), M0 the initial ball radius of the eigenvalue loop,
+    truncation slack of the feasible estimator, in [0, 1) in every mode and
+    below theta_tilde in mode "eigen-feasible", the only loop that reads it;
+    M0 is the initial ball radius of the eigenvalue loop,
     and (k0, n_eigs) the eigenvalue cluster window. max_iter bounds the
     number of refinement steps and max_dof the index-set size, so tol=0
     experiment runs still terminate.
@@ -76,8 +77,10 @@ class AdaptiveConfig(_AdaptiveFields):
         for field, ok, rule in (
             ("dim", 1 <= self.dim <= 3, "must be 1, 2 or 3"),
             ("theta_tilde", 0.0 < self.theta_tilde < 1.0, "must be in (0, 1)"),
-            ("zeta", 0.0 <= self.zeta < self.theta_tilde,
-             f"must be in [0, theta_tilde) with theta_tilde={self.theta_tilde}"),
+            ("zeta", 0.0 <= self.zeta < 1.0, "must be in [0, 1)"),
+            ("zeta", self.mode != "eigen-feasible" or self.zeta < self.theta_tilde,
+             f"must be in [0, theta_tilde) with theta_tilde={self.theta_tilde} "
+             "in mode eigen-feasible"),
             ("tol", self.tol >= 0.0, "must be >= 0"),  # NaN fails every comparison
             ("M0", self.M0 >= 1, "must be >= 1"),
             ("k0", self.k0 >= 0, "must be >= 0"),
@@ -89,10 +92,6 @@ class AdaptiveConfig(_AdaptiveFields):
             if not ok:
                 raise ParameterError(field, f"{rule}, got {getattr(self, field)!r}")
         return self
-
-    def _replace(self, **changes) -> AdaptiveConfig:
-        # the namedtuple `_replace` builds through tuple.__new__, skipping the checks
-        return AdaptiveConfig(**{**self._asdict(), **changes})
 
 
 class IterationRecord(NamedTuple):
@@ -230,7 +229,7 @@ def run_source(
         solutions = solve_source(current, potential, rhs)
         run.solutions.append(solutions)
         rs = [source_residual(w, f, potential) for w, f in zip(solutions, rhs)]
-        values = [a_norm(w, potential) for w in solutions]
+        values = [a_norm(w, r.product) for w, r in zip(solutions, rs)]
         return values, rs, rs, potential.support_radius(), None
 
     return _refine(run, potential, IndexSet(config.dim), solve, config.tol)

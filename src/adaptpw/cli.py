@@ -198,14 +198,14 @@ def validate_config(
         (key, _read(type(default), algo.get(key, default), f"algorithm.{key}"))
         for key, default in defaults.items() if key not in fields
     )
+    if mode is None:
+        mode = fields["mode"]
+    elif mode not in RUN_MODES:
+        raise ConfigError("mode", f"unknown mode {mode!r}")
+    else:  # the ranges are checked against the mode that runs
+        fields["mode"] = mode if mode in MODES else "eigen-feasible"
     try:
         adaptive = AdaptiveConfig(**fields)
-        if mode is None:
-            mode = adaptive.mode
-        elif mode not in RUN_MODES:
-            raise ConfigError("mode", f"unknown mode {mode!r}")
-        else:
-            adaptive = adaptive._replace(mode=mode if mode in MODES else "eigen-feasible")
     except ParameterError as exc:
         section = "problem" if exc.field in ("dim", "k0", "n_eigs") else "algorithm"
         raise ConfigError(f"{section}.{exc.field}", str(exc)) from exc
@@ -852,6 +852,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (SolverError, MarkingError, KeyRangeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:  # a float operation beyond the double range
+        print(f"numerical failure: overflow: {exc}", file=sys.stderr)
         return 3
     return 0
 

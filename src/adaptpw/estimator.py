@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .frequency import IndexSet, lattice_keys, union
-from .operator import Potential
+from .operator import Potential, SolverError
 from .spectral import SpectralField, multiply, norm_factor
 
 # Relative slack of the certified skip in choose_truncation, far above the
@@ -40,6 +40,8 @@ _SKIP_MARGIN = 1e-9
 class Residual(NamedTuple):
     """A residual field with its per-frequency estimator contributions.
 
+    `product` is the V*u that `multiply` formed for it (V truncated for a
+    truncated residual), which `spectral.a_norm` reads for the energy norm.
     `per_frequency[i]` is |r_G|^2 / (1+|G|^2) for the i-th support entry,
     `on_set[i]` whether it lies in the iterate set (the support of u) and
     `total_sq` the sum of `per_frequency`. `truncation_bound` is a certified
@@ -48,6 +50,7 @@ class Residual(NamedTuple):
     """
 
     field: SpectralField
+    product: SpectralField
     truncation_bound: float
     per_frequency: np.ndarray
     on_set: np.ndarray
@@ -66,7 +69,8 @@ def _residual(
 
     Computed coefficientwise on supp(Vu), which holds supp u because verified
     potentials and their truncations store V_0, and on supp f when given.
-    One lookup of u's frequencies places u and marks the iterate set.
+    One lookup of u's frequencies places u and marks the iterate set. A
+    SolverError is raised when the estimator overflows to a non-finite sum.
     """
     vu = multiply(v, u)
     support = vu.support if f is None else union(vu.support, f.support)
@@ -79,9 +83,12 @@ def _residual(
     norms_sq = support.norms_sq.astype(np.float64)
     field = SpectralField(support, head - norms_sq * uc - vc)
     per_freq = (np.abs(field.coeffs) ** 2) / (1.0 + norms_sq)
+    total_sq = float(np.sum(per_freq))
+    if not math.isfinite(total_sq):
+        raise SolverError(f"the residual estimator overflows: sum |r_G|^2/(1+|G|^2) = {total_sq}")
     for a in (per_freq, on_set):
         a.setflags(write=False)
-    return Residual(field, float(bound), per_freq, on_set, float(np.sum(per_freq)))
+    return Residual(field, vu, float(bound), per_freq, on_set, total_sq)
 
 
 def residual(u: SpectralField, lam: float, potential: Potential) -> Residual:

@@ -15,11 +15,12 @@ iteration whose result is certified (`solve_eigen_block`,
 The potential is real, so H[-G, -G'] = conj(H[G, G']), and on a basis
 closed under negation the matrix is real symmetric in cos/sin coordinates
 (`CosSinCoordinates`). `ReferenceOperator` is that real operator and the
-only one verification uses: it multiplies by H with real FFTs, gathers the
-entries the certificate reads straight from the potential, and forms the
-whole matrix (`dense`) only for small balls and the certificate's last
-step. Only the adaptive loop and the source solves use the complex
-`assemble`.
+only one verification multiplies by: it multiplies by H with real FFTs,
+gathers the entries the certificate reads straight from the potential, and
+forms the whole matrix (`dense`) only for small balls and the
+certificate's last step. The complex `assemble` serves the adaptive loop
+and the source solves, source mode's reference (`solve_source` on
+ball(M_ref)) included.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .frequency import IndexSet, ball, sum_box, union, validate_symmetric
-from .spectral import SpectralField, evaluate_on_grid, norm_factor, project
+from .spectral import SpectralField, evaluate_on_grid, norm_factor
 
 #: relative gap below which adjacent eigenvalues are treated as one
 #: degenerate group for basis post-processing and the block solver's cut
@@ -158,7 +159,10 @@ class Potential(NamedTuple):
         return float(np.sum(np.abs(self.field.coeffs[mask])))
 
     def truncated_field(self, radius: int) -> SpectralField:
-        return project(self.field, ball(radius, self.dim))
+        """V restricted to |K| <= radius: the entries `tail_l1(radius)` does not sum."""
+        keep = self.field.support.norms_sq <= radius * radius
+        entries = self.field.support.entries[keep]
+        return SpectralField(IndexSet(self.dim, entries), self.field.coeffs[keep])
 
 
 def verify_potential(field: SpectralField) -> Potential:
@@ -171,8 +175,9 @@ def verify_potential(field: SpectralField) -> Potential:
     (measured: 2e-15 in 3D), far inside that margin. A potential with a
     non-finite coefficient, one that is not real (support not closed
     under negation, or `hermitian_defect` above 1e-12 * max(1, max |V_K|)),
-    one whose grid (`verification_grid`) exceeds physical memory, or one
-    whose grid minimum is negative (beyond the margin) is rejected;
+    one whose grid (`verification_grid`) exceeds physical memory, one whose
+    grid samples or sum |V_K| overflow to a non-finite value, or one whose
+    grid minimum is negative (beyond the margin) is rejected;
     a grid minimum of exactly zero is allowed but flagged, since the
     energy-norm constants then degenerate. This is the one test that V is
     real: an accepted V is replaced by its exactly Hermitian part
@@ -195,6 +200,11 @@ def verify_potential(field: SpectralField) -> Potential:
     values = evaluate_on_grid(field, verification_grid(radius, field.support.dim))
     vmin = float(values.min())
     vmax = float(values.max())
+    l1_total = float(np.sum(np.abs(field.coeffs)))
+    if not all(map(math.isfinite, (vmin, vmax, l1_total))):
+        raise PotentialError(
+            f"potential overflows: grid min {vmin}, grid max {vmax}, sum |V_K| {l1_total}"
+        )
     margin = 1e-12 * max(1.0, abs(vmin), abs(vmax))
     if vmin < -margin:
         raise PotentialError(
@@ -215,7 +225,7 @@ def verify_potential(field: SpectralField) -> Potential:
         nu_upper=nu_upper,
         alpha_lower=min(nu_lower, 1.0),
         alpha_upper=max(nu_upper, 1.0),
-        l1_total=float(np.sum(np.abs(field.coeffs))),
+        l1_total=l1_total,
     )
 
 

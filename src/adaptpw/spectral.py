@@ -122,14 +122,6 @@ def hs_norm(f: SpectralField, s: float) -> float:
     return float(np.sqrt(np.sum(weights * np.abs(f.coeffs) ** 2)))
 
 
-def project(f: SpectralField, s: IndexSet) -> SpectralField:
-    """L^2 projection: restrict coefficients to support(f) intersected with s."""
-    if f.support.dim != s.dim:
-        raise ValueError(f"dimension mismatch: {f.support.dim} vs {s.dim}")
-    keep = s.positions(f.support) >= 0
-    return SpectralField(IndexSet(f.support.dim, f.support.entries[keep]), f.coeffs[keep])
-
-
 def multiply(v: SpectralField, u: SpectralField) -> SpectralField:
     """Fourier coefficients of the pointwise product v*u (exact convolution).
 
@@ -184,27 +176,13 @@ def evaluate_on_grid(f: SpectralField, points_per_axis: int) -> np.ndarray:
     return values.real
 
 
-def a_inner(u: SpectralField, v: SpectralField, potential) -> complex:
-    """Energy inner product (grad u, grad v) + (V u, v), conjugate-linear in u.
+def a_norm(u: SpectralField, vu: SpectralField) -> float:
+    """Energy norm sqrt(||grad u||^2 + (V u, u)) of u, given the product vu = V*u.
 
-    `potential` is a verified `operator.Potential`.
+    `vu` is `multiply(V, u)` for a verified potential V, whose stored V_0
+    puts supp u inside supp(V u); one lookup of u's frequencies reads (V u)
+    on supp u. Both sums run over supp u in canonical order.
     """
-    w = multiply(potential.field, u)
-    kin = _l2_pairing(u, v, kinetic=True)
-    pot = _l2_pairing(w, v, kinetic=False)
-    return kin + pot
-
-
-def a_norm(u: SpectralField, potential) -> float:
-    val = a_inner(u, u, potential)
-    return math.sqrt(max(0.0, val.real))
-
-
-def _l2_pairing(a: SpectralField, b: SpectralField, kinetic: bool) -> complex:
-    """sum over common frequencies of w(G) * conj(a_G) * b_G."""
-    pos = b.support.positions(a.support)
-    keep = pos >= 0
-    terms = np.conj(a.coeffs[keep]) * b.coeffs[pos[keep]]
-    if kinetic:
-        terms = terms * a.support.norms_sq[keep].astype(np.float64)
-    return complex(np.sum(terms))
+    kin = np.sum(np.conj(u.coeffs) * u.coeffs * u.support.norms_sq.astype(np.float64))
+    pot = np.sum(np.conj(vu.coeffs[vu.support.positions(u.support)]) * u.coeffs)
+    return math.sqrt(max(0.0, float((kin + pot).real)))

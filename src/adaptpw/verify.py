@@ -327,11 +327,8 @@ def source_errors(
     for u in reference:
         basis = union(basis, u.support)
     h = ReferenceOperator(basis, potential)
-    e = [
-        u.coefficients_on(basis) - w.coefficients_on(basis)
-        for sols in run.solutions
-        for u, w in zip(reference, sols)
-    ]
+    ref = [u.coefficients_on(basis) for u in reference]
+    e = [r - w.coefficients_on(basis) for sols in run.solutions for r, w in zip(ref, sols)]
     y = h.coords.from_coefficients(np.stack(e, axis=1))
     per_rhs = np.sum(np.conj(y) * h.apply(y), axis=0).real
     return [

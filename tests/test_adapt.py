@@ -11,6 +11,7 @@ from adaptpw import (
     run_eigen,
     run_source,
 )
+from adaptpw.adapt import ParameterError
 from conftest import coefficient, trig_potential
 
 
@@ -39,9 +40,19 @@ def test_config_validation():
         AdaptiveConfig(dim=1, mode="bogus")
     with pytest.raises(ValueError):
         AdaptiveConfig(dim=1, tol=math.nan)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(dim=1)._replace(mode="bogus")
-    assert AdaptiveConfig(dim=1)._replace(mode="source").mode == "source"
+
+
+def test_zeta_below_theta_only_where_the_feasible_loop_reads_it():
+    with pytest.raises(ParameterError) as err:
+        AdaptiveConfig(dim=1, theta_tilde=0.05, zeta=0.1)
+    assert err.value.field == "zeta" and "theta_tilde" in str(err.value)
+    for mode in ("eigen-exact", "source"):
+        assert AdaptiveConfig(dim=1, theta_tilde=0.05, zeta=0.1, mode=mode).zeta == 0.1
+    for mode in ("eigen-feasible", "eigen-exact", "source"):
+        for zeta in (-0.1, 1.0, math.nan):
+            with pytest.raises(ParameterError) as err:
+                AdaptiveConfig(dim=1, theta_tilde=0.5, zeta=zeta, mode=mode)
+            assert err.value.field == "zeta"
 
 
 def test_records_are_immutable(cosine_potential):

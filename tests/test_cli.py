@@ -1105,3 +1105,126 @@ def test_compare_outputs_match_exhaustive_truncation_search(tmp_path, monkeypatc
     monkeypatch.setattr(adapt, "choose_truncation", exhaustive_truncation)
     assert run("oracle") == skipping
     assert skipping[0].count(b"\n") > 3
+
+
+# -- exit-code contract -----------------------------------------------------------
+
+MAGNITUDES = (1e-300, 1e-30, 1.0, 1e30, 1e154, 1e155, 1e200, 1e307, 1e308)
+
+
+def _explicit(dim, m):
+    zero, one = [0] * dim, [1] + [0] * (dim - 1)
+    return {"family": "explicit", "coefficients": [
+        {"index": zero, "re": m}, {"index": one, "re": m}, {"index": [-x for x in one], "re": m},
+    ]}
+
+
+#: family: (dim, potential of magnitude m)
+CONTRACT_FAMILIES = {
+    "constant": (1, lambda m: {"family": "constant", "c": m}),
+    "trig": (1, lambda m: {"family": "trig", "c": 1.0,
+                           "terms": [{"k": [1], "a": m}, {"k": [2], "a": m}]}),
+    "random-decay": (1, lambda m: {"family": "random-decay", "p": 2, "r_cut": 3,
+                                   "amplitude": m}),
+    "explicit-1d": (1, lambda m: _explicit(1, m)),
+    "explicit-2d": (2, lambda m: _explicit(2, m)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the CLI lets numpy warn and goes on
+@pytest.mark.parametrize("family", list(CONTRACT_FAMILIES))
+def test_every_magnitude_exits_0_2_or_3(tmp_path, capsys, family):
+    # a run ends in success with finite bounds and estimators, in a config
+    # error before any output, or in a numerical failure; never in a traceback
+    dim, potential = CONTRACT_FAMILIES[family]
+    e1 = [1] + [0] * (dim - 1)
+    rhs = [[{"index": e1, "re": 1.0}, {"index": [-x for x in e1], "re": 1.0}]]
+    codes = set()
+    for mode in ("eigen-feasible", "eigen-exact", "source"):
+        for m in (s * x for x in MAGNITUDES for s in (1.0, -1.0)):
+            out = tmp_path / f"{mode}{m}"
+            raw = {
+                "problem": {"dim": dim, "n_eigs": 1, "potential": potential(m), "rhs": rhs},
+                "algorithm": {"mode": mode, "M0": 1, "max_iter": 3},
+                "verification": {"enable_subspace_distance": False},
+                "output": {"directory": str(out)},
+                "seed": 1,
+            }
+            rc = main(["run", str(write_config(tmp_path, raw)), "--quiet"])
+            capsys.readouterr()
+            codes.add(rc)
+            assert rc in (0, 2, 3), (mode, m)
+            if rc == 2:
+                assert not out.exists(), (mode, m)
+            if rc == 0:
+                bounds = json.loads((out / "summary.json").read_text())["potential"]
+                etas = np.loadtxt(out / "iterations.csv", delimiter=",", skiprows=1,
+                                  usecols=(3, 4), ndmin=2)
+                finite = [bounds[k] for k in ("nu_lower", "nu_upper", "l1_total")]
+                assert np.all(np.isfinite(finite)) and np.all(np.isfinite(etas)), (mode, m)
+    assert 0 in codes and 2 in codes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("amplitude", [1e155, 1e307])
+@pytest.mark.parametrize("mode", ["eigen-feasible", "eigen-exact"])
+def test_overflowing_estimator_is_a_numerical_failure(tmp_path, capsys, mode, amplitude):
+    raw = {
+        "problem": {"dim": 1, "n_eigs": 1, "potential": {
+            "family": "random-decay", "p": 2, "r_cut": 3, "amplitude": amplitude}},
+        "algorithm": {"mode": mode, "max_iter": 2},
+        "verification": {"enable_subspace_distance": False},
+        "output": {"directory": str(tmp_path / "out")},
+        "seed": 1,
+    }
+    assert main(["run", str(write_config(tmp_path, raw)), "--quiet"]) == 3
+    assert "numerical failure:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dim, potential", [
+    (2, _explicit(2, 1e308)),
+    (1, {"family": "trig", "c": 1.0, "terms": [{"k": [1], "a": 1e308}, {"k": [2], "a": 1e308}]}),
+], ids=["explicit-grid-overflows", "trig-l1-overflows"])
+def test_overflowing_potential_exits_2_before_output(tmp_path, capsys, dim, potential):
+    raw = {
+        "problem": {"dim": dim, "n_eigs": 1, "potential": potential},
+        "algorithm": {"max_iter": 2},
+        "verification": {"enable_subspace_distance": False},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    assert main(["run", str(write_config(tmp_path, raw)), "--quiet"]) == 2
+    assert "config error: problem.potential: potential overflows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# -- zeta against the mode that runs ------------------------------------------------
+
+
+def _small_zeta_margin_config(tmp_path, mode):
+    # theta_tilde 0.05 lies below the default zeta 0.1
+    raw = minimal_config(
+        algorithm={"mode": mode, "theta_tilde": 0.05, "tol": 1e-8},
+        verification={"enable_subspace_distance": False},
+        output={"directory": str(tmp_path / "out")},
+    )
+    raw["problem"]["rhs"] = [[{"index": [1], "re": 1.0}, {"index": [-1], "re": 1.0}]]
+    return write_config(tmp_path, raw)
+
+
+@pytest.mark.parametrize("mode", ["source", "eigen-exact"])
+def test_zeta_above_theta_runs_where_zeta_is_not_read(tmp_path, mode):
+    assert main(["run", str(_small_zeta_margin_config(tmp_path, mode)), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["mode"] == mode
+
+
+@pytest.mark.parametrize("config_mode, override, rc", [
+    ("source", "compare", 2), ("source", "eigen-feasible", 2), ("eigen-feasible", "source", 0),
+])
+def test_zeta_is_checked_against_the_mode_override(tmp_path, capsys, config_mode, override, rc):
+    path = _small_zeta_margin_config(tmp_path, config_mode)
+    assert main(["run", str(path), "--quiet", "--mode", override]) == rc
+    if rc == 2:
+        assert "config error: algorithm.zeta:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

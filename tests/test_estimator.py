@@ -336,7 +336,8 @@ def test_cluster_estimate_pairs_symmetric():
 def oracle_residual(u, v, current, lam=0.0, f=None, bound=0.0):
     """The residual on supp u + supp(Vu) (+ supp f): two unions, three projections.
 
-    Its on-set mask is looked up in `current` and its total summed here.
+    Its on-set mask is looked up in `current` and its total summed here; its
+    product is `multiply(v, u)` itself.
     """
     vu = multiply(v, u)
     support = union(u.support, vu.support)
@@ -347,7 +348,7 @@ def oracle_residual(u, v, current, lam=0.0, f=None, bound=0.0):
     r = head - support.norms_sq.astype(np.float64) * uc - vu.coefficients_on(support)
     per = np.abs(r) ** 2 / (1.0 + support.norms_sq.astype(np.float64))
     on_set = current.positions(support) >= 0
-    return Residual(SpectralField(support, r), float(bound), per, on_set, float(np.sum(per)))
+    return Residual(SpectralField(support, r), vu, float(bound), per, on_set, float(np.sum(per)))
 
 
 def oracle_cluster_estimate(rs, current):
@@ -402,6 +403,8 @@ def random_field(rng, support):
 def assert_same_residual(r, oracle):
     assert np.array_equal(r.support.entries, oracle.support.entries)
     assert r.field.coeffs.tobytes() == oracle.field.coeffs.tobytes()
+    assert np.array_equal(r.product.support.entries, oracle.product.support.entries)
+    assert r.product.coeffs.tobytes() == oracle.product.coeffs.tobytes()
     assert r.per_frequency.tobytes() == oracle.per_frequency.tobytes()
     assert np.array_equal(r.on_set, oracle.on_set)
     assert r.total_sq == oracle.total_sq

@@ -19,6 +19,7 @@ from adaptpw import (
     solve_eigen,
     solve_source,
 )
+from adaptpw.cli import build_potential
 from adaptpw.frequency import KEY_LIMIT
 from adaptpw.spectral import evaluate_on_grid
 from conftest import coefficient, trig_potential
@@ -102,6 +103,21 @@ def test_support_radius_is_the_exact_ceiling():
         s = IndexSet(3, [g])
         q = int(s.norms_sq.max())
         assert operator._ceil_radius(s) == math.ceil(math.sqrt(q) - 1e-12), g
+
+
+@pytest.mark.parametrize("dim, r_cut", [(1, 6), (2, 4), (3, 3)])
+def test_truncated_field_is_the_projection_onto_a_ball(dim, r_cut):
+    # the masked field against project(field, ball(radius)) as it was computed
+    # before: a lookup of V's frequencies in the whole ball
+    potential, _ = build_potential(
+        {"family": "random-decay", "amplitude": 1.0, "p": 2.0, "r_cut": r_cut}, dim, seed=3
+    )
+    field = potential.field
+    for radius in range(potential.support_radius() + 2):
+        keep = ball(radius, dim).positions(field.support) >= 0
+        truncated = potential.truncated_field(radius)
+        assert np.array_equal(truncated.support.entries, field.support.entries[keep])
+        assert truncated.coeffs.tobytes() == field.coeffs[keep].tobytes()
 
 
 # -- assembly ----------------------------------------------------------------

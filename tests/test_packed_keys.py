@@ -323,7 +323,8 @@ def test_cluster_estimate_and_marking_match_reference(data):
     for f in fields:
         per_frequency = np.abs(f.coeffs) ** 2 / (1.0 + f.support.norms_sq)
         on_set = current.positions(f.support) >= 0
-        rs.append(Residual(f, 0.0, per_frequency, on_set, float(np.sum(per_frequency))))
+        product = SpectralField.zero(dim)  # cluster_estimate does not read it
+        rs.append(Residual(f, product, 0.0, per_frequency, on_set, float(np.sum(per_frequency))))
     per_pair, off, total_sq = ref_cluster_estimate(rs, current)
     est = cluster_estimate(rs)
     assert list(map(tuple, est.pair_reps.tolist())) == list(per_pair)

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptpw import (
     IndexSet,
     SpectralField,
-    a_inner,
+    a_norm,
     ball,
     evaluate_on_grid,
     hs_norm,
     multiply,
-    project,
+    verify_potential,
 )
 from conftest import coefficient, trig_field, trig_potential
 
@@ -61,37 +63,6 @@ def test_parseval():
     f = random_hermitian_field(2, 3, seed=5)
     assert hs_norm(f, 0.0) == pytest.approx(float(np.linalg.norm(f.coeffs)), rel=1e-14)
     assert f.l2_norm() == pytest.approx(hs_norm(f, 0.0), rel=1e-14)
-
-
-# -- project -------------------------------------------------------------
-
-
-def test_project_identity_and_zero():
-    f = random_hermitian_field(1, 4, seed=2)
-    p = project(f, f.support)
-    assert np.array_equal(p.support.entries, f.support.entries)
-    assert np.array_equal(p.coeffs, f.coeffs)
-    e1 = SpectralField.from_pairs(1, {(1,): 1.0})
-    assert len(project(e1, IndexSet(1, [[0]])).support) == 0
-
-
-def test_project_partial_parseval():
-    f = SpectralField.from_pairs(1, {(0,): 2.0, (1,): 1.0, (-1,): 1.0})
-    p = project(f, IndexSet(1, [[-1], [1]]))
-    assert sorted(p.support.to_list()) == [(-1,), (1,)]
-    assert hs_norm(f, 0.0) ** 2 == pytest.approx(
-        hs_norm(p, 0.0) ** 2 + 4.0, rel=1e-14
-    )
-
-
-def test_project_idempotent_nonexpansive():
-    f = random_hermitian_field(1, 5, seed=9)
-    s = ball(2, 1)
-    p = project(f, s)
-    p2 = project(p, s)
-    assert np.allclose(p2.coeffs, p.coeffs)
-    for t in (-1.0, 0.0, 1.0, 2.0):
-        assert hs_norm(p, t) <= hs_norm(f, t) * (1 + 1e-14)
 
 
 # -- multiply ------------------------------------------------------------
@@ -178,29 +149,75 @@ def test_evaluate_matches_direct_sum_oracle():
         assert vals[i, j] == pytest.approx(direct.real, abs=1e-12)
 
 
-# -- a_inner -------------------------------------------------------------
+# -- a_norm --------------------------------------------------------------
 
 
-def test_a_inner_examples():
+def energy_sq(u, potential):
+    return a_norm(u, multiply(potential.field, u)) ** 2
+
+
+def test_a_norm_examples():
     c = 2.0
     vc = trig_potential(1, c, {})
     e0 = SpectralField.from_pairs(1, {(0,): 1.0})
     e1 = SpectralField.from_pairs(1, {(1,): 1.0})
-    assert a_inner(e0, e0, vc) == pytest.approx(c, rel=1e-14)
-    assert a_inner(e1, e1, vc) == pytest.approx(1.0 + c, rel=1e-14)
+    assert energy_sq(e0, vc) == pytest.approx(c, rel=1e-14)
+    assert energy_sq(e1, vc) == pytest.approx(1.0 + c, rel=1e-14)
+    # the cross term a(e0, e1) = beta by polarization: a(e0 + e1) = a(e0) + a(e1) + 2 beta
     beta = 0.3
     v = trig_potential(1, 1.0, {(1,): 2 * beta})
-    assert a_inner(e0, e1, v) == pytest.approx(beta, rel=1e-13)
+    both = SpectralField.from_pairs(1, {(0,): 1.0, (1,): 1.0})
+    cross = 0.5 * (energy_sq(both, v) - energy_sq(e0, v) - energy_sq(e1, v))
+    assert cross == pytest.approx(beta, rel=1e-13)
 
 
-def test_a_inner_hermitian_and_coercive():
+def test_a_norm_coercive():
     v = trig_potential(1, 2.0, {(1,): 0.5})
     u = random_hermitian_field(1, 3, seed=41)
-    w = random_hermitian_field(1, 3, seed=42)
-    assert a_inner(u, w, v) == pytest.approx(np.conj(a_inner(w, u, v)), rel=1e-12)
-    quad = a_inner(u, u, v)
-    assert abs(quad.imag) <= 1e-12 * abs(quad.real)
-    assert quad.real >= v.nu_lower * hs_norm(u, 0.0) ** 2 * (1 - 1e-12)
+    assert energy_sq(u, v) >= v.nu_lower * hs_norm(u, 0.0) ** 2 * (1 - 1e-12)
+
+
+def oracle_a_inner(u, v, potential):
+    """(grad u, grad v) + (V u, v): each pairing looks its frequencies up in supp v."""
+    return _l2_pairing(u, v, kinetic=True) + _l2_pairing(multiply(potential.field, u), v, False)
+
+
+def _l2_pairing(a, b, kinetic):
+    """sum over common frequencies of w(G) * conj(a_G) * b_G."""
+    pos = b.support.positions(a.support)
+    keep = pos >= 0
+    terms = np.conj(a.coeffs[keep]) * b.coeffs[pos[keep]]
+    if kinetic:
+        terms = terms * a.support.norms_sq[keep].astype(np.float64)
+    return complex(np.sum(terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_a_norm_matches_the_pairing_form(dim, symmetric, seed):
+    """a_norm(u, V u) equals sqrt(max(0, Re a(u, u))) of the lookup form bit for bit.
+
+    V is a random verified potential, u a field on a random set (closed
+    under negation or not, possibly empty).
+    """
+    rng = np.random.default_rng(seed)
+    b = ball(2, dim)
+    neg = b.negation_permutation()
+    keep = rng.random(len(b)) < 0.4
+    keep |= keep[neg]
+    keep[0] = True  # V_0, first in canonical order
+    c = rng.normal(size=len(b)) + 1j * rng.normal(size=len(b))
+    c = 0.5 * c + 0.5 * np.conj(c[neg])
+    c[0] = 1.0 + np.sum(np.abs(c[keep][1:]))
+    potential = verify_potential(SpectralField(IndexSet(dim, b.entries[keep]), c[keep]))
+    region = ball(3, dim)
+    chosen = rng.random(len(region)) < rng.choice([0.0, 0.2, 0.5])
+    if symmetric:
+        chosen |= chosen[region.negation_permutation()]
+    support = IndexSet(dim, region.entries[chosen])
+    u = SpectralField(support, rng.normal(size=len(support)) + 1j * rng.normal(size=len(support)))
+    expected = math.sqrt(max(0.0, oracle_a_inner(u, u, potential).real))
+    assert a_norm(u, multiply(potential.field, u)) == expected
 
 
 # -- field plumbing -------------------------------------------------------
@@ -210,5 +227,5 @@ def test_coefficients_on_realizes_projection():
     f = random_hermitian_field(1, 4, seed=61)
     s = ball(2, 1)
     aligned = f.coefficients_on(s)
-    p = project(f, s)
-    assert np.allclose(aligned, p.coefficients_on(s))
+    pairs = dict(zip(f.support.to_list(), f.coeffs))
+    assert np.array_equal(aligned, [pairs.get(g, 0.0) for g in s.to_list()])

@@ -15,6 +15,7 @@ from adaptpw import (
     ball,
     eigenvalue_gap_check,
     fit_rates,
+    multiply,
     reference_solve,
     run_distances,
     run_eigen,
@@ -374,7 +375,7 @@ def source_errors_oracle(run, reference, potential):
         for w, u in zip(sols, reference):
             basis = union(u.support, w.support)
             e = SpectralField(basis, u.coefficients_on(basis) - w.coefficients_on(basis))
-            total += a_norm(e, potential) ** 2
+            total += a_norm(e, multiply(potential.field, e)) ** 2
         out.append(math.sqrt(total))
     return out
 
