@@ -19,6 +19,8 @@ A dense table over a box is the other way: `SumBox` numbers the cells of
 the smallest box holding every a_i + b_j row-major. That flat index is
 linear in G, so the index of a_i + b_j is an outer add of one int vector
 per summand, and a lookup is a table read with no key and no search.
+`pair_sum_box` takes the box when it has no more cells than there are
+pairs, and the callers fall back to keys otherwise (far-apart supports).
 """
 
 from __future__ import annotations
@@ -54,14 +56,19 @@ class KeyRangeError(ValueError):
     """Frequency sums that would leave the lattice key range."""
 
 
-def _sum_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """keys[i, j] = key(a[i] + b[j]) for (n, d) and (m, d) frequency arrays a, b."""
+def _check_sum_range(a: np.ndarray, b: np.ndarray) -> None:
+    """A KeyRangeError unless per component max|a_k| + max|b_k| < KEY_LIMIT."""
     reach_a, reach_b = (np.max(np.abs(x), axis=0, initial=0) for x in (a, b))
     if np.any(reach_a + reach_b >= KEY_LIMIT):
         raise KeyRangeError(
             f"frequency sums need max|a_k| + max|b_k| < 2^20 = {KEY_LIMIT}, "
             f"got maxima {reach_a.tolist()} and {reach_b.tolist()}"
         )
+
+
+def _sum_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """keys[i, j] = key(a[i] + b[j]) for (n, d) and (m, d) frequency arrays a, b."""
+    _check_sum_range(a, b)
     zero = lattice_keys(np.zeros((1, a.shape[1]), dtype=np.int64))
     return lattice_keys(a)[:, None] + (lattice_keys(b) - zero)[None, :]
 
@@ -267,13 +274,41 @@ def sum_box(a: np.ndarray, b: np.ndarray, max_cells: int) -> SumBox | None:
     return SumBox(lo, shape, strides, (a - a_lo) @ strides, (b - b_lo) @ strides)
 
 
+def pair_sum_box(a: np.ndarray, b: np.ndarray) -> SumBox | None:
+    """The SumBox of a and b when it has no more cells than the len(a) * len(b) pairs.
+
+    None when either array is empty or the box is larger: then a table over
+    it would cost more than one lattice key per pair.
+    """
+    return sum_box(a, b, len(a) * len(b)) if len(a) and len(b) else None
+
+
 def minkowski_sum(a: IndexSet, b: IndexSet) -> tuple[IndexSet, np.ndarray]:
-    """The set {a_i + b_j} and the position in it of each sum, i-major; one key per sum."""
+    """The set {a_i + b_j} and the position in it of each sum, i-major.
+
+    Over `pair_sum_box`, the occupied cells in ascending order are the sums
+    in ascending key order, and a table over the box maps each cell to its
+    canonical position. Otherwise one key per sum is looked up. Sums must
+    stay in key range either way (a KeyRangeError), and both give the same
+    set and positions.
+    """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    keys = _sum_keys(a.entries, b.entries).reshape(-1)
-    out = IndexSet._from_keys(a.dim, keys)
-    return out, out._lookup(keys)
+    box = pair_sum_box(a.entries, b.entries)
+    if box is None:
+        keys = _sum_keys(a.entries, b.entries).reshape(-1)
+        out = IndexSet._from_keys(a.dim, keys)
+        return out, out._lookup(keys)
+    _check_sum_range(a.entries, b.entries)
+    cell = (box.a_index[:, None] + box.b_index).reshape(-1)
+    occupied = np.zeros(box.cells, dtype=bool)
+    occupied[cell] = True
+    cells = np.flatnonzero(occupied)
+    points = np.stack(np.unravel_index(cells, box.shape), axis=1) + box.lo
+    out = IndexSet._from_keys(a.dim, lattice_keys(points))
+    table = np.empty(box.cells, dtype=np.int64)
+    table[cells] = out._rank
+    return out, table[cell]
 
 
 def union(a: IndexSet, b: IndexSet) -> IndexSet:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frequency import IndexSet, ball, sum_box, union, validate_symmetric
+from .frequency import IndexSet, ball, pair_sum_box, union, validate_symmetric
 from .spectral import SpectralField, evaluate_on_grid, norm_factor
 
 #: relative gap below which adjacent eigenvalues are treated as one
@@ -274,7 +274,7 @@ def _table_rows(
     position -1 reads an appended 0. Both read the same values, so the
     result is the same bit for bit.
     """
-    box = sum_box(a, b, len(a) * len(b)) if len(a) and len(b) else None
+    box = pair_sum_box(a, b)
     if box is None:
         v = np.append(values, 0)
         return lambda i, j: v[support.sum_positions(a[i:j], b)]

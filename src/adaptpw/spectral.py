@@ -9,8 +9,9 @@ In the adaptive loop, products V*u are realized as exact finite
 convolutions, never via FFT: adaptive supports are small and irregular,
 and exactness removes aliasing from the list of error sources that
 estimator certification has to cover. `multiply` takes the Minkowski sum
-of the supports and the position of every product in it from one
-lattice-key sum per pair and accumulates the products with one
+of the supports and the position of every product in it from
+`minkowski_sum` (a table over the sums' box, or one lattice key per pair
+for far-apart supports) and accumulates the products with one
 `np.bincount` per real and imaginary part. The (2*pi)^(-d/2) convolution
 factor is `norm_factor`.
 

@@ -29,7 +29,7 @@ from adaptpw import (
     union,
     validate_symmetric,
 )
-from adaptpw.frequency import KEY_LIMIT, sum_box
+from adaptpw.frequency import KEY_LIMIT, _sum_keys, minkowski_sum, pair_sum_box, sum_box
 from adaptpw.operator import _potential_rows
 
 # -- loop references ------------------------------------------------------------
@@ -259,6 +259,55 @@ def test_box_gather_on_both_sides_of_the_table_size_rule(dim):
     for a, b, table in ((s, -s, True), (s, s, True), (spread, -spread, False)):
         assert (sum_box(a, b, len(a) * len(b)) is not None) == table
         assert_box_gather_is_key_gather(vf, a, b)
+
+
+def key_minkowski_sum(a, b):
+    """The lattice-key search: one key per sum, looked up in the set of all keys."""
+    keys = _sum_keys(a.entries, b.entries).reshape(-1)
+    out = IndexSet._from_keys(a.dim, keys)
+    return out, out._lookup(keys)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_box_minkowski_sum_matches_key_search(data):
+    # near supports take the box, a support with entries at +-600,000 the
+    # keys; an empty support gives the empty set on both
+    dim = data.draw(dims)
+    kind = data.draw(st.sampled_from(["empty", "near", "far"]))
+    pts = data.draw(symmetric_points(dim, radius=data.draw(st.sampled_from([2, 6, 60]))))
+    if kind == "far":
+        far = np.zeros((dim, dim), dtype=np.int64)
+        far[np.diag_indices(dim)] = 600_000
+        pts = np.concatenate([pts, far, -far])
+    sets = [IndexSet(dim, pts[:0] if kind == "empty" else pts),
+            IndexSet(dim, data.draw(symmetric_points(dim, radius=3, max_size=12)))]
+    a, b = sets if data.draw(st.booleans()) else sets[::-1]
+    out, pos = minkowski_sum(a, b)
+    ref_out, ref_pos = key_minkowski_sum(a, b)
+    assert out.entries.tobytes() == ref_out.entries.tobytes()
+    assert out.keys.tobytes() == ref_out.keys.tobytes()
+    assert pos.dtype == ref_pos.dtype and pos.tobytes() == ref_pos.tobytes()
+    if kind != "near":
+        assert pair_sum_box(a.entries, b.entries) is None
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_minkowski_sum_takes_the_box_on_balls(dim):
+    a, b = ball(4, dim), ball(3, dim)
+    assert pair_sum_box(a.entries, b.entries) is not None
+    out, pos = minkowski_sum(a, b)
+    ref_out, ref_pos = key_minkowski_sum(a, b)
+    assert out.entries.tobytes() == ref_out.entries.tobytes()
+    assert pos.tobytes() == ref_pos.tobytes()
+
+
+def test_box_minkowski_sum_checks_the_key_range():
+    half = KEY_LIMIT // 2
+    a = IndexSet(1, [[half]])
+    assert pair_sum_box(a.entries, a.entries) is not None
+    with pytest.raises(ValueError, match=str(half)):
+        minkowski_sum(a, a)
 
 
 def test_sum_positions_rejects_summands_out_of_range():
