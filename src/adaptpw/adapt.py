@@ -5,8 +5,14 @@ solve step differs. The exact eigenvalue algorithm is the feasible one
 with the truncation policy pinned to "use everything" (finite-support
 potentials give finite exact residuals). The source problem starts from
 the empty index set (the first marking selects from the support of the
-data) and stops on the plain estimator, without the 1/(1+zeta) safety
-factor of the feasible eigenvalue loop.
+data).
+
+Every mode stops by tol on one certified test: the estimator plus B, the
+root-sum-square of its truncation bounds, bounds the exact estimator from
+above, and the loop stops once that bound is below tol. B = 0 for exact
+residuals, so the exact and source loops stop on the estimator itself;
+the feasible loop stops as soon as its actual truncation slack allows, not
+at the worst case eta_tilde < tol/(1+zeta).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from typing import NamedTuple
 from .estimator import (
     EstimatorValue,
     choose_truncation,
+    cluster_bound,
     cluster_estimate,
     eta_cluster,
     onset_offset_maxima,
@@ -178,9 +185,10 @@ def run_eigen(config: AdaptiveConfig, potential: Potential) -> AdaptiveRun:
     """Adaptive eigenvalue loop (feasible or exact estimator policy).
 
     Each solve is a dense eigensolve on the current set followed by the
-    exact residuals and the truncation policy. Stopping by tol uses
-    eta_tilde < tol/(1+zeta) so the exact estimator is certified below
-    tol on exit.
+    exact residuals and the truncation policy. A stop by tol certifies the
+    exact estimator below tol (`_refine`): eta_tilde * (1 + zeta_actual)
+    < tol, which the worst case eta_tilde < tol/(1+zeta) implies, since
+    the truncation policy keeps zeta_actual <= zeta.
     """
     if config.mode not in ("eigen-feasible", "eigen-exact"):
         raise ValueError(f"run_eigen requires an eigen mode, got {config.mode!r}")
@@ -205,7 +213,7 @@ def run_eigen(config: AdaptiveConfig, potential: Potential) -> AdaptiveRun:
         trunc_m, rs = choose_truncation(fields, lambdas, potential, zeta, rs_exact)
         return lambdas, rs_exact, rs, trunc_m, eta_cluster(rs_exact)
 
-    return _refine(run, potential, current, solve, config.tol / (1.0 + zeta))
+    return _refine(run, potential, current, solve)
 
 
 def run_source(
@@ -232,7 +240,7 @@ def run_source(
         values = [a_norm(w, r.product) for w, r in zip(solutions, rs)]
         return values, rs, rs, potential.support_radius(), None
 
-    return _refine(run, potential, IndexSet(config.dim), solve, config.tol)
+    return _refine(run, potential, IndexSet(config.dim), solve)
 
 
 def _refine(
@@ -240,16 +248,22 @@ def _refine(
     potential: Potential,
     current: IndexSet,
     solve: Callable[[IndexSet], tuple],
-    threshold: float,
 ) -> AdaptiveRun:
     """SOLVE -> ESTIMATE -> MARK -> REFINE from `current` until a stopping test holds.
 
     `solve(current)` returns the record values, the exact residuals, the
     residuals the estimator uses, the truncation radius, and eta_exact
     (None records the estimator itself). Stopping tests in order: the
-    estimator below `threshold`, no markable mass left, then the
+    certified bound below `config.tol`, no markable mass left, then the
     iteration and dof budgets. Otherwise bulk marking over off-set pairs
     and union refinement.
+
+    The certified bound is the larger of eta_tilde + B (B = `cluster_bound`
+    of the estimator's residuals) and the recorded eta_exact. In exact
+    arithmetic eta_exact <= eta_tilde + B; taking the larger of the two
+    makes the recorded eta_exact itself below tol on every stop by tol,
+    also when B = 0 and the two differ by the rounding of eta_cluster's
+    sqrt(...)**2.
     """
     config = run.config
     run.admissible = _check_admissibility(config, potential)
@@ -259,9 +273,11 @@ def _refine(
         values, rs_exact, rs, trunc_m, eta_exact = solve(current)
         estimate = cluster_estimate(rs)
         onset_max, overall_max = onset_offset_maxima(rs_exact)
+        if eta_exact is None:
+            eta_exact = estimate.total
 
         stop_reason = None
-        if estimate.total < threshold:
+        if max(eta_exact, estimate.total + cluster_bound(rs)) < config.tol:
             stop_reason = "tol"
         elif estimate.off_set_sq == 0.0:
             stop_reason = "exact"  # no markable mass left
@@ -285,7 +301,7 @@ def _refine(
                 dof_delta=len(current) - dof0,
                 values=tuple(values),
                 eta_tilde=estimate.total,
-                eta_exact=estimate.total if eta_exact is None else eta_exact,
+                eta_exact=eta_exact,
                 zeta_actual=estimate.zeta_actual,
                 truncation_M=trunc_m,
                 marked_pairs=mark.pairs_marked if mark is not None else 0,

@@ -421,8 +421,8 @@ def _random_decay_field(
     then shifted so the sampled minimum is at least 0.5. Arrays beyond
     physical memory are refused first, by a PotentialError.
     """
-    # tracemalloc peaks: ball(r_cut) takes 89-105 bytes a point of its cube
-    # (meshgrid, points, squares); the tail 30.5 an entry of its (4 r_cut)^2 + 1
+    # tracemalloc peaks: ball(r_cut) takes 97-124 bytes a kept point, below 112
+    # a point of its cube in 1D-3D; the tail 30.5 an entry of its (4 r_cut)^2 + 1
     # shell arrays, and 8 a point of ball(4 r_cut), bounded by its cube
     held = 112 * (2 * r_cut + 1) ** dim + 32 * (16 * r_cut**2 + 1) + 8 * (8 * r_cut + 1) ** dim
     npts = verification_grid(r_cut, dim, held)

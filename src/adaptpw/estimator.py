@@ -184,8 +184,8 @@ class EstimatorValue(NamedTuple):
     G and -G) outside the current index set and `pair_contribs[i]` the
     pair's total squared contribution across cluster members, in order of
     first encounter; pairs are atomic so any marked set built from them is
-    symmetric. `zeta_actual` is the certified ratio bound/total (0 for
-    exact residuals).
+    symmetric. `zeta_actual` is the certified ratio `cluster_bound`/total
+    (0 for exact residuals).
 
     `off_set_sq`, the markable mass, is the sum of all pair contributions.
     It equals total^2 up to the mass on the current set, which is zero in
@@ -199,6 +199,15 @@ class EstimatorValue(NamedTuple):
     pair_contribs: np.ndarray
     zeta_actual: float
     off_set_sq: float
+
+
+def cluster_bound(rs: list[Residual]) -> float:
+    """B, the root-sum-square of the members' truncation bounds.
+
+    By Minkowski (module docstring), eta_cluster of the exact residuals is
+    at most eta_cluster(rs) + B; B is 0 for exact residuals.
+    """
+    return math.sqrt(sum(r.truncation_bound**2 for r in rs))
 
 
 def cluster_estimate(rs: list[Residual]) -> EstimatorValue:
@@ -221,7 +230,7 @@ def cluster_estimate(rs: list[Residual]) -> EstimatorValue:
     order = np.argsort(first)
     pair_contribs = np.bincount(inverse, weights=np.concatenate(contribs))[order]
     total = math.sqrt(total_sq)
-    bound = math.sqrt(sum(r.truncation_bound**2 for r in rs))
+    bound = cluster_bound(rs)
     zeta_actual = bound / total if total > 0.0 else 0.0
     return EstimatorValue(
         total=total, pair_reps=reps[first[order]], pair_contribs=pair_contribs,

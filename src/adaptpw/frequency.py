@@ -186,16 +186,31 @@ class IndexSet:
 
 
 def ball(radius: int, dim: int) -> IndexSet:
-    """All lattice points G in Z^d with |G| <= radius, canonically ordered."""
+    """All lattice points G in Z^d with |G| <= radius, canonically ordered.
+
+    Built line by line, as `ball_size` counts: each point of the first
+    dim-1 components with squared norm q holds the keys of its line of
+    2*isqrt(radius^2 - q) + 1 points along the last axis, so no cube of
+    (2*radius+1)^dim points is formed.
+    """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if not 1 <= dim <= 3:
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
-    rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    keep = np.sum(pts * pts, axis=1) <= radius * radius
-    return IndexSet(dim, pts[keep])
+    if radius >= KEY_LIMIT:
+        raise ValueError(f"frequency components must satisfy |G_k| < 2^20 = {KEY_LIMIT}")
+    r2 = radius * radius
+    line = np.arange(-radius, radius + 1, dtype=np.int64)
+    q = np.zeros(1, dtype=np.int64)
+    keys = np.zeros(1, dtype=np.int64)  # keys of (first components, 0), less key(0) on the last
+    for shift in _shifts(dim)[:-1]:
+        q = (q[:, None] + line * line).ravel()
+        keys = (keys[:, None] + ((line + KEY_LIMIT) << shift)).ravel()
+        keys, q = keys[q <= r2], q[q <= r2]
+    half = np.floor(np.sqrt(r2 - q)).astype(np.int64)  # exact while r2 < 2^52
+    count = 2 * half + 1
+    first = np.repeat(keys + KEY_LIMIT - half - (np.cumsum(count) - count), count)
+    return IndexSet._from_keys(dim, first + np.arange(first.size))
 
 
 def ball_size(radius: int, dim: int) -> int:

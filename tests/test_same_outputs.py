@@ -40,3 +40,19 @@ def test_differing_files(tmp_path):
     (b / "marked_sets.jsonl").write_text("{}\n")
     assert differing_files(a, b) == ["marked_sets.jsonl"]
     assert differing_files(b, a) == ["marked_sets.jsonl"]
+
+
+def test_first_difference_names_the_line_and_both_lengths(tmp_path):
+    first_difference = _tool().first_difference
+    a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
+    a.write_text("n,eta\n0,1.0\n1,0.5\n2,0.25\n")
+    b.write_text("n,eta\n0,1.0\n1,0.5\n")  # the change stops one row earlier
+    c.write_text("n,eta\n0,1.0\n1,0.6\n2,0.25\n")
+    assert first_difference(a, b) == (
+        "first difference at line 4; lines: parent 4, change 3\n"
+        "  parent: 2,0.25\n  change: <end of file>"
+    )
+    assert first_difference(a, c) == (
+        "first difference at line 3; lines: parent 4, change 4\n"
+        "  parent: 1,0.5\n  change: 1,0.6"
+    )

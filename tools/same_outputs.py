@@ -8,7 +8,9 @@ and arguments come from `perfbench/workloads.py`) runs once through the
 OPENBLAS_NUM_THREADS=2 (outputs depend on the BLAS thread count). The two
 output directories must hold the same files with the same bytes;
 summary.json is compared without `wall_time_s` and the output directory.
-Each differing file is printed and the exit code is 1 on any difference.
+Each differing file is printed, a CSV or JSONL file with its first
+differing line on each side and both line counts, and the exit code is 1
+on any difference.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: summary.json keys that differ between identical runs
 _RUN_KEYS = ("wall_time_s",)
+
+#: line-oriented outputs, whose first differing line is printed
+_TEXT_SUFFIXES = (".csv", ".jsonl")
 
 
 def _summary(path: Path) -> dict:
@@ -49,6 +54,17 @@ def differing_files(a: Path, b: Path) -> list[str]:
         elif pa.read_bytes() != pb.read_bytes():
             out.append(name)
     return out
+
+
+def first_difference(a: Path, b: Path) -> str:
+    """The first line where text files a and b differ, each side's text there, both line counts."""
+    lines = [p.read_text().splitlines() for p in (a, b)]
+    n = next((i for i, (x, y) in enumerate(zip(*lines)) if x != y), min(map(len, lines)))
+    text = [f[n] if n < len(f) else "<end of file>" for f in lines]
+    return (
+        f"first difference at line {n + 1}; lines: parent {len(lines[0])}, change {len(lines[1])}\n"
+        f"  parent: {text[0]}\n  change: {text[1]}"
+    )
 
 
 def _run(src: Path, cli_args: list[str]) -> None:
@@ -90,6 +106,9 @@ def main(argv: list[str] | None = None) -> int:
                     for file in differing_files(*outdirs):
                         differing += 1
                         print(f"differs: {member}/{file}")
+                        pair = [d / file for d in outdirs]
+                        if file.endswith(_TEXT_SUFFIXES) and all(p.is_file() for p in pair):
+                            print(first_difference(*pair))
     print(f"{differing} of {files} files differ")
     return 1 if differing else 0
 
