@@ -202,13 +202,15 @@ def ball(radius: int, dim: int) -> IndexSet:
     r2 = radius * radius
     line = np.arange(-radius, radius + 1, dtype=np.int64)
     q = np.zeros(1, dtype=np.int64)
-    keys = np.zeros(1, dtype=np.int64)  # keys of (first components, 0), less key(0) on the last
+    keys = np.zeros(1, dtype=np.int64)  # key(P, t) - (t + KEY_LIMIT) of each prefix P
     for shift in _shifts(dim)[:-1]:
         q = (q[:, None] + line * line).ravel()
         keys = (keys[:, None] + ((line + KEY_LIMIT) << shift)).ravel()
         keys, q = keys[q <= r2], q[q <= r2]
     half = np.floor(np.sqrt(r2 - q)).astype(np.int64)  # exact while r2 < 2^52
     count = 2 * half + 1
+    # line i holds t = -half[i]..half[i]; entry j of the concatenated lines
+    # is its (j - start[i])-th point
     first = np.repeat(keys + KEY_LIMIT - half - (np.cumsum(count) - count), count)
     return IndexSet._from_keys(dim, first + np.arange(first.size))
 
