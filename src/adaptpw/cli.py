@@ -20,8 +20,8 @@ Potential families:
   trig          c + sum_k a_k cos(k . x), terms listing integer k and a
   random-decay  seeded coefficients |V_G| = A (1+|G|^2)^(-p/2) for
                 |G| <= r_cut with random phases, Hermitian-symmetrized,
-                then shifted so min V >= 0.5 on the verification grid
-                (the shift is recorded in the summary)
+                then shifted so min V >= 0.5 on a grid of 4 (r_cut+1)
+                points per axis (the shift is recorded in the summary)
   explicit      raw (index, re, im) coefficient triples
 
 "rhs" (source mode only) lists one coefficient-triple list per
@@ -42,6 +42,7 @@ is refused up front (`preflight`, `operator.verification_grid`).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -425,7 +426,9 @@ def _random_decay_field(
     # a point of its cube in 1D-3D; the tail 30.5 an entry of its (4 r_cut)^2 + 1
     # shell arrays, and 8 a point of ball(4 r_cut), bounded by its cube
     held = 112 * (2 * r_cut + 1) ** dim + 32 * (16 * r_cut**2 + 1) + 8 * (8 * r_cut + 1) ** dim
-    npts = verification_grid(r_cut, dim, held)
+    # the shift samples 4 (r_cut + 1) points, not the smooth size, so that every
+    # seeded potential keeps its coefficients bit for bit
+    npts = verification_grid(r_cut, dim, held, smooth=False)
     support = ball(r_cut, dim)
     phases = np.array(_uniform_phases(seed, len(support)))
     mags = amplitude * (1.0 + support.norms_sq.astype(np.float64)) ** (-p / 2.0)
@@ -829,6 +832,13 @@ def matched_error_comparison(
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The modules, classes and numpy state built at import time go to the
+    # permanent generation, so the interpreter's three shutdown collections
+    # traverse only what the run allocates. Only the first call in a process
+    # freezes: a later one would make the garbage an in-process caller left
+    # between calls uncollectable.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     parser = argparse.ArgumentParser(
         prog="adaptpw", description="Adaptive planewave experiment runner"
     )

@@ -168,7 +168,8 @@ class Potential(NamedTuple):
 def verify_potential(field: SpectralField) -> Potential:
     """Verify positivity bounds of a potential by exact grid sampling.
 
-    The grid has 4*(ceil(max |K|) + 1) points per axis; a trigonometric
+    The grid has at least 4*(ceil(max |K|) + 1) points per axis, rounded up
+    to a 2,3,5-smooth size (`verification_grid`); a trigonometric
     polynomial is evaluated exactly at grid points (folded inverse FFT),
     and the reported bounds carry a 1e-12 relative round-off margin. The
     FFT's own round-off stays below 1e-13 * max(1, (2*pi)^(-d/2) sum |V_K|)
@@ -229,14 +230,17 @@ def verify_potential(field: SpectralField) -> Potential:
     )
 
 
-def verification_grid(radius: int, dim: int, held: int = 0) -> int:
-    """Points per axis, 4 (radius + 1), of the grid that samples a potential of radius `radius`.
+def verification_grid(radius: int, dim: int, held: int = 0, smooth: bool = True) -> int:
+    """Points per axis of the grid that samples a potential of radius `radius`.
 
-    A PotentialError is raised, before anything is allocated, when sampling
-    on it (`GRID_CELL_BYTES` a cell) beside `held` bytes the caller needs at
-    the same time would take more than physical memory.
+    That is the least 2,3,5-smooth size >= 4 (radius + 1) (`smooth_size`;
+    an FFT of a size with a large prime factor is up to ten times slower),
+    or 4 (radius + 1) itself when `smooth` is false. A PotentialError is
+    raised, before anything is allocated, when sampling on it
+    (`GRID_CELL_BYTES` a cell) beside `held` bytes the caller needs at the
+    same time would take more than physical memory.
     """
-    npts = 4 * (radius + 1)
+    npts = smooth_size(4 * (radius + 1)) if smooth else 4 * (radius + 1)
     need, limit = GRID_CELL_BYTES * npts**dim + held, physical_memory()
     if need > limit:
         raise PotentialError(
@@ -337,12 +341,16 @@ class CosSinCoordinates(NamedTuple):
 
 
 def grid_points(radius: int, reach: int) -> int:
-    """Smallest 2,3,5-smooth N >= 2 radius + reach + 1 (see `ReferenceOperator`).
+    """Smallest 2,3,5-smooth N >= 2 radius + reach + 1 (see `ReferenceOperator`)."""
+    return smooth_size(2 * radius + reach + 1)
+
+
+def smooth_size(n: int) -> int:
+    """Smallest 2,3,5-smooth size >= n >= 1, an FFT length pocketfft is fast on.
 
     Each 2^i 3^j below the power of two that bounds it is completed by the
-    least power of 5 reaching the target, O(log^3) work for any radius.
+    least power of 5 reaching n, O(log^3) work for any n.
     """
-    n = 2 * radius + reach + 1
     best = 1 << (n - 1).bit_length()
     p2 = 1
     while p2 < best:

@@ -114,6 +114,18 @@ def test_random_decay_family_properties():
     assert np.allclose(mags[keep], law[keep], rtol=1e-12)
 
 
+def test_random_decay_shift_grid_is_not_rounded():
+    # 4 (6 + 1) = 28 is not 2,3,5-smooth: the shift samples those 28 points,
+    # so the family's coefficients do not depend on the rounding, while the
+    # positivity check samples the smooth size 30
+    spec = {"family": "random-decay", "amplitude": 1.0, "p": 2.5, "r_cut": 6}
+    pot, meta = build_potential(spec, 1, seed=3)
+    assert meta["positivity_shift"] > 0.0
+    assert abs(evaluate_on_grid(pot.field, 28).min() - 0.5) <= 1e-12
+    assert meta["nu_lower"] == pytest.approx(evaluate_on_grid(pot.field, 30).min(), abs=1e-11)
+    assert meta["nu_lower"] < 0.5 - 1e-3
+
+
 def test_explicit_family_requires_hermitian():
     spec = {
         "family": "explicit",
@@ -844,6 +856,32 @@ def test_import_does_not_load_dataclasses():
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
     )
     assert out.stdout.split() == ["False"]
+
+
+def test_main_freezes_the_import_heap_once_per_process(tmp_path):
+    # in a fresh interpreter, so the pytest heap is not frozen here: the first
+    # main freezes what imports built, a second one freezes nothing, so a cycle
+    # made between the calls stays collectable. Automatic collection is off, so
+    # only the explicit gc.collect() can free the cycle.
+    config = str(write_config(tmp_path, minimal_config()))
+    code = (
+        "import gc, weakref, adaptpw.cli\n"
+        "class Node: pass\n"
+        f"def run(out): return adaptpw.cli.main(['run', {config!r}, '--quiet', '--out', out])\n"
+        "gc.disable()\n"
+        f"first = run({str(tmp_path / 'a')!r})\n"
+        "frozen = gc.get_freeze_count()\n"
+        "node = Node(); node.cycle = node; watch = weakref.ref(node); del node\n"
+        f"second = run({str(tmp_path / 'b')!r})\n"
+        "refrozen = gc.get_freeze_count()\n"
+        "gc.collect()\n"
+        "print(first, second, frozen > 0, refrozen == frozen, watch() is None)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert out.stdout.split() == ["0", "0", "True", "True", "True"]
 
 
 def random_decay_run_modules(mode, problem=None):

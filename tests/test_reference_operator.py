@@ -164,6 +164,15 @@ def test_grid_points_is_the_smallest_smooth_size():
     assert operator.grid_points(10**12, 2 * 10**12) == 4016775629952
 
 
+def test_verification_grid_has_a_smooth_size():
+    # pocketfft is slow on sizes with a large prime factor (4 (600000 + 1) =
+    # 4 19 23 1373); a smooth size of at least 4 (r + 1) samples as exactly
+    for radius in range(3001):
+        npts = operator.verification_grid(radius, 1)
+        assert smooth(npts) and npts >= 4 * (radius + 1)
+        assert npts == 4 * (radius + 1) or not smooth(4 * (radius + 1))
+
+
 def test_reference_solve_memory_is_linear_in_n(compare2d_potential, compare2d_reference):
     # the compare2d reference, 797 frequencies: block vectors, the FFT grid
     # and a Schur block of 64 rows, as `solve_bytes` models them, stay well
