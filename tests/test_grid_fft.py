@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptpw import IndexSet, SpectralField, verify_potential
+from adaptpw.operator import verification_grid
 from adaptpw.spectral import FieldError, evaluate_on_grid
 
 #: measured worst case 1.9e-15 in 3D; the bound leaves room for other BLAS/FFT builds
@@ -80,7 +81,7 @@ def test_fft_grid_matches_direct_sum(data):
 def test_verify_potential_brackets_direct_sum(data):
     dim = data.draw(st.sampled_from([1, 2, 3]))
     f = data.draw(random_field(dim, 3, True))
-    npts = 4 * (int(math.ceil(f.support.max_radius() - 1e-12)) + 1)  # verification grid
+    npts = verification_grid(int(math.ceil(f.support.max_radius() - 1e-12)), dim)
     # shift the mean so the reference minimum is 1
     coeffs = f.coeffs.copy()
     coeffs[f.support.index_of((0,) * dim)] += (1.0 - ref_evaluate(f, npts).real.min()) * (
