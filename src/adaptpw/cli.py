@@ -20,8 +20,8 @@ Potential families:
   trig          c + sum_k a_k cos(k . x), terms listing integer k and a
   random-decay  seeded coefficients |V_G| = A (1+|G|^2)^(-p/2) for
                 |G| <= r_cut with random phases, Hermitian-symmetrized,
-                then shifted so min V >= 0.5 on a grid of 4 (r_cut+1)
-                points per axis (the shift is recorded in the summary)
+                then shifted so min V >= 0.5 on the verification grid
+                (the shift is recorded in the summary)
   explicit      raw (index, re, im) coefficient triples
 
 "rhs" (source mode only) lists one coefficient-triple list per
@@ -419,16 +419,15 @@ def _random_decay_field(
     Magnitudes follow A (1+|G|^2)^(-p/2) exactly up to |G| <= r_cut; one
     phase is drawn per +-pair (in canonical support order) and assigned
     conjugately, so Hermitian symmetry holds by construction. The mean is
-    then shifted so the sampled minimum is at least 0.5. Arrays beyond
+    then shifted so its minimum on the verification grid, the one
+    `verify_potential` samples, is at least 0.5. Arrays beyond
     physical memory are refused first, by a PotentialError.
     """
     # tracemalloc peaks: ball(r_cut) takes 97-124 bytes a kept point, below 112
     # a point of its cube in 1D-3D; the tail 30.5 an entry of its (4 r_cut)^2 + 1
     # shell arrays, and 8 a point of ball(4 r_cut), bounded by its cube
     held = 112 * (2 * r_cut + 1) ** dim + 32 * (16 * r_cut**2 + 1) + 8 * (8 * r_cut + 1) ** dim
-    # the shift samples 4 (r_cut + 1) points, not the smooth size, so that every
-    # seeded potential keeps its coefficients bit for bit
-    npts = verification_grid(r_cut, dim, held, smooth=False)
+    npts = verification_grid(r_cut, dim, held)
     support = ball(r_cut, dim)
     phases = np.array(_uniform_phases(seed, len(support)))
     mags = amplitude * (1.0 + support.norms_sq.astype(np.float64)) ** (-p / 2.0)

@@ -230,17 +230,16 @@ def verify_potential(field: SpectralField) -> Potential:
     )
 
 
-def verification_grid(radius: int, dim: int, held: int = 0, smooth: bool = True) -> int:
+def verification_grid(radius: int, dim: int, held: int = 0) -> int:
     """Points per axis of the grid that samples a potential of radius `radius`.
 
     That is the least 2,3,5-smooth size >= 4 (radius + 1) (`smooth_size`;
-    an FFT of a size with a large prime factor is up to ten times slower),
-    or 4 (radius + 1) itself when `smooth` is false. A PotentialError is
-    raised, before anything is allocated, when sampling on it
-    (`GRID_CELL_BYTES` a cell) beside `held` bytes the caller needs at the
-    same time would take more than physical memory.
+    an FFT of a size with a large prime factor is up to ten times slower).
+    A PotentialError is raised, before anything is allocated, when sampling
+    on it (`GRID_CELL_BYTES` a cell) beside `held` bytes the caller needs at
+    the same time would take more than physical memory.
     """
-    npts = smooth_size(4 * (radius + 1)) if smooth else 4 * (radius + 1)
+    npts = smooth_size(4 * (radius + 1))
     need, limit = GRID_CELL_BYTES * npts**dim + held, physical_memory()
     if need > limit:
         raise PotentialError(
