@@ -27,6 +27,15 @@ Potential families:
 "rhs" (source mode only) lists one coefficient-triple list per
 right-hand side.
 
+A run is one sequence of phases, each entered on a mode test
+(`run_experiment`): the adaptive loop (every mode but uniform), the
+reference (the certified eigen reference for uniform runs and for eigen
+or compare runs with verification on; source mode's complex solve), the
+distances to it, the run's files and rate fit, the uniform sweep
+(uniform, compare), the comparison (compare) and the summary. A run
+prints one progress line for its mode and one naming summary.json
+(`--quiet` suppresses both).
+
 Outputs: iterations.csv (one row per adaptive iteration; wall time is
 reported in summary.json only so reruns are byte-identical),
 summary.json, marked_sets.jsonl, and in uniform/compare modes
@@ -58,9 +67,9 @@ from .adapt import MODES, AdaptiveConfig, AdaptiveRun, ParameterError, run_eigen
 from .frequency import KEY_LIMIT, KeyRangeError, ball, ball_size, shell_counts
 from .marking import MarkingError
 from .operator import (
-    BLOCK_GUARD, BLOCK_GUARD_GROWS, Potential, PotentialError, ReferenceOperator, SolverError,
-    grid_points, physical_memory, solve_bytes, solve_eigen_block, solve_source, verification_grid,
-    verify_potential,
+    LOOP_SOLVE_BYTES, SOURCE_REFERENCE_BYTES, Potential, PotentialError, ReferenceOperator,
+    SolverError, eigen_reference_bytes, physical_memory, solve_eigen_block, solve_source,
+    verification_grid, verify_potential,
 )
 from .spectral import SpectralField, evaluate_on_grid
 from .verify import (
@@ -253,16 +262,6 @@ def validate_config(
     return config
 
 
-#: peak bytes per n^2 of source mode's reference on n frequencies, measured
-#: with ru_maxrss (numpy 2.4, OpenBLAS): the complex `solve_source` holds its
-#: matrix, the Cholesky factor and the LU copy of the solve.
-SOURCE_REFERENCE_BYTES = 51
-
-#: peak bytes per n^2 of the adaptive loop's first solve on ball(M0), its complex
-#: `assemble` and `eigh`, measured the same way: 80.9-81.4 at n = 2453-3209, 1D-3D
-LOOP_SOLVE_BYTES = 82
-
-
 def check_ball_memory(field_path: str, radius: int, dim: int, bytes_of: Callable) -> None:
     """Reject, as a ConfigError on `field_path`, a ball whose solve needs more than physical memory.
 
@@ -283,18 +282,6 @@ def check_ball_memory(field_path: str, radius: int, dim: int, bytes_of: Callable
             f"the ball of radius {radius} in {dim}D has at least {n} frequencies; "
             f"its solve needs {bytes_of(n)} bytes, more than the {limit} bytes of physical memory",
         )
-
-
-def eigen_reference_bytes(config: ExperimentConfig, n: int) -> int:
-    """Modelled peak of the matrix-free eigen reference on n frequencies (`solve_bytes`).
-
-    Its block is the largest the guard grows to, and its grid the one for a
-    potential reaching 2 M_ref, the farthest that couples the ball. A
-    compare or uniform sweep solves smaller balls after the reference solve
-    has freed its block vectors, beside the reference's few columns.
-    """
-    block = config.algorithm.k0 + config.algorithm.n_eigs + 1 + BLOCK_GUARD * 2**BLOCK_GUARD_GROWS
-    return solve_bytes(n, grid_points(config.m_ref, 2 * config.m_ref), config.dim, block)
 
 
 def _check_ball_holds_cluster(field_path: str, radius: int, algo: AdaptiveConfig) -> None:
@@ -340,7 +327,8 @@ def preflight(config: ExperimentConfig) -> None:
         )
     elif config.enable_subspace_distance or mode == "uniform":
         check_ball_memory(
-            "verification.M_ref", config.m_ref, algo.dim, lambda n: eigen_reference_bytes(config, n)
+            "verification.M_ref", config.m_ref, algo.dim,
+            lambda n: eigen_reference_bytes(n, algo.dim, config.m_ref, algo.k0, algo.n_eigs),
         )
         _check_ball_holds_cluster("verification.M_ref", config.m_ref, algo)
 
@@ -351,8 +339,10 @@ def preflight(config: ExperimentConfig) -> None:
 def build_potential(spec: dict, dim: int, seed: int | None = None) -> tuple[Potential, dict]:
     """Construct and verify a potential from a family spec.
 
-    Returns the potential and a metadata dict (seed, positivity shift,
-    and the recorded coefficient-tail modeling error for random-decay).
+    Returns the potential and a metadata dict: its bounds, the certified
+    lower bound among them (`Potential.certified_lower`), and for
+    random-decay the seed, positivity shift and coefficient-tail modeling
+    error.
     """
     family = spec["family"]
     norm = (2.0 * math.pi) ** (dim / 2.0)
@@ -406,7 +396,8 @@ def build_potential(spec: dict, dim: int, seed: int | None = None) -> tuple[Pote
     except PotentialError as exc:
         raise ConfigError("problem.potential", str(exc)) from exc
     meta.update(
-        nu_lower=potential.nu_lower, nu_upper=potential.nu_upper, l1_total=potential.l1_total
+        nu_lower=potential.nu_lower, nu_lower_certified=potential.certified_lower(),
+        nu_upper=potential.nu_upper, l1_total=potential.l1_total,
     )
     return potential, meta
 
@@ -674,46 +665,10 @@ def _write_gnuplot_script(path: Path, mode: str) -> None:
 # -- experiment orchestration -------------------------------------------------
 
 
-def _write_run(
-    outdir: Path, summary: RunSummary, run: AdaptiveRun, distances: list[float] | None,
-    errors: list[float] | None,
-) -> None:
-    """Write iterations.csv and marked_sets.jsonl and record the run in the summary.
-
-    Rates are fitted to `errors` when it has at least 4 entries, all positive.
-    """
-    fit = None
-    if errors is not None and len(errors) >= 4 and all(e > 0.0 for e in errors):
-        fit = fit_rates(run.records, errors)
-    write_iterations_csv(outdir / "iterations.csv", run, distances)
-    write_marked_sets(outdir / "marked_sets.jsonl", run)
-    summary.data["files"].update(iterations="iterations.csv", marked_sets="marked_sets.jsonl")
-    summary.data.update(
-        termination_reason=run.termination_reason,
-        iterations=len(run.records),
-        final_dof=len(run.final_index_set),
-        rate_fits=None if fit is None else fit._asdict(),
-    )
-
-
-def _uniform_step(
-    outdir: Path, summary: RunSummary, config: ExperimentConfig, potential: Potential,
-    ref: ReferenceSolution, m_hi: int,
-) -> list[SweepRow]:
-    """Uniform sweep over radii M0..min(m_hi, M_ref), written to uniform.csv.
-
-    The clamp keeps every swept ball inside the reference ball.
-    """
-    m_list = list(range(config.algorithm.M0, min(m_hi, config.m_ref) + 1))
-    rows = uniform_sweep(potential, config.algorithm.k0, config.algorithm.n_eigs, m_list, ref)
-    write_uniform_csv(outdir / "uniform.csv", rows)
-    summary.data["files"]["uniform"] = "uniform.csv"
-    return rows
-
-
 def run_experiment(config: ExperimentConfig, quiet: bool = False) -> RunSummary:
     """Execute the configured experiment and write artifacts to disk.
 
+    Every mode runs one sequence of phases, each entered on a mode test.
     The potential and right-hand sides are built before the output
     directory is created, so a config they reject leaves no directory.
     """
@@ -726,83 +681,95 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> RunSummary:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError("output.directory", f"cannot create {outdir}: {exc}") from exc
+    data: dict = {"config": config.raw, "mode": mode, "seed": config.seed, "potential": pot_meta}
+    files = data["files"] = {}
 
-    summary = RunSummary(
-        {"config": config.raw, "mode": mode, "seed": config.seed, "potential": pot_meta,
-         "files": {}}
-    )
-
-    def say(msg: str) -> None:
-        if not quiet:
-            print(msg)
-
+    run = ref = distances = None
     if mode == "source":
         run = run_source(algo, potential, rhs)
-        errors = None
-        if config.enable_subspace_distance:
-            ref_sols = solve_source(ball(config.m_ref, config.dim), potential, rhs)
-            errors = source_errors(run, ref_sols, potential)
-        _write_run(outdir, summary, run, errors, errors)
-        summary.data["final_solution_norms"] = list(run.records[-1].values)
-        say(
-            f"source: {run.termination_reason} after {len(run.records)} iterations, "
+    elif mode != "uniform":
+        run = run_eigen(algo, potential)
+
+    if mode == "uniform" or (mode != "source" and config.enable_subspace_distance):
+        ref = reference_solve(potential, algo.k0, algo.n_eigs, config.m_ref)
+        data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
+        data["reference_solver"] = ref.solver._asdict()
+
+    if mode == "source" and config.enable_subspace_distance:
+        ref_sols = solve_source(ball(config.m_ref, config.dim), potential, rhs)
+        distances = source_errors(run, ref_sols, potential)
+    elif run is not None and ref is not None:
+        data["cluster_gaps"] = dict(zip(("ok", "below", "above"), eigenvalue_gap_check(ref)))
+        try:
+            report = run_distances(run, ref)
+            distances = report.totals
+            data["per_group_distances"] = report.per_group
+        except CoverageError as exc:
+            if mode == "compare":
+                raise ConfigError(
+                    "verification.M_ref",
+                    f"compare mode needs every iterate inside the reference ball: {exc}",
+                ) from exc
+            data["verification_skipped"] = str(exc)
+
+    if run is not None:
+        # without a reference an eigen run's rates are fitted to its estimator
+        errors = distances
+        if errors is None and mode != "source":
+            errors = [rec.eta_exact for rec in run.records]
+        fitted = errors is not None and len(errors) >= 4 and all(e > 0.0 for e in errors)
+        data.update(
+            termination_reason=run.termination_reason,
+            iterations=len(run.records),
+            final_dof=len(run.final_index_set),
+            rate_fits=fit_rates(run.records, errors)._asdict() if fitted else None,
+        )
+        write_iterations_csv(outdir / "iterations.csv", run, distances)
+        write_marked_sets(outdir / "marked_sets.jsonl", run)
+        files.update(iterations="iterations.csv", marked_sets="marked_sets.jsonl")
+        if mode == "source":
+            data["final_solution_norms"] = list(run.records[-1].values)
+        else:
+            data["final_eigenvalues"] = [float(x) for x in run.final_cluster.eigenvalues]
+            if mode != "compare":
+                data["admissible_parameters"] = run.admissible
+        progress = (
+            f"{mode}: {run.termination_reason} after {len(run.records)} iterations, "
             f"dof {len(run.final_index_set)}"
         )
-    elif mode == "uniform":
-        ref = reference_solve(potential, algo.k0, algo.n_eigs, config.m_ref)
-        m_hi = max(algo.M0 + 1, config.m_ref // 2)
-        rows = _uniform_step(outdir, summary, config, potential, ref, m_hi)
-        summary.data["termination_reason"] = "max_dof"  # sweep budget exhausted
-        summary.data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
-        summary.data["reference_solver"] = ref.solver._asdict()
-        say(f"uniform sweep: {len(rows)} radii")
-    else:
-        run = run_eigen(algo, potential)
-        distances = ref = None
-        if config.enable_subspace_distance:
-            ref = reference_solve(potential, algo.k0, algo.n_eigs, config.m_ref)
-            gap_ok, gap_below, gap_above = eigenvalue_gap_check(ref)
-            summary.data["reference_eigenvalues"] = [float(x) for x in ref.cluster.eigenvalues]
-            summary.data["reference_solver"] = ref.solver._asdict()
-            summary.data["cluster_gaps"] = {"ok": gap_ok, "below": gap_below, "above": gap_above}
-            try:
-                report = run_distances(run, ref)
-                distances = report.totals
-                summary.data["per_group_distances"] = report.per_group
-            except CoverageError as exc:
-                if mode == "compare":
-                    raise ConfigError(
-                        "verification.M_ref",
-                        f"compare mode needs every iterate inside the reference ball: {exc}",
-                    ) from exc
-                summary.data["verification_skipped"] = str(exc)
-        errors = distances if distances is not None else [rec.eta_exact for rec in run.records]
-        _write_run(outdir, summary, run, distances, errors)
-        summary.data["final_eigenvalues"] = [float(x) for x in run.final_cluster.eigenvalues]
-        if mode != "compare":
-            summary.data["admissible_parameters"] = run.admissible
-            say(
-                f"{mode}: {run.termination_reason} after {len(run.records)} iterations, "
-                f"dof {len(run.final_index_set)}"
-            )
+
+    if mode in ("uniform", "compare"):
+        # radii M0..m_hi, clamped so every swept ball lies inside the reference ball
+        if run is None:
+            m_hi = max(algo.M0 + 1, config.m_ref // 2)
+            data["termination_reason"] = "max_dof"  # sweep budget exhausted
         else:
             m_hi = int(math.ceil(run.final_index_set.max_radius())) + 1
-            rows = _uniform_step(outdir, summary, config, potential, ref, m_hi)
-            comparison = matched_error_comparison(run, distances, rows)
-            write_comparison_csv(outdir / "comparison.csv", comparison)
-            summary.data["files"]["comparison"] = "comparison.csv"
-            summary.data["comparison"] = comparison
-            say(
-                f"compare: adaptive dof {comparison['adaptive_dof']} vs uniform "
-                f"{comparison['uniform_dof']} at matched error"
-            )
+        m_list = list(range(algo.M0, min(m_hi, config.m_ref) + 1))
+        rows = uniform_sweep(potential, algo.k0, algo.n_eigs, m_list, ref)
+        write_uniform_csv(outdir / "uniform.csv", rows)
+        files["uniform"] = "uniform.csv"
+        progress = f"uniform sweep: {len(rows)} radii"
 
+    if mode == "compare":
+        comparison = data["comparison"] = matched_error_comparison(run, distances, rows)
+        write_comparison_csv(outdir / "comparison.csv", comparison)
+        files["comparison"] = "comparison.csv"
+        progress = (
+            f"compare: adaptive dof {comparison['adaptive_dof']} vs uniform "
+            f"{comparison['uniform_dof']} at matched error"
+        )
+
+    if not quiet:
+        print(progress)
     if "gnuplot" in config.formats:
         _write_gnuplot_script(outdir / "plots.gp", mode)
-        summary.data["files"]["gnuplot"] = "plots.gp"
-    summary.data["wall_time_s"] = time.perf_counter() - t_start
+        files["gnuplot"] = "plots.gp"
+    data["wall_time_s"] = time.perf_counter() - t_start
+    summary = RunSummary(data)
     summary.write(outdir / "summary.json")
-    say(f"wrote {outdir / 'summary.json'}")
+    if not quiet:
+        print(f"wrote {outdir / 'summary.json'}")
     return summary
 
 

@@ -79,6 +79,15 @@ BLOCK_BYTES = 8 * 16
 #: copy and the factor; ru_maxrss grew by 25.2 n^2 at n = 1961
 DENSE_CERT_BYTES = 32
 
+#: peak bytes per n^2 of source mode's reference on n frequencies, measured
+#: with ru_maxrss (numpy 2.4, OpenBLAS): the complex `solve_source` holds its
+#: matrix, the Cholesky factor and the LU copy of the solve.
+SOURCE_REFERENCE_BYTES = 51
+
+#: peak bytes per n^2 of the adaptive loop's first solve on ball(M0), its complex
+#: `assemble` and `eigh`, measured the same way: 80.9-81.4 at n = 2453-3209, 1D-3D
+LOOP_SOLVE_BYTES = 82
+
 #: bytes per k n of a count certificate's Schur block of k on n coordinates
 #: (`schur_bytes`): the gathered rows (8) and, while they are gathered, the
 #: sum-box tables they are read from and one block of each temporary
@@ -133,9 +142,10 @@ class Potential(NamedTuple):
     """A real, finite-support potential with verified pointwise bounds.
 
     nu_lower/nu_upper bound V on the verification grid (minus/plus a
-    round-off margin); alpha_lower = min(nu_lower, 1) and
-    alpha_upper = max(nu_upper, 1) are the energy-norm equivalence
-    constants; l1_total = sum |V_K| feeds truncation certificates.
+    round-off margin), and `certified_lower` bounds it below everywhere;
+    alpha_lower = min(nu_lower, 1) and alpha_upper = max(nu_upper, 1) are
+    the energy-norm equivalence constants; l1_total = sum |V_K| feeds
+    truncation certificates.
     """
 
     field: SpectralField
@@ -157,6 +167,22 @@ class Potential(NamedTuple):
         """sum of |V_K| over frequencies with |K| > radius."""
         mask = self.field.support.norms_sq > radius * radius
         return float(np.sum(np.abs(self.field.coeffs[mask])))
+
+    def certified_lower(self) -> float:
+        """A lower bound of V everywhere; nu_lower bounds it on the grid points only.
+
+        At a minimiser x* of V the gradient vanishes, and the nearest point x
+        of the verification grid (N points an axis, h = 2 pi / N) has
+        |x - x*|^2 <= d h^2 / 4. The Hessian's norm is at most
+        (2 pi)^(-d/2) sum |K|^2 |V_K|, so by Taylor's theorem V(x) - V(x*)
+        is at most d h^2 / 8 times that: the margin subtracted from
+        nu_lower. A sum beyond the double range gives -inf.
+        """
+        dim = self.dim
+        h = 2.0 * math.pi / verification_grid(self.support_radius(), dim)
+        with np.errstate(over="ignore"):
+            curvature = float(np.sum(self.field.support.norms_sq * np.abs(self.field.coeffs)))
+        return self.nu_lower - dim * h * h / 8.0 * norm_factor(dim) * curvature
 
     def truncated_field(self, radius: int) -> SpectralField:
         """V restricted to |K| <= radius: the entries `tail_l1(radius)` does not sum."""
@@ -392,6 +418,19 @@ def solve_bytes(n: int, points: int, dim: int, block: int) -> int:
     batch = min(block * cells, max(_FFT_CELLS, cells))
     cert = min(max(CERT_BLOCK, 4 * block), n)
     return BLOCK_BYTES * n * block + 40 * batch + 24 * cells + schur_bytes(cert, n)
+
+
+def eigen_reference_bytes(n: int, dim: int, m_ref: int, k0: int, n_eigs: int) -> int:
+    """Modelled peak of the matrix-free eigen reference on the n frequencies of ball(m_ref).
+
+    That is `solve_bytes` for the largest block the guard grows to, on the
+    grid for a potential reaching 2 m_ref, the farthest that couples the
+    ball. A compare or uniform sweep solves smaller balls after the
+    reference solve has freed its block vectors, beside the reference's few
+    columns.
+    """
+    block = k0 + n_eigs + 1 + BLOCK_GUARD * 2**BLOCK_GUARD_GROWS
+    return solve_bytes(n, grid_points(m_ref, 2 * m_ref), dim, block)
 
 
 class ReferenceOperator:

@@ -732,7 +732,7 @@ def test_reference_ball_preflight_rejects_before_work(tmp_path, monkeypatch, cap
     monkeypatch.setattr(cli, "build_potential", build_potential)
     default = cli.validate_config(raw, mode="compare")
     assert default.m_ref == 32
-    assert cli.eigen_reference_bytes(default, 137065) < 2**30
+    assert operator.eigen_reference_bytes(137065, 3, 32, 0, 1) < 2**30
 
     raw["verification"] = {"M_ref": 80}
     tracemalloc.start()
@@ -741,7 +741,7 @@ def test_reference_ball_preflight_rejects_before_work(tmp_path, monkeypatch, cap
     tracemalloc.stop()
     assert rc == 2
     err = capsys.readouterr().err
-    need = cli.eigen_reference_bytes(default._replace(m_ref=80), 2143641)
+    need = operator.eigen_reference_bytes(2143641, 3, 80, 0, 1)
     assert "verification.M_ref" in err and str(need) in err and need > 8 * 2**30
     assert not (tmp_path / "out").exists()
     assert peak < 2**20
@@ -760,8 +760,9 @@ def test_reference_ball_preflight_follows_verification(tmp_path, monkeypatch):
     # the reference of M_ref=200 (401 frequencies) is one byte too large,
     # that of M_ref=199 (399) fits, and without verification nothing is checked
     raw = minimal_config(verification={"M_ref": 200})
-    config = cli.validate_config(raw)
-    monkeypatch.setattr(cli, "physical_memory", lambda: cli.eigen_reference_bytes(config, 401) - 1)
+    cli.validate_config(raw)
+    need = operator.eigen_reference_bytes(401, 1, 200, 0, 1)
+    monkeypatch.setattr(cli, "physical_memory", lambda: need - 1)
     cli.validate_config(minimal_config(verification={"M_ref": 199}), mode="uniform")
     with pytest.raises(cli.ConfigError, match="401 frequencies"):
         cli.validate_config(raw, mode="uniform")
@@ -801,9 +802,9 @@ def test_initial_ball_preflight_follows_mode(monkeypatch):
     # in 1D, M0=2 gives 5 frequencies and LOOP_SOLVE_BYTES * 25 bytes
     raw = minimal_config(verification={"enable_subspace_distance": False})
     raw["problem"]["rhs"] = [[{"index": [0], "re": 1.0}]]
-    monkeypatch.setattr(cli, "physical_memory", lambda: cli.LOOP_SOLVE_BYTES * 25)
+    monkeypatch.setattr(cli, "physical_memory", lambda: operator.LOOP_SOLVE_BYTES * 25)
     validate_config(raw)
-    monkeypatch.setattr(cli, "physical_memory", lambda: cli.LOOP_SOLVE_BYTES * 25 - 1)
+    monkeypatch.setattr(cli, "physical_memory", lambda: operator.LOOP_SOLVE_BYTES * 25 - 1)
     for mode in ("eigen-feasible", "eigen-exact"):
         with pytest.raises(ConfigError, match="at least 5 frequencies") as err:
             validate_config(raw, mode=mode)

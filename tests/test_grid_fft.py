@@ -92,3 +92,32 @@ def test_verify_potential_brackets_direct_sum(data):
     potential = verify_potential(f)
     assert potential.nu_lower <= ref.min()
     assert potential.nu_upper >= ref.max()
+
+
+def direct_minimum(f, n):
+    """Least value of the direct sum on the n^d grid, one term at a time.
+
+    Each term exp(i K.x) is the outer product of its axes' factors, so no
+    points-by-coefficients matrix is formed on grids of up to 96^3 points.
+    """
+    x = 2.0 * math.pi * np.arange(n) / n
+    values = np.zeros((n,) * f.support.dim, dtype=np.complex128)
+    for k, c in zip(f.support.entries.tolist(), f.coeffs):
+        term = np.asarray(c)
+        for kj in k:
+            term = np.multiply.outer(term, np.exp(1j * kj * x))
+        values += term
+    return float(values.real.min()) * (2.0 * math.pi) ** (-f.support.dim / 2.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_certified_lower_bounds_a_grid_eight_times_finer(data):
+    dim = data.draw(st.sampled_from([1, 2, 3]))
+    f = data.draw(random_field(dim, 3 if dim < 3 else 2, True))
+    # V_0 above (2 pi)^(d/2) + sum |V_K| keeps V >= 1, so it is verified
+    coeffs = f.coeffs.copy()
+    coeffs[f.support.index_of((0,) * dim)] += np.sum(np.abs(coeffs)) + (2.0 * math.pi) ** (dim / 2)
+    potential = verify_potential(SpectralField(f.support, coeffs))
+    npts = verification_grid(potential.support_radius(), dim)
+    assert potential.certified_lower() <= direct_minimum(potential.field, 8 * npts)

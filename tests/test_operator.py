@@ -18,6 +18,7 @@ from adaptpw import (
     residual,
     solve_eigen,
     solve_source,
+    verify_potential,
 )
 from adaptpw.cli import build_potential
 from adaptpw.frequency import KEY_LIMIT
@@ -72,6 +73,17 @@ def test_verify_zero_minimum_warns_but_passes():
 def test_verify_rejects_sign_changing():
     with pytest.raises(PotentialError):
         trig_potential(1, 0.0, {(1,): 1.0})
+
+
+def test_certified_lower_lies_below_a_minimum_between_grid_points():
+    # V = (3 + cos 600000 x) / sqrt(2 pi) takes its minimum 2 / sqrt(2 pi)
+    # between the points of its 2,430,000-point verification grid, whose
+    # minimum lies above it; the certified bound does not
+    field = SpectralField.from_pairs(1, {(0,): 3.0, (600000,): 0.5, (-600000,): 0.5})
+    v = verify_potential(field)
+    true_min = 2.0 / math.sqrt(TWO_PI)
+    assert v.nu_lower == pytest.approx(0.798184584, abs=1e-9) and v.nu_lower > true_min
+    assert 0.6 < v.certified_lower() < true_min
 
 
 @pytest.mark.parametrize(

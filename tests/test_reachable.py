@@ -3,7 +3,9 @@
 A few tiny configs run in-process through `cli.main` under `sys.setprofile`,
 which sees every Python function, method and property the runs enter. The
 `def`s of each module's source that no run entered must be exactly the
-oracles the tests compare against and the console-script wrapper.
+oracles the tests compare against and the console-script wrapper. The
+same configs pin the progress lines `run` prints in each of the five
+modes, and `tools/same_outputs.py` compares their runs across two trees.
 """
 
 import ast
@@ -13,6 +15,8 @@ import pkgutil
 import sys
 import warnings
 from pathlib import Path
+
+import pytest
 
 import adaptpw
 from adaptpw.cli import main
@@ -141,6 +145,26 @@ def test_truncation_run_accepts_radii(tmp_path):
     rows = (tmp_path / "truncation" / "iterations.csv").read_text().splitlines()
     col = rows[0].split(",").index("truncation_M")
     assert [int(row.split(",")[col]) for row in rows[1:]] == [8, 16, 16, 32]
+
+
+#: label: the line `run` prints for its mode, before the summary's path
+PROGRESS = {
+    "truncation": "eigen-feasible: tol after 4 iterations, dof 11",
+    "eigen-exact": "eigen-exact: tol after 5 iterations, dof 13",
+    "source": "source: tol after 8 iterations, dof 13",
+    "uniform": "uniform sweep: 3 radii",
+    "compare": "compare: adaptive dof 119 vs uniform 149 at matched error",
+}
+
+
+@pytest.mark.parametrize("label", PROGRESS)
+def test_progress_lines(tmp_path, capsys, label):
+    argv = [arg for arg in write_config(tmp_path, label) if arg != "--quiet"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == [PROGRESS[label], f"wrote {tmp_path / label / 'summary.json'}"]
 
 
 def test_every_function_is_reached_or_an_oracle(tmp_path):

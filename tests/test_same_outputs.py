@@ -42,6 +42,15 @@ def test_differing_files(tmp_path):
     assert differing_files(b, a) == ["marked_sets.jsonl"]
 
 
+def test_differing_keys_are_dotted_paths():
+    differing_keys = _tool().differing_keys
+    parent = {"potential": {"nu_lower": 0.5, "shift": float("nan")}, "final_dof": 57}
+    change = {"potential": {"nu_lower": 0.5, "shift": float("nan"), "nu_lower_certified": 0.4},
+              "final_dof": 58}
+    assert differing_keys(parent, json.loads(json.dumps(parent))) == []  # NaN equals NaN
+    assert differing_keys(parent, change) == ["final_dof", "potential.nu_lower_certified"]
+
+
 def test_first_difference_names_the_line_and_both_lengths(tmp_path):
     first_difference = _tool().first_difference
     a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
@@ -56,3 +65,24 @@ def test_first_difference_names_the_line_and_both_lengths(tmp_path):
         "first difference at line 3; lines: parent 4, change 4\n"
         "  parent: 1,0.5\n  change: 1,0.6"
     )
+
+
+def test_reachable_runs_compare_exit_codes_streams_and_files(tmp_path, capsys):
+    compare_reachable = _tool().compare_reachable
+    src = TOOL_PATH.parents[1] / "src"
+    # each tree runs in its own directory, which the streams name as <dir>
+    assert compare_reachable({"parent": src, "change": src}, tmp_path / "same",
+                             ["eigen-exact", "config-error"]) == (7 + 3, 0)
+    # a tree whose `adaptpw.cli` only prints and exits 2 differs in every
+    # output but stderr, which both leave empty
+    fake = tmp_path / "fake" / "adaptpw"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text("import sys\nprint('no run')\nsys.exit(2)\n")
+    capsys.readouterr()
+    assert compare_reachable({"parent": src, "change": fake.parent}, tmp_path / "fake-run",
+                             ["eigen-exact"]) == (7, 6)
+    out = capsys.readouterr().out
+    assert "differs: reachable-eigen-exact/exit code\n  parent: '0'\n  change: '2'\n" in out
+    assert "  change: 'no run\\n'" in out
+    assert "differs: reachable-eigen-exact/plots.gp" in out

@@ -1,16 +1,20 @@
-"""Check that a change keeps every output file of the benchmark pool byte-identical.
+"""Check that a change keeps every output of the benchmark pool and of every mode byte-identical.
 
     python3 tools/same_outputs.py PARENT_CHECKOUT --seed 7 --seed 11
 
 Every pool member that `perfbench/run.py --seed S` would run (the configs
 and arguments come from `perfbench/workloads.py`) runs once through the
 `src` tree of PARENT_CHECKOUT and once through this checkout's, with
-OPENBLAS_NUM_THREADS=2 (outputs depend on the BLAS thread count). The two
-output directories must hold the same files with the same bytes;
-summary.json is compared without `wall_time_s` and the output directory.
-Each differing file is printed, a CSV or JSONL file with its first
-differing line on each side and both line counts, and the exit code is 1
-on any difference.
+OPENBLAS_NUM_THREADS=2 (outputs depend on the BLAS thread count). So does
+each config of `tests/test_reachable.py`, which covers every mode, the
+gnuplot script and the exit-2 refusals, without `--quiet`. The two output
+directories must hold the same files with the same bytes; summary.json is
+compared without `wall_time_s` and the output directory. A reachable
+config's exit code, stdout and stderr must match too, with its run
+directory written as `<dir>`. Each differing file is printed, a CSV or
+JSONL file with its first differing line on each side and both line
+counts, summary.json with the keys that differ, and the exit code is 1 on
+any difference.
 """
 
 from __future__ import annotations
@@ -40,16 +44,34 @@ def _summary(path: Path) -> dict:
     return data
 
 
+def differing_keys(a: dict, b: dict) -> list[str]:
+    """Dotted paths of the entries that differ between summaries a and b, or exist in one only.
+
+    Values are compared by their JSON text, so a NaN equals a NaN.
+    """
+    out = []
+    for key in sorted(a.keys() | b.keys()):
+        x, y = a.get(key), b.get(key)
+        if isinstance(x, dict) and isinstance(y, dict):
+            out += [f"{key}.{path}" for path in differing_keys(x, y)]
+        elif key not in a or key not in b or json.dumps(x) != json.dumps(y):
+            out.append(key)
+    return out
+
+
 def differing_files(a: Path, b: Path) -> list[str]:
-    """Names of the files that differ between output directories a and b, or exist in one only."""
-    names = sorted({p.name for d in (a, b) for p in d.iterdir() if p.is_file()})
+    """Names of the files that differ between output directories a and b, or exist in one only.
+
+    A directory that does not exist holds no files.
+    """
+    names = sorted({p.name for d in (a, b) if d.is_dir() for p in d.iterdir() if p.is_file()})
     out = []
     for name in names:
         pa, pb = a / name, b / name
         if not (pa.is_file() and pb.is_file()):
             out.append(name)
         elif name == "summary.json":
-            if _summary(pa) != _summary(pb):
+            if differing_keys(_summary(pa), _summary(pb)):
                 out.append(name)
         elif pa.read_bytes() != pb.read_bytes():
             out.append(name)
@@ -67,16 +89,87 @@ def first_difference(a: Path, b: Path) -> str:
     )
 
 
-def _run(src: Path, cli_args: list[str]) -> None:
-    """Run the `adaptpw` of the `src` tree with `cli_args`; a RuntimeError if it fails."""
+def report(outdirs: list[Path], label: str) -> int:
+    """Print each file that differs between two output directories, with detail; their count."""
+    files = differing_files(*outdirs)
+    for file in files:
+        print(f"differs: {label}/{file}")
+        pair = [d / file for d in outdirs]
+        if not all(p.is_file() for p in pair):
+            continue
+        if file.endswith(_TEXT_SUFFIXES):
+            print(first_difference(*pair))
+        elif file == "summary.json":
+            print("  keys: " + ", ".join(differing_keys(*map(_summary, pair))))
+    return len(files)
+
+
+def _run(src: Path, cli_args: list[str]) -> subprocess.CompletedProcess:
+    """Run the `adaptpw` of the `src` tree with `cli_args`, capturing its text output."""
     env = dict(
         os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", PYTHONPATH=str(src),
         PYTHONHASHSEED="0", PYTHONWARNINGS="ignore",
     )
     cmd = [sys.executable, "-m", "adaptpw.cli", *cli_args]
-    proc = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr.decode()}")
+    return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+
+def compare_pool(trees: dict[str, Path], tmp: Path, seeds: list[int]) -> tuple[int, int]:
+    """Run every pool member of `seeds` through both trees; (files compared, files differing).
+
+    A run that exits non-zero raises a RuntimeError.
+    """
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads as wl
+
+    files = differing = 0
+    for seed in seeds:
+        for name, w in wl.WORKLOADS.items():
+            for instance_seed in wl.instance_seeds(seed, w.pool):
+                member = f"{name}-{seed}-{instance_seed}"
+                outdirs = [tmp / tree / member / "out" for tree in trees]
+                for src, outdir in zip(trees.values(), outdirs):
+                    config = outdir.parent / "config.json"
+                    outdir.parent.mkdir(parents=True)
+                    config.write_text(json.dumps(wl.make_config(name, instance_seed, str(outdir))))
+                    proc = _run(src, wl.cli_args(name, str(config)))
+                    if proc.returncode != 0:
+                        raise RuntimeError(f"{member} exited {proc.returncode}:\n{proc.stderr}")
+                files += len(list(outdirs[0].iterdir()))
+                differing += report(outdirs, member)
+    return files, differing
+
+
+def compare_reachable(
+    trees: dict[str, Path], tmp: Path, labels: list[str] | None = None
+) -> tuple[int, int]:
+    """Run the `tests/test_reachable.py` configs through both trees; (outputs compared, differing).
+
+    A run's outputs are its files, its exit code, stdout and stderr. `labels`
+    picks configs by label; all of them by default.
+    """
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from test_reachable import RUNS, write_config
+
+    compared = differing = 0
+    for label in RUNS if labels is None else labels:
+        outdirs, streams = [], []
+        for tree, src in trees.items():
+            directory = tmp / tree / "reachable"
+            directory.mkdir(parents=True, exist_ok=True)
+            proc = _run(src, [arg for arg in write_config(directory, label) if arg != "--quiet"])
+            outdirs.append(directory / label)
+            streams.append([str(proc.returncode)] + [
+                text.replace(str(directory), "<dir>") for text in (proc.stdout, proc.stderr)
+            ])
+        for name, parent, change in zip(("exit code", "stdout", "stderr"), *streams):
+            if parent != change:
+                differing += 1
+                print(f"differs: reachable-{label}/{name}")
+                print(f"  parent: {parent!r}\n  change: {change!r}")
+        compared += 3 + (len(list(outdirs[0].iterdir())) if outdirs[0].is_dir() else 0)
+        differing += report(outdirs, f"reachable-{label}")
+    return compared, differing
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -85,32 +178,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, action="append", required=True)
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads as wl
-
     trees = {"parent": args.parent.resolve() / "src", "change": ROOT / "src"}
-    files = differing = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in args.seed:
-            for name, w in wl.WORKLOADS.items():
-                for instance_seed in wl.instance_seeds(seed, w.pool):
-                    member = f"{name}-{seed}-{instance_seed}"
-                    outdirs = [Path(tmp) / tree / member / "out" for tree in trees]
-                    for src, outdir in zip(trees.values(), outdirs):
-                        config = outdir.parent / "config.json"
-                        outdir.parent.mkdir(parents=True)
-                        raw = wl.make_config(name, instance_seed, str(outdir))
-                        config.write_text(json.dumps(raw))
-                        _run(src, wl.cli_args(name, str(config)))
-                    files += len(list(outdirs[0].iterdir()))
-                    for file in differing_files(*outdirs):
-                        differing += 1
-                        print(f"differs: {member}/{file}")
-                        pair = [d / file for d in outdirs]
-                        if file.endswith(_TEXT_SUFFIXES) and all(p.is_file() for p in pair):
-                            print(first_difference(*pair))
-    print(f"{differing} of {files} files differ")
-    return 1 if differing else 0
+        files, differing = compare_pool(trees, Path(tmp), args.seed)
+        print(f"{differing} of {files} files differ")
+        outputs, reachable = compare_reachable(trees, Path(tmp))
+        print(f"{reachable} of {outputs} files, exit codes and streams of reachable runs differ")
+    return 1 if differing or reachable else 0
 
 
 if __name__ == "__main__":
